@@ -42,6 +42,7 @@ import json
 import sys
 
 from repro import __version__
+from repro.utils.validate import check_nonnegative, check_tile_indices
 
 #: Solver backends exposed by ``--backend`` / ``--solver-mode``.
 #: Mirrors :data:`repro.thermal.solve.SOLVER_MODES` without importing
@@ -307,9 +308,12 @@ def _cmd_sweep(args):
         )
     else:
         factors = args.power_scales or (0.9, 1.0, 1.1, 1.2, 1.3)
-        spec = SweepSpec.power_scaling(
-            args.benchmark, factors=factors, limit_c=args.limit
-        )
+        try:
+            spec = SweepSpec.power_scaling(
+                args.benchmark, factors=factors, limit_c=args.limit
+            )
+        except ValueError as error:
+            raise SystemExit("repro sweep: error: {}".format(error))
     if args.backend is not None:
         spec = spec.with_backend(args.backend)
     report = SweepRunner(args.workers).run(spec)
@@ -387,15 +391,15 @@ def _cmd_solve(args):
     from repro.io.results import deployment_to_dict
 
     problem = _load_problem(args)
-    if args.limit is not None:
-        problem = problem.with_limit(args.limit)
-    if args.solver_mode is not None or args.solver_cache_size is not None:
-        try:
+    try:
+        if args.limit is not None:
+            problem = problem.with_limit(args.limit)
+        if args.solver_mode is not None or args.solver_cache_size is not None:
             problem.configure_solver(
                 mode=args.solver_mode, cache_size=args.solver_cache_size
             )
-        except ValueError as error:
-            raise SystemExit("repro solve: error: {}".format(error))
+    except ValueError as error:
+        raise SystemExit("repro solve: error: {}".format(error))
 
     result = greedy_deploy(
         problem,
@@ -455,8 +459,9 @@ def _add_solver_options(parser, command):
         help="steady-state solver backend: 'reuse' (blocked Woodbury, "
              "default), 'direct' (one LU per distinct current), 'krylov' "
              "(G-preconditioned GMRES with direct fallback), 'cholesky' "
-             "(sparse SPD factorization; CHOLMOD when installed), or "
-             "'auto' (reuse vs krylov by support size)",
+             "(sparse SPD factorization; CHOLMOD when installed), 'mg' "
+             "(multigrid-preconditioned CG), or 'auto' (mg on large "
+             "grids, else reuse vs krylov by support size)",
     )
     parser.add_argument(
         "--solver-cache-size", type=int, default=None,
@@ -490,13 +495,29 @@ def _deployed_model(args):
             )
     greedy = None
     if args.tiles:
-        tiles = tuple(sorted({int(t) for t in args.tiles}))
+        try:
+            tiles = check_tile_indices(args.tiles, problem.grid.num_tiles, "--tiles")
+        except ValueError as error:
+            raise SystemExit(
+                "repro {}: error: {}".format(args._solver_command, error)
+            )
     else:
         from repro.core.deploy import greedy_deploy
 
         greedy = greedy_deploy(problem)
         tiles = tuple(greedy.tec_tiles)
     return problem, problem.model(tiles), greedy
+
+
+def _check_current(args):
+    """Reject a negative or non-finite ``--current`` before any build."""
+    if args.current is not None:
+        try:
+            check_nonnegative(args.current, "--current")
+        except ValueError as error:
+            raise SystemExit(
+                "repro {}: error: {}".format(args._solver_command, error)
+            )
 
 
 def _default_current(model, greedy):
@@ -550,6 +571,7 @@ def _cmd_transient(args):
         raise SystemExit("repro transient: error: --dt must be positive")
     if args.steps < 1:
         raise SystemExit("repro transient: error: --steps must be >= 1")
+    _check_current(args)
     problem, model, greedy = _deployed_model(args)
     current = (
         float(args.current) if args.current is not None
@@ -663,6 +685,7 @@ def _cmd_control(args):
 
     if args.steps < 1:
         raise SystemExit("repro control: error: --steps must be >= 1")
+    _check_current(args)
     problem, model, greedy = _deployed_model(args)
     threshold = (
         float(args.threshold) if args.threshold is not None

@@ -2,7 +2,7 @@
 
 The cold :func:`~repro.core.deploy.greedy_deploy` loop treats every
 round as a fresh problem: rebuild the model, recompute ``lambda_m``
-with a dense eigensolve, restart the Problem 2 bracket from zero.
+exactly, restart the Problem 2 bracket from zero.
 Consecutive rounds differ by a handful of TEC stamps, so almost all
 of that work is redundant.  :func:`incremental_greedy_deploy` runs
 the *same algorithm* (Figure 5 — identical round structure, identical
@@ -30,9 +30,11 @@ termination rules) through three reuse layers:
 Because a warmed round touches only a handful of distinct currents,
 rounds with a large Peltier support (``_DIRECT_MIN_SUPPORT``) skip
 the Woodbury machinery entirely and run on the ``"direct"`` backend —
-one small sparse LU per current instead of the dense influence-block
-build the cold path cannot avoid (its runaway eigensolve needs the
-block).  Such rounds report ``border_mode == "direct"``.
+one small sparse LU per current instead of building the dense
+influence block.  A cold-start round on ``reuse`` builds that block
+once and shares it between the exact runaway eigensolve and its
+Woodbury solves; other backends pay one standalone sparse LU for the
+eigensolve.  Such rounds report ``border_mode == "direct"``.
 
 The final optimum is refined by
 :func:`~repro.core.current.polish_current`, making the reported
@@ -56,7 +58,6 @@ import numpy as np
 
 from repro.core.current import minimize_peak_temperature, polish_current
 from repro.linalg.runaway import (
-    reduced_eigen_value,
     runaway_current_eigen,
     runaway_current_shift_invert,
 )
@@ -81,10 +82,10 @@ class RoundStats:
     evaluations:
         Steady-state solves spent by the Problem 2 search.
     runaway_method:
-        ``"eigen"`` (dense), ``"eigen-z"`` (dense, riding the solve
-        engine's cached influence block), ``"shift-invert"`` (warm) —
-        with ``"+rescue"`` appended when a singular solve forced an
-        exact recomputation mid-round.
+        ``"eigen"`` (exact; riding the solve session's influence block
+        under reuse) or ``"shift-invert"`` (warm) — with ``"+rescue"``
+        appended when a singular solve forced an exact recomputation
+        mid-round.
     runaway_iterations:
         Shift-invert solve count (0 for the dense paths).
     current_warm:
@@ -217,9 +218,9 @@ _SAFETY_FRACTION = 0.98
 #: the dense influence block: measured at support 1774 / 4888 nodes,
 #: one sparse LU costs 25 ms against a 1.1 s influence build plus
 #: 160 ms per capacitance factorization.  Cold-start rounds always
-#: stay on the reuse backend — the dense runaway eigensolve needs the
-#: influence block anyway, and a cold bracket search evaluates enough
-#: currents to amortize it.
+#: stay on the reuse backend — the exact runaway eigensolve reads the
+#: session's influence block, and a cold bracket search evaluates
+#: enough currents to amortize it.
 _DIRECT_MIN_SUPPORT = 256
 
 
@@ -244,28 +245,21 @@ def _map_vector(vector, names, model):
 
 
 def _exact_runaway(model, stats=None):
-    """Dense ``lambda_m`` + eigenvector, riding cached solver state.
+    """Exact ``lambda_m`` + eigenvector, riding cached solver state.
 
-    In (effective) reuse mode the solve engine's influence block
-    already contains ``Z = (G^{-1})[S, S]``, and the reduced runaway
-    eigenproblem is ``eig(Z diag(d_S))`` — zero additional
-    factorizations.  Other backends pay one standalone sparse LU
-    inside :func:`runaway_current_eigen`.
+    In (effective) reuse mode the eigenproblem reads the solve
+    session's influence block (:meth:`PackageThermalModel.runaway_influence`)
+    — zero additional factorizations, and on a bordered round the
+    block rides the adopted cross-round solve.  Other backends pay one
+    standalone sparse LU inside :func:`runaway_current_eigen`.
     """
     if stats is not None:
         stats.runaway_dense += 1
-    system = model.system
-    if model.solver.effective_mode == "reuse":
-        support, d_support, w_block, z_block = model.solver.influence_block()
-        if support.size == 0:
-            return math.inf, None, "eigen-z", 0
-        small = z_block * d_support[np.newaxis, :]
-        result, vector = reduced_eigen_value(
-            small, w_block, d_support, return_vector=True
-        )
-        return result.value, vector, "eigen-z", 0
     result, vector = runaway_current_eigen(
-        system.g_matrix, system.d_diagonal, return_vector=True
+        model.system.g_matrix,
+        model.system.d_diagonal,
+        return_vector=True,
+        influence=model.runaway_influence(),
     )
     return result.value, vector, "eigen", 0
 

@@ -46,9 +46,13 @@ class CoolingSystemProblem:
         problem — one of :data:`~repro.thermal.solve.SOLVER_MODES`:
         ``"reuse"`` (default — one sparse LU per deployment, blocked
         Woodbury updates across currents), ``"direct"`` (one sparse LU
-        per distinct current), ``"krylov"`` (G-preconditioned
-        GMRES/BiCGSTAB with direct fallback), or ``"auto"`` (pick
-        reuse vs krylov per deployment from the support size).
+        per distinct current), ``"cholesky"`` (one sparse SPD
+        factorization per distinct current), ``"krylov"``
+        (G-preconditioned GMRES/BiCGSTAB with direct fallback),
+        ``"mg"`` (multigrid-preconditioned CG, one hierarchy per view)
+        or ``"auto"`` (per assembled system: ``mg`` from
+        :data:`~repro.thermal.solve.MG_NODE_CROSSOVER` nodes on, else
+        reuse vs krylov from the support size).
     solver_cache_size:
         Per-current cache size forwarded to the solver.
     incremental_assembly:
@@ -88,7 +92,7 @@ class CoolingSystemProblem:
         self.stack = stack if stack is not None else PackageStack()
         self.device = device if device is not None else chowdhury_thin_film_tec()
         self.name = str(name)
-        if self.max_temperature_c <= self.stack.ambient_c:
+        if not self.max_temperature_c > self.stack.ambient_c:
             raise ValueError(
                 "limit {} C not above ambient {} C — unachievable".format(
                     self.max_temperature_c, self.stack.ambient_c

@@ -14,7 +14,7 @@ left, i.e. the package undergoes **thermal runaway** at
 ``i = lambda_m`` because Peltier pumping is exactly cancelled by Joule
 heating and back-conduction (zero-COP condition).
 
-Two computations are provided:
+Three computations are provided:
 
 ``runaway_current_binary_search``
     The paper's algorithm — binary search on ``i`` with a Cholesky
@@ -24,13 +24,36 @@ Two computations are provided:
     support, so consecutive rounds' runaway currents are close and the
     hinted bracket collapses in a handful of oracle calls.
 ``runaway_current_eigen``
-    An exact cross-check.  Factor ``G = L L'``; then ``G - i D`` is
-    singular iff ``1/i`` is an eigenvalue of the symmetric matrix
-    ``M = L^{-1} D L^{-T}``, so ``lambda_m = 1 / mu_max`` with
-    ``mu_max`` the largest (necessarily positive) eigenvalue of ``M``.
-    When ``D`` has few non-zero entries (one hot and one cold node per
-    deployed TEC) the eigenproblem is reduced to that support, which
-    keeps the computation cheap for package-scale networks.
+    The exact value.  ``G - i D`` is singular iff ``1/i`` is an
+    eigenvalue of ``G^{-1} D``, whose nonzero eigenvalues are those of
+    the reduced matrix ``Z diag(d_S)`` on the Peltier support ``S``
+    (one hot and one cold node per deployed TEC), with
+    ``Z = W[S, S]`` and ``W = G^{-1} I_S`` the influence columns.
+    ``Z`` is a principal block of ``G^{-1}`` and hence SPD (Lemma 1),
+    so ``Z = L L'`` and ``Z diag(d_S)`` is similar to the *symmetric*
+    ``L' diag(d_S) L``: one top-eigenpair solve (``scipy.linalg.eigh``
+    restricted to the largest index) gives ``mu_max`` and its
+    eigenvector ``y`` (``lambda_m = inf`` when ``mu_max <= 0``).  ``y``
+    lifts back to node space as ``v = W (d_S * (L y))``, which
+    satisfies ``G v = (1 / mu_max) D v``, and the value returned is the
+    Rayleigh quotient ``v' G v / v' D v`` — Theorem 1's variational
+    form at the computed minimizer.  It reads ``G`` and ``D`` directly,
+    so the influence solve's rounding reaches it only to second order,
+    through the eigenvector, where it enters ``1 / mu_max`` to first
+    order.
+
+    ``W`` comes from one of two places.  Standalone, the function
+    factors ``G`` itself (one sparse LU) and batch-solves the ``|S|``
+    influence columns.  Given ``influence`` — a callable returning
+    ``(support, d_support, W, Z)``, such as
+    :meth:`~repro.thermal.session.SessionView.influence_block` — it
+    reads the block a ``reuse`` solve session already holds for its
+    Woodbury solves: no factorization and no extra solve.
+    :meth:`~repro.thermal.model.PackageThermalModel.runaway_current`
+    and the incremental deployment engine pass the session's block
+    whenever it runs ``reuse``.  A session's own block is the same
+    sparse LU applied to the same right-hand sides, so on a sparse
+    ``G`` both sources agree bit for bit.
 ``runaway_current_shift_invert``
     Warm-started inverse iteration on the pencil ``(G, D)`` for the
     incremental deployment engine: given the previous round's runaway
@@ -112,79 +135,84 @@ def _combine(g_matrix, diag, current):
     return np.asarray(g_matrix, dtype=float) - current * np.diag(diag)
 
 
-def reduced_eigen_value(small, basis=None, diag_support=None, *,
-                        return_vector=False):
-    """``lambda_m`` from the reduced support matrix ``K = Z diag(d_S)``.
+def _standalone_influence(g_matrix, diag):
+    """``(support, d_support, W, Z)`` from a private factorization of ``G``.
 
-    ``small`` is the support-restricted matrix whose nonzero
-    eigenvalues equal those of ``G^{-1} D``.  With ``return_vector``,
-    the dominant eigenvector is lifted back to full node space through
-    ``basis`` (the influence columns ``G^{-1} I_S``) and
-    ``diag_support`` — the lift ``v = basis (d_S * u)`` satisfies
-    ``G v = lambda_m D v``.  Lets the solve engine's cached influence
-    block answer the eigenproblem without any extra factorization.
+    ``W = G^{-1} I_S`` is solved as one batched multi-RHS pass: a
+    sparse LU for sparse ``G`` (the same factorization and right-hand
+    sides as a ``reuse`` session's influence block), a dense Cholesky
+    otherwise.
     """
-    if return_vector:
-        eigenvalues, eigenvectors = np.linalg.eig(small)
+    support = np.flatnonzero(diag)
+    n = diag.shape[0]
+    if sp.issparse(g_matrix):
+        lu = splu(g_matrix.tocsc())
+        rhs = np.zeros((n, support.size))
+        rhs[support, np.arange(support.size)] = 1.0
+        w_block = lu.solve(rhs)
     else:
-        eigenvalues = np.linalg.eigvals(small)
-        eigenvectors = None
-    # The pencil (G, D) with G SPD has real spectrum; discard the
-    # imaginary round-off introduced by the unsymmetric reduction.
-    real_parts = np.real(eigenvalues)
-    positive_mask = real_parts > 0.0
-    if not np.any(positive_mask):
+        cho = scipy.linalg.cho_factor(np.asarray(g_matrix, dtype=float), lower=True)
+        w_block = scipy.linalg.cho_solve(cho, np.eye(n)[:, support])
+    return support, diag[support], w_block, w_block[support, :]
+
+
+def _top_eigenpair(g_matrix, diag, w_block, z_block, d_support, *,
+                   return_vector):
+    """``lambda_m`` (and its lifted eigenvector) from the influence block.
+
+    Solves only the largest eigenpair of the symmetric
+    ``L' diag(d_S) L`` with ``Z = L L'``, lifts its eigenvector to node
+    space and returns the lifted vector's Rayleigh quotient (see the
+    module docstring).
+    """
+    try:
+        lower = scipy.linalg.cholesky(z_block, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as error:
+        raise ValueError(
+            "G must be positive definite (Lemma 1 hypothesis)"
+        ) from error
+    top = d_support.size - 1
+    mu, y = scipy.linalg.eigh(
+        (lower.T * d_support) @ lower, subset_by_index=[top, top],
+        check_finite=False,
+    )
+    if not mu[0] > 0.0:
         result = RunawayCurrent(math.inf, "eigen", 0, (math.inf, math.inf))
         return (result, None) if return_vector else result
-    masked = np.where(positive_mask, real_parts, -math.inf)
-    index = int(np.argmax(masked))
-    mu_max = float(real_parts[index])
-    value = 1.0 / mu_max
+    lifted = w_block @ (d_support * (lower @ y[:, 0]))
+    value = rayleigh_quotient_bound(g_matrix, diag, lifted)
     result = RunawayCurrent(value, "eigen", 0, (value, value))
     if not return_vector:
         return result
-    vector = None
-    if basis is not None and diag_support is not None:
-        u = np.real(eigenvectors[:, index])
-        lifted = basis @ (np.asarray(diag_support, dtype=float) * u)
-        norm = float(np.linalg.norm(lifted))
-        if norm > 0.0 and np.all(np.isfinite(lifted)):
-            vector = lifted / norm
-    return result, vector
+    return result, lifted / float(np.linalg.norm(lifted))
 
 
-def runaway_current_eigen(g_matrix, d_matrix, *, return_vector=False):
+def runaway_current_eigen(g_matrix, d_matrix, *, return_vector=False,
+                          influence=None):
     """Exact ``lambda_m`` via the reduced symmetric eigenproblem.
 
-    See the module docstring for the derivation.  Returns a
-    :class:`RunawayCurrent` with ``method="eigen"``; with
-    ``return_vector`` a ``(result, vector)`` pair where ``vector`` is
-    the runaway eigenvector in full node space (unit 2-norm, None when
-    no runaway exists) — the warm-start seed for
-    :func:`runaway_current_shift_invert` on the next deployment.
+    See the module docstring for the derivation.  ``influence`` is an
+    optional callable returning ``(support, d_support, W, Z)`` for this
+    ``(G, D)`` pair — a ``reuse`` session's
+    :meth:`~repro.thermal.session.SessionView.influence_block` — used
+    instead of factoring ``G`` here; it is only called when ``D`` has a
+    positive entry.  Returns a :class:`RunawayCurrent` with
+    ``method="eigen"``; with ``return_vector`` a ``(result, vector)``
+    pair where ``vector`` is the runaway eigenvector in full node space
+    (unit 2-norm, None when no runaway exists) — the warm-start seed
+    for :func:`runaway_current_shift_invert` on the next deployment.
     """
     diag = _diagonal_of(d_matrix)
-    n = diag.shape[0]
-    support = np.nonzero(diag)[0]
-    if support.size == 0 or not np.any(diag > 0.0):
+    if not np.any(diag > 0.0):
         result = RunawayCurrent(math.inf, "eigen", 0, (math.inf, math.inf))
         return (result, None) if return_vector else result
-    if sp.issparse(g_matrix):
-        lu = splu(g_matrix.tocsc())
-        # Columns of G^{-1} restricted to the support of D, solved as
-        # one batched multi-RHS pass through the factorization.
-        rhs = np.zeros((n, support.size))
-        rhs[support, np.arange(support.size)] = 1.0
-        basis = lu.solve(rhs)
+    if influence is None:
+        _, d_support, w_block, z_block = _standalone_influence(g_matrix, diag)
     else:
-        dense_g = np.asarray(g_matrix, dtype=float)
-        cho = scipy.linalg.cho_factor(dense_g, lower=True)
-        basis = scipy.linalg.cho_solve(cho, np.eye(n)[:, support])
-    # Nonzero eigenvalues of G^{-1} D equal those of the small matrix
-    # K = (G^{-1})[support][:, support] @ diag(d_sub).
-    small = basis[support, :] * diag[support][np.newaxis, :]
-    return reduced_eigen_value(
-        small, basis, diag[support], return_vector=return_vector
+        _, d_support, w_block, z_block = influence()
+    return _top_eigenpair(
+        g_matrix, diag, w_block, z_block, d_support,
+        return_vector=return_vector,
     )
 
 
@@ -416,9 +444,11 @@ def runaway_current(g_matrix, d_matrix, *, method="eigen", **kwargs):
     package networks; ``method="binary-search"`` reproduces the
     paper's algorithm.  Both agree to the binary search's tolerance —
     the test suite and ``benchmarks/bench_runaway.py`` verify this.
+    ``kwargs`` go to the chosen method (``influence`` /
+    ``return_vector`` for ``"eigen"``).
     """
     if method == "eigen":
-        return runaway_current_eigen(g_matrix, d_matrix)
+        return runaway_current_eigen(g_matrix, d_matrix, **kwargs)
     if method == "binary-search":
         return runaway_current_binary_search(g_matrix, d_matrix, **kwargs)
     raise ValueError("unknown method {!r}; use 'eigen' or 'binary-search'".format(method))

@@ -87,9 +87,19 @@ def _reject_unknown(payload, allowed, where):
         ))
 
 
-def _build_scenario(fields, where):
+def _build_scenario(fields, where, *, check_chip=False):
+    """``Scenario(**fields)``, with its errors as :class:`SchemaError`.
+
+    ``check_chip`` also runs :meth:`Scenario.check_chip`, so a
+    single-chip request with an out-of-range tile or a limit below
+    ambient is a 400 before any build (``/deploy`` and ``/sweep`` keep
+    the per-scenario failure isolation of the process tier instead).
+    """
     try:
-        return Scenario(**fields)
+        scenario = Scenario(**fields)
+        if check_chip:
+            scenario.check_chip()
+        return scenario
     except (TypeError, ValueError) as error:
         raise SchemaError("invalid {}: {}".format(where, error))
 
@@ -144,6 +154,7 @@ def parse_solve(payload):
         _build_scenario(
             dict(base, name="solve/{}".format(j), task="solve", current_a=c),
             "/solve request",
+            check_chip=True,
         )
         for j, c in enumerate(currents)
     )
@@ -170,7 +181,7 @@ def parse_transient(payload):
         if payload.get(key) is not None:
             fields[key] = payload[key]
     fields.update(name="transient", task="transient")
-    return _build_scenario(fields, "/transient request")
+    return _build_scenario(fields, "/transient request", check_chip=True)
 
 
 def parse_deploy(payload):

@@ -40,10 +40,15 @@ Scenario tasks
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.thermal.solve import SOLVER_MODES
+from repro.thermal.stack import PackageStack
+from repro.utils import check_nonnegative, check_positive
+from repro.utils.validate import check_tile_indices
 
 #: Task identifiers accepted by :class:`Scenario`.
 TASKS = ("greedy", "table1", "optimize", "solve", "pareto", "transient",
@@ -51,6 +56,13 @@ TASKS = ("greedy", "table1", "optimize", "solve", "pareto", "transient",
 
 #: Tasks that require a fixed deployment (``tec_tiles``).
 _DEPLOYED_TASKS = ("optimize", "solve", "pareto", "transient", "multipin")
+
+
+@functools.lru_cache(maxsize=None)
+def _benchmark_num_tiles(name):
+    from repro.experiments.benchmarks import BENCHMARKS
+
+    return BENCHMARKS[name].floorplan().grid.num_tiles
 
 
 @dataclass(frozen=True)
@@ -84,16 +96,17 @@ class Scenario:
         Multiplier applied to the instance's power map (capability
         envelopes, Section VI.B-style scaling).
     limit_c:
-        Temperature-limit override; None keeps the benchmark's own
+        Temperature-limit override, checked against the package
+        ambient by :meth:`check_chip`; None keeps the benchmark's own
         limit (or 85 C for explicit geometries).
     seebeck_factor / resistance_factor:
         Device-parameter scaling relative to the calibrated thin-film
-        TEC (ablation sweeps).
+        TEC (ablation sweeps); finite and positive.
     tec_tiles:
         Fixed deployment for ``optimize`` / ``solve`` / ``pareto``
-        tasks (flat indices).
+        tasks (flat indices); range-checked by :meth:`check_chip`.
     current_a:
-        Supply current for ``solve`` tasks.
+        Supply current for ``solve`` tasks (finite, >= 0).
     budget_w:
         TEC power budget for ``pareto`` tasks (>= 0).
     dt / steps:
@@ -121,7 +134,8 @@ class Scenario:
     backend:
         Solver backend for the instance — one of
         :data:`~repro.thermal.solve.SOLVER_MODES` (``"direct"``,
-        ``"reuse"``, ``"krylov"``, ``"cholesky"``, ``"auto"``), or
+        ``"reuse"``, ``"krylov"``, ``"cholesky"``, ``"mg"``,
+        ``"auto"``), or
         None for the problem default (``"reuse"``).  Lets one sweep
         compare backends per scenario.
     """
@@ -199,9 +213,14 @@ class Scenario:
                         "{!r}".format(self.name, entry)
                     )
                 rows, cols, row0, col0, power = entry
-                chiplets.append(
-                    (int(rows), int(cols), int(row0), int(col0), float(power))
-                )
+                entry = (int(rows), int(cols), int(row0), int(col0),
+                         check_nonnegative(power, "chiplet power_w"))
+                if min(entry[:2]) < 1 or min(entry[2:4]) < 0:
+                    raise ValueError(
+                        "chiplets entries of {!r} need rows, cols >= 1 and "
+                        "offsets >= 0, got {!r}".format(self.name, entry)
+                    )
+                chiplets.append(entry)
             if not chiplets:
                 raise ValueError(
                     "chiplets of {!r} must name at least one chiplet".format(
@@ -210,9 +229,11 @@ class Scenario:
                 )
             object.__setattr__(self, "chiplets", tuple(chiplets))
         if has_explicit:
-            if not self.rows or not self.cols:
+            if not self.rows or not self.cols or min(self.rows, self.cols) < 1:
                 raise ValueError(
-                    "explicit scenario {!r} needs rows and cols".format(self.name)
+                    "explicit scenario {!r} needs rows and cols >= 1".format(
+                        self.name
+                    )
                 )
             object.__setattr__(
                 self, "power_map", tuple(float(p) for p in self.power_map)
@@ -223,8 +244,17 @@ class Scenario:
                         self.name, len(self.power_map), self.rows, self.cols
                     )
                 )
-        if self.power_scale <= 0.0:
-            raise ValueError("power_scale must be positive")
+            if not all(math.isfinite(p) and p >= 0.0 for p in self.power_map):
+                raise ValueError(
+                    "power_map entries of {!r} must be non-negative finite "
+                    "numbers".format(self.name)
+                )
+        for name in ("power_scale", "seebeck_factor", "resistance_factor",
+                     "current_tolerance"):
+            check_positive(getattr(self, name), name)
+        for name in ("current_a", "budget_w"):
+            if getattr(self, name) is not None:
+                check_nonnegative(getattr(self, name), name)
         if self.task in _DEPLOYED_TASKS:
             if self.tec_tiles is None:
                 raise ValueError(
@@ -237,17 +267,12 @@ class Scenario:
             raise ValueError(
                 "{} scenario {!r} needs current_a".format(self.task, self.name)
             )
-        if self.task == "pareto":
-            if self.budget_w is None or self.budget_w < 0.0:
-                raise ValueError(
-                    "pareto scenario {!r} needs budget_w >= 0".format(self.name)
-                )
+        if self.task == "pareto" and self.budget_w is None:
+            raise ValueError(
+                "pareto scenario {!r} needs budget_w >= 0".format(self.name)
+            )
         if self.dt is not None:
-            object.__setattr__(self, "dt", float(self.dt))
-            if self.dt <= 0.0:
-                raise ValueError(
-                    "dt must be None or > 0, got {}".format(self.dt)
-                )
+            object.__setattr__(self, "dt", check_positive(self.dt, "dt"))
         if self.steps is not None:
             object.__setattr__(self, "steps", int(self.steps))
             if self.steps < 1:
@@ -270,17 +295,45 @@ class Scenario:
                     "rom_dim must be None or >= 1, got {}".format(self.rom_dim)
                 )
         if self.rom_tol is not None:
-            object.__setattr__(self, "rom_tol", float(self.rom_tol))
-            if self.rom_tol <= 0.0:
-                raise ValueError(
-                    "rom_tol must be None or > 0, got {}".format(self.rom_tol)
-                )
+            object.__setattr__(
+                self, "rom_tol", check_positive(self.rom_tol, "rom_tol")
+            )
         if self.num_groups is not None:
             object.__setattr__(self, "num_groups", int(self.num_groups))
             if not 1 <= self.num_groups <= len(self.tec_tiles or ()):
                 raise ValueError(
                     "num_groups of {!r} must be in [1, num tec_tiles], "
                     "got {}".format(self.name, self.num_groups)
+                )
+
+    @property
+    def num_tiles(self):
+        """Tile count of the scenario's geometry: ``tec_tiles`` lie in
+        ``[0, num_tiles)`` (composite global order for chiplets)."""
+        if self.chiplets is not None:
+            return sum(rows * cols for rows, cols, _, _, _ in self.chiplets)
+        if self.benchmark is not None:
+            return _benchmark_num_tiles(self.benchmark)
+        return self.rows * self.cols
+
+    def check_chip(self):
+        """Check the fields that must fit the package (ValueError).
+
+        ``tec_tiles`` must index the geometry's :attr:`num_tiles` tiles
+        and ``limit_c`` must be a finite temperature above the package
+        ambient.  The single-chip HTTP endpoints run this before any
+        build and answer 400; a sweep and the serve process tier leave
+        both to the worker, where a bad value fails only its own
+        scenario (captured in its report or answered 422).
+        """
+        if self.tec_tiles is not None:
+            check_tile_indices(self.tec_tiles, self.num_tiles)
+        if self.limit_c is not None:
+            limit = float(self.limit_c)
+            if not math.isfinite(limit) or limit <= PackageStack.ambient_c:
+                raise ValueError(
+                    "limit_c must be a finite temperature above the {} C "
+                    "ambient, got {!r}".format(PackageStack.ambient_c, limit)
                 )
 
     def geometry_key(self):

@@ -139,7 +139,9 @@ class PackageThermalModel:
         Engine knobs forwarded to
         :class:`~repro.thermal.solve.SteadyStateSolver` — any of
         :data:`~repro.thermal.solve.SOLVER_MODES` (``"direct"``,
-        ``"reuse"``, ``"krylov"``, ``"auto"``).
+        ``"reuse"``, ``"krylov"``, ``"cholesky"``, ``"mg"``,
+        ``"auto"``; ``auto`` resolves per system to reuse, krylov or
+        mg, see :func:`~repro.thermal.solve.select_backend`).
     solver_stats:
         Optional shared :class:`~repro.thermal.solve.SolverStats` that
         build and solve instrumentation is reported into.
@@ -667,12 +669,34 @@ class PackageThermalModel:
         system = self.system
         return system.g_matrix, system.d_diagonal, system.p_base, system.joule
 
+    def runaway_influence(self):
+        """The solve session's influence block, when it runs ``reuse``.
+
+        Returns the session's
+        :meth:`~repro.thermal.session.SessionView.influence_block`
+        (a callable) when the backend — ``auto`` resolved — is
+        ``reuse``, else None.  Handed to
+        :func:`~repro.linalg.runaway.runaway_current_eigen`, it lets the
+        runaway eigenproblem read ``Z = W[S, S]`` off the block the
+        Woodbury solves use anyway; other backends pay one standalone
+        sparse LU instead.
+        """
+        if self.solver.effective_mode == "reuse":
+            return self.solver.influence_block
+        return None
+
     def runaway_current(self, method="eigen", **kwargs):
         """The runaway limit ``lambda_m`` of this deployment (Theorem 1).
 
         Returns a :class:`~repro.linalg.runaway.RunawayCurrent`;
-        ``math.inf`` when no TEC is deployed (``D = 0``).
+        ``math.inf`` when no TEC is deployed (``D = 0``).  Under
+        ``reuse`` the exact ``"eigen"`` method reads the influence block
+        the session's Woodbury solves share (see
+        :meth:`runaway_influence`), building it on first use, instead of
+        factoring ``G`` again.
         """
+        if method == "eigen":
+            kwargs.setdefault("influence", self.runaway_influence())
         return _runaway_current(
             self.system.g_matrix, self.system.d_diagonal, method=method, **kwargs
         )

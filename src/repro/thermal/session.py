@@ -460,9 +460,9 @@ class SessionView:
         """The backend actually answering solves.
 
         Equal to :attr:`mode` except under ``"auto"``, where the
-        choice between ``"reuse"`` and ``"krylov"`` is made once per
-        assembled system by :func:`select_backend` (support size vs
-        node count) and shared by every view of the session.
+        choice between ``"reuse"``, ``"krylov"`` and ``"mg"`` is made
+        once per assembled system by :func:`select_backend` (support
+        size vs node count) and shared by every view of the session.
         """
         return self.session.effective_mode
 
@@ -639,10 +639,12 @@ class SessionView:
         Forces the base factorization and the batched influence build
         (reuse-mode machinery) and returns the Peltier support indices,
         the support diagonal, the influence columns ``W = G^{-1} I_S``
-        and ``Z = W[support]``.  The reduced runaway eigenproblem is
-        ``eig(Z diag(d_S))`` — the incremental deployment engine uses
-        this to compute ``lambda_m`` (and its eigenvector) with zero
-        additional factorizations.
+        and ``Z = W[support]``.  The runaway eigensolve
+        (:func:`~repro.linalg.runaway.runaway_current_eigen`, reached
+        through :meth:`PackageThermalModel.runaway_current
+        <repro.thermal.model.PackageThermalModel.runaway_current>` and
+        the incremental deployment engine) reads ``lambda_m`` and its
+        eigenvector off this block with zero additional factorizations.
         """
         self._ensure_influence()
         if self._support.size == 0:
@@ -1344,8 +1346,9 @@ class SolveSession:
         An :class:`~repro.thermal.assembly.AssembledSystem`.
     mode:
         One of :data:`SOLVER_MODES` — ``"direct"``, ``"reuse"``,
-        ``"krylov"``, or ``"auto"`` (resolved once per session by
-        :func:`select_backend`; see :attr:`effective_mode`).
+        ``"krylov"``, ``"cholesky"``, ``"mg"``, or ``"auto"``
+        (resolved once per session by :func:`select_backend`; see
+        :attr:`effective_mode`).
     cache_size:
         Default per-view LRU capacity (see :class:`SessionView`).
     stats:

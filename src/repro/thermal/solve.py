@@ -152,8 +152,8 @@ class SteadyStateSolver(SessionView):
         module docstring.
     mode:
         One of :data:`SOLVER_MODES` — ``"direct"``, ``"reuse"``,
-        ``"krylov"``, or ``"auto"`` (resolved per system by
-        :func:`select_backend`; see
+        ``"krylov"``, ``"cholesky"``, ``"mg"``, or ``"auto"``
+        (resolved per system by :func:`select_backend`; see
         :attr:`~repro.thermal.session.SessionView.effective_mode`).
     stats:
         Optional shared :class:`SolverStats`; a private one is created

@@ -81,3 +81,27 @@ def check_index(value, name, size):
             "{} out of range: {} not in [0, {})".format(name, index, size)
         )
     return index
+
+
+def check_tile_indices(tiles, num_tiles, name="tec_tiles"):
+    """Require integer tile indices in ``[0, num_tiles)``.
+
+    Returns them deduplicated and sorted.  Raises ValueError rather
+    than IndexError: an out-of-range tile is bad input, and every
+    front end (CLI, sweep spec, HTTP) reports ValueErrors as a
+    validation message.
+    """
+    indices = set()
+    for tile in tiles:
+        try:
+            index = int(tile)
+        except (TypeError, ValueError):
+            index = None
+        if index is None or index != tile or not 0 <= index < num_tiles:
+            raise ValueError(
+                "{} entry {!r} is not a tile index in [0, {})".format(
+                    name, tile, num_tiles
+                )
+            )
+        indices.add(index)
+    return tuple(sorted(indices))

@@ -3,6 +3,8 @@ eviction accounting, and the process tier."""
 
 import asyncio
 
+import pytest
+
 from repro.sweep import worker
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import Scenario, SweepSpec
@@ -65,6 +67,48 @@ class TestRouting:
 
         status, _ = with_app(scenario)
         assert status == 200
+
+
+#: ``/solve`` body overrides on the 4x4 chip that must come back as a
+#: 400 with a message, before any build (``json.dumps`` writes NaN and
+#: Infinity literals, which the server's ``json.loads`` accepts).
+BAD_SOLVE_BODIES = [
+    ({"tec_tiles": [5, 99]}, "tec_tiles entry 99"),
+    ({"tec_tiles": [-1]}, "tec_tiles entry -1"),
+    ({"current_a": -1}, "current_a"),
+    ({"current_a": float("nan")}, "current_a"),
+    ({"current_a": float("inf")}, "current_a"),
+    ({"currents_a": [0.5, float("nan")]}, "current_a"),
+    ({"power_map": [-0.1] + [0.08] * 15}, "power_map"),
+    ({"seebeck_factor": 0}, "seebeck_factor"),
+    ({"limit_c": 10}, "limit_c"),
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("overrides, fragment", BAD_SOLVE_BODIES)
+    def test_solve_rejects_with_400_before_any_build(self, overrides, fragment):
+        async def scenario(app):
+            status, body = await asgi_request(
+                app, "POST", "/solve", small_solve_body(**overrides)
+            )
+            return status, body, len(app.pool)
+
+        status, body, pooled = with_app(scenario)
+        assert status == 400
+        assert fragment in body["error"]
+        assert pooled == 0
+
+    def test_transient_rejects_out_of_range_tiles(self):
+        async def scenario(app):
+            return await asgi_request(
+                app, "POST", "/transient",
+                small_solve_body(tec_tiles=[16], dt=1e-3, steps=2),
+            )
+
+        status, body = with_app(scenario)
+        assert status == 400
+        assert "tec_tiles entry 16" in body["error"]
 
 
 class TestWarmPoolSharing:

@@ -184,6 +184,71 @@ class TestScenarioValidation:
             assert scenario.task == task
 
 
+#: Client inputs every front end must reject with a message before any
+#: build (the serve twin is ``tests/serve/test_app.py::TestBadInput``):
+#: field overrides on a 2x2 ``solve`` scenario -> message fragment.
+BAD_SCENARIO_INPUTS = [
+    ({"current_a": -1.0}, "current_a"),
+    ({"current_a": float("nan")}, "current_a"),
+    ({"current_a": float("inf")}, "current_a"),
+    ({"power_map": (0.1, -0.2, 0.3, 0.4)}, "power_map"),
+    ({"power_map": (0.1, float("nan"), 0.3, 0.4)}, "power_map"),
+    ({"seebeck_factor": 0.0}, "seebeck_factor"),
+    ({"resistance_factor": float("nan")}, "resistance_factor"),
+    ({"power_scale": float("nan")}, "power_scale"),
+]
+
+#: Fields that must fit the package, checked by ``Scenario.check_chip``
+#: (the 2x2 geometry has tiles 0..3, the package ambient is 45 C).
+BAD_CHIP_INPUTS = [
+    ({"tec_tiles": (1, 99)}, "tec_tiles entry 99"),
+    ({"tec_tiles": (-1,)}, "tec_tiles entry -1"),
+    ({"tec_tiles": (4,)}, "tec_tiles entry 4"),
+    ({"limit_c": 10.0}, "limit_c"),
+    ({"limit_c": float("nan")}, "limit_c"),
+]
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("overrides, fragment", BAD_SCENARIO_INPUTS)
+    def test_bad_input_rejected_with_a_message(self, overrides, fragment):
+        fields = dict(task="solve", tec_tiles=(0,), current_a=0.5)
+        fields.update(overrides)
+        with pytest.raises(ValueError, match=fragment):
+            _explicit(**fields)
+
+    @pytest.mark.parametrize("overrides, fragment", BAD_CHIP_INPUTS)
+    def test_chip_check_rejects_with_a_message(self, overrides, fragment):
+        fields = dict(task="solve", tec_tiles=(0,), current_a=0.5)
+        fields.update(overrides)
+        scenario = _explicit(**fields)
+        with pytest.raises(ValueError, match=fragment):
+            scenario.check_chip()
+
+    def test_chip_check_accepts_a_fitting_scenario(self):
+        _explicit(task="solve", tec_tiles=(0, 3), current_a=0.5,
+                  limit_c=60.0).check_chip()
+
+    def test_num_tiles_per_geometry(self):
+        assert Scenario(name="b", task="greedy", benchmark="hc08").num_tiles == 144
+        chiplets = ((2, 3, 0, 0, 1.0), (4, 4, 0, 5, 2.0))
+        assert Scenario(name="c", task="greedy", chiplets=chiplets).num_tiles == 22
+
+    @pytest.mark.parametrize("entry", [
+        (2, 2, 0, 0, -1.0), (0, 2, 0, 0, 1.0), (2, 2, -1, 0, 1.0),
+    ])
+    def test_bad_chiplet_entries_rejected(self, entry):
+        with pytest.raises(ValueError, match="chiplet"):
+            Scenario(name="c", task="greedy", chiplets=(entry,))
+
+    def test_nan_budget_and_dt_rejected(self):
+        with pytest.raises(ValueError, match="budget_w"):
+            _explicit(task="pareto", tec_tiles=(0,), budget_w=float("nan"))
+        with pytest.raises(ValueError, match="dt"):
+            _explicit(task="transient", tec_tiles=(0,), current_a=0.5,
+                      dt=float("nan"))
+
+
 class TestGeometryKey:
     def test_limit_siblings_share_key(self):
         a = _explicit(limit_c=80.0)

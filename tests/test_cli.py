@@ -134,6 +134,22 @@ class TestTransient:
             main(["transient", "--benchmark", "hc08", "--tiles", "5",
                   "--current", "0.5", "--steps", "0"])
 
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--tiles", "5", "144", "--current", "0.5"], "--tiles entry 144"),
+        (["--tiles", "5", "--current", "-1"], "--current"),
+        (["--tiles", "5", "--current", "nan"], "--current"),
+    ])
+    @pytest.mark.parametrize("command", ["transient", "control"])
+    def test_bad_input_rejected_with_a_message(self, capsys, command,
+                                               flags, fragment):
+        with pytest.raises(SystemExit, match=fragment):
+            main([command, "--benchmark", "hc08"] + flags)
+
+    @pytest.mark.parametrize("limit", ["10", "nan"])
+    def test_solve_limit_below_ambient_rejected(self, capsys, limit):
+        with pytest.raises(SystemExit, match="ambient"):
+            main(["solve", "--benchmark", "hc08", "--limit", limit])
+
 
 class TestControl:
     _BASE = ["control", "--benchmark", "hc08", "--tiles", "5", "6",
