@@ -1,12 +1,13 @@
 """Zero-copy problem broadcast for process-pool sweep workers.
 
-The process backend used to let every worker rebuild each package
-geometry from its scenario payload — the first scenario of a geometry
-paid the full layer-physics assembly *per worker*.  This module
-broadcasts the parent's assembled :class:`~repro.core.problem.
-CoolingSystemProblem` (carrying its recorded
-:class:`~repro.thermal.assembly.NetworkBlueprint`) through one
-``multiprocessing.shared_memory`` segment per geometry instead:
+Without it every worker rebuilds each package geometry from its
+scenario payload: the first scenario of a geometry records the
+network blueprint (layer physics stamped as arrays, a few milliseconds
+at 64x64 tiles) *per worker*.  This module broadcasts the parent's
+assembled :class:`~repro.core.problem.CoolingSystemProblem` (carrying
+its recorded :class:`~repro.thermal.assembly.NetworkBlueprint`)
+through one ``multiprocessing.shared_memory`` segment per geometry
+instead:
 
 * the runner :func:`publish`\\ es one segment per multi-scenario
   geometry before submitting tasks, and passes only tiny
@@ -15,8 +16,8 @@ CoolingSystemProblem` (carrying its recorded
 * workers :func:`load` the segment on their first scenario of the
   geometry (attach, copy out, detach immediately — a crashed worker
   can never pin a segment) and seed their per-process problem cache
-  with the result, so every worker-side model build replays the
-  broadcast blueprint incrementally;
+  with the result, so every worker-side model build instantiates the
+  broadcast blueprint;
 * the parent's refcounted registry unlinks each segment when its last
   :func:`release` lands, and an ``atexit`` sweep unlinks anything
   still registered, so no ``/dev/shm`` entry outlives the process

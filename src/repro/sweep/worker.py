@@ -12,12 +12,13 @@ Package geometries are cached per process: scenarios sharing a
 :meth:`~repro.sweep.spec.Scenario.geometry_key` share one
 :class:`~repro.core.problem.CoolingSystemProblem`, and through it one
 recorded :class:`~repro.thermal.assembly.NetworkBlueprint`, so a
-sweep over N deployments of one package pays the layer physics once
-per worker instead of N times.  Because blueprint replay is
-bit-identical to a fresh build (see ``thermal/assembly.py``) and every
-solve is deterministic, per-scenario results do not depend on which
-scenarios a worker happened to run before — serial and process
-backends produce bit-identical reports.
+sweep over N deployments of one package records the layer physics
+once per worker and instantiates every deployment from that array
+recording.  Because blueprint replay is bit-identical to a fresh build
+(see ``thermal/assembly.py``) and every solve is deterministic,
+per-scenario results do not depend on which scenarios a worker
+happened to run before — serial and process backends produce
+bit-identical reports.
 """
 
 from __future__ import annotations

@@ -14,15 +14,22 @@ device's two-node thermal model:
   conductance at the hot node, exactly as in Figure 4.
 
 The stamp does **not** decide where TECs go — that is the deployment
-problem (``repro.core.deploy``); it only writes one device into a
-:class:`~repro.thermal.network.ThermalNetwork`.
+problem (``repro.core.deploy``); it only writes devices into a
+:class:`~repro.thermal.network.ThermalNetwork`.  :class:`TecStampBlock`
+describes any number of devices as arrays and :func:`stamp_tecs`
+writes them as one block per element kind; :func:`stamp_tec` is the
+one-device form.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.thermal.network import NodeRole
+import numpy as np
+
+from repro.thermal.network import NodeLabels, NodeRole
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,127 @@ class TecStamp:
     hot_node: int
     cold_node: int
     device: object
+
+
+@dataclass(frozen=True, eq=False)
+class TecStampBlock:
+    """``k`` devices of one kind, as per-device arrays in stamp order.
+
+    Attributes
+    ----------
+    device:
+        The :class:`~repro.tec.materials.TecDeviceParameters` of every
+        device.
+    tiles:
+        Flat tile index per device (the stamp's identity).
+    node_tiles:
+        Tile index recorded as the device nodes' ``tile`` meta (their
+        multigrid lattice placement).
+    silicon_nodes, spreader_nodes:
+        Nodes the cold and hot faces contact.
+    cold_series:
+        Extra series resistance (K/W) per device between the cold
+        contact and its silicon node — the die-exit resistance.
+    hot_series:
+        Extra series resistance (K/W), shared by every device, between
+        the hot contact and its spreader node.
+    cold_series_base:
+        The *unscaled* die-exit resistance ``cold_series`` was derived
+        from, or None; :meth:`scaled` recomputes ``cold_series`` from
+        it under a per-tile die conductivity scale.
+    """
+
+    device: object
+    tiles: np.ndarray
+    node_tiles: np.ndarray
+    silicon_nodes: np.ndarray
+    spreader_nodes: np.ndarray
+    cold_series: np.ndarray
+    hot_series: float = 0.0
+    cold_series_base: Optional[float] = None
+
+    def __len__(self):
+        return len(self.tiles)
+
+    def take(self, rows):
+        """The devices at ``rows`` (an index array), in that order."""
+        return dataclasses.replace(
+            self,
+            tiles=self.tiles[rows],
+            node_tiles=self.node_tiles[rows],
+            silicon_nodes=self.silicon_nodes[rows],
+            spreader_nodes=self.spreader_nodes[rows],
+            cold_series=self.cold_series[rows],
+        )
+
+    def renumbered(self, mapping):
+        """The block with its contact nodes mapped through ``mapping``."""
+        return dataclasses.replace(
+            self,
+            silicon_nodes=mapping[self.silicon_nodes],
+            spreader_nodes=mapping[self.spreader_nodes],
+        )
+
+    def scaled(self, scale):
+        """The block under the per-tile die conductivity ``scale``:
+        ``cold_series = cold_series_base / scale[tile]``."""
+        if self.cold_series_base is None:
+            return self
+        return dataclasses.replace(
+            self, cold_series=self.cold_series_base / scale[self.tiles]
+        )
+
+
+def stamp_tecs(network, block, labels=None):
+    """Write every device of ``block`` into ``network``.
+
+    Per device, in order: the cold and hot nodes, the cold contact,
+    hot contact and film conductances, the two Joule halves, and the
+    ``+alpha`` (hot) / ``-alpha`` (cold) Peltier entries — each kind
+    as one interleaved block.  ``labels`` optionally names the nodes
+    (default ``tec[<tile>].cold`` / ``.hot``).  Returns the
+    :class:`TecStamp` list in device order.
+    """
+    device = block.device
+    k = len(block)
+    cold_series = np.asarray(block.cold_series, dtype=float)
+    if np.any(cold_series < 0.0) or block.hot_series < 0.0:
+        raise ValueError("series resistances must be >= 0")
+    if k == 0:
+        return []
+    if labels is None:
+        labels = NodeLabels(
+            "tec[{}].{}", np.repeat(block.tiles, 2), np.resize(["cold", "hot"], 2 * k)
+        )
+    first = network.add_nodes(
+        (NodeRole.TEC_COLD, NodeRole.TEC_HOT),
+        labels,
+        tile=np.repeat(np.asarray(block.node_tiles, dtype=np.int64), 2),
+    )[0]
+    cold = first + 2 * np.arange(k)
+    hot = cold + 1
+    g_cold = 1.0 / (1.0 / device.cold_contact_conductance + cold_series)
+    g_hot = 1.0 / (1.0 / device.hot_contact_conductance + block.hot_series)
+    network.add_conductances(
+        np.column_stack([block.silicon_nodes, hot, cold]).ravel(),
+        np.column_stack([cold, block.spreader_nodes, hot]).ravel(),
+        np.column_stack([
+            g_cold, np.full(k, g_hot), np.full(k, device.thermal_conductance),
+        ]).ravel(),
+    )
+    network.add_joules(
+        np.column_stack([cold, hot]).ravel(), 0.5 * device.electrical_resistance
+    )
+    network.set_peltiers(
+        np.column_stack([hot, cold]).ravel(),
+        np.resize([+device.seebeck, -device.seebeck], 2 * k),
+    )
+    return [
+        TecStamp(tile=tile, hot_node=h, cold_node=c, device=device)
+        for tile, h, c in zip(
+            np.asarray(block.tiles).tolist(), hot.tolist(), cold.tolist()
+        )
+    ]
 
 
 def stamp_tec(
@@ -82,53 +210,30 @@ def stamp_tec(
         carried.  The package model supplies these so that covered and
         uncovered tiles see consistent layer lumping.
     cold_series_base:
-        The *unscaled* cold series resistance (K/W) — the die-exit
-        resistance before any per-tile die conductivity scale is
-        applied.  When the network records die-scale tags (see
-        :meth:`~repro.thermal.assembly.NetworkBlueprint.tag_die_scale`),
-        this lets blueprint replay recompute ``g_c`` under a different
-        scale field.
+        The *unscaled* cold series resistance (K/W), kept on the
+        device's :class:`TecStampBlock` so
+        :meth:`TecStampBlock.scaled` can recompute ``g_c`` under a
+        per-tile die conductivity scale.
     lattice_tile:
         Tile index recorded in the node metadata for the multigrid
-        lattice placement, when it differs from ``tile``.  Composite
-        chiplet models deploy TECs by **global** flat index (that is
-        ``tile``, and it stays the stamp's identity) but place nodes on
-        the shared bounding lattice; single-die models leave this
-        ``None`` (the two indices coincide).
+        lattice placement, when it differs from ``tile``.
 
     Returns
     -------
     TecStamp
     """
-    prefix = label if label is not None else "tec[{}]".format(tile)
-    meta_tile = int(tile) if lattice_tile is None else int(lattice_tile)
-    cold = network.add_node(
-        "{}.cold".format(prefix), NodeRole.TEC_COLD, tile=meta_tile
+    tile = int(tile)
+    block = TecStampBlock(
+        device,
+        tiles=np.array([tile]),
+        node_tiles=np.array([tile if lattice_tile is None else int(lattice_tile)]),
+        silicon_nodes=np.array([silicon_node]),
+        spreader_nodes=np.array([spreader_node]),
+        cold_series=np.array([float(cold_series_resistance)]),
+        hot_series=float(hot_series_resistance),
+        cold_series_base=cold_series_base,
     )
-    hot = network.add_node(
-        "{}.hot".format(prefix), NodeRole.TEC_HOT, tile=meta_tile
-    )
-    if cold_series_resistance < 0.0 or hot_series_resistance < 0.0:
-        raise ValueError("series resistances must be >= 0")
-    g_cold = 1.0 / (
-        1.0 / device.cold_contact_conductance + cold_series_resistance
-    )
-    g_hot = 1.0 / (
-        1.0 / device.hot_contact_conductance + hot_series_resistance
-    )
-    network.add_conductance(silicon_node, cold, g_cold)
-    tag = getattr(network, "tag_die_scale", None)
-    if tag is not None and cold_series_base is not None:
-        tag(
-            "stamp_cold",
-            (int(tile),),
-            (device.cold_contact_conductance, cold_series_base),
-        )
-    network.add_conductance(hot, spreader_node, g_hot)
-    network.add_conductance(cold, hot, device.thermal_conductance)
-    half_r = 0.5 * device.electrical_resistance
-    network.add_joule(cold, half_r)
-    network.add_joule(hot, half_r)
-    network.set_peltier(hot, +device.seebeck)
-    network.set_peltier(cold, -device.seebeck)
-    return TecStamp(tile=int(tile), hot_node=hot, cold_node=cold, device=device)
+    labels = None
+    if label is not None:
+        labels = NodeLabels("{}.{}", [label, label], ["cold", "hot"])
+    return stamp_tecs(network, block, labels)[0]

@@ -14,27 +14,33 @@ builds the matrices of Equation (4)/(5) of the paper:
   ``g_ground * theta_ambient``, and ``joule`` carries the TEC
   ``r/2`` coefficients.
 
-The module also provides :class:`NetworkBlueprint`, the incremental
-assembly cache of the solve engine: the deployment-independent build
-stream of a package network (the ``G`` skeleton with every TIM tile
-present) is recorded once, together with per-tile TEC stamp templates,
-and any concrete deployment is then *replayed* — TIM nodes of covered
-tiles dropped, stamp deltas inserted — without re-deriving any layer
-physics.  Replay emits the exact same builder-call stream the direct
-build would, in the same order, so the assembled matrices are bitwise
-identical.
+Assembly works on the network's element arrays: the diagonal is one
+``np.bincount`` over the interleaved conductance endpoints (the same
+sequence of additions per node as summing edge by edge, so the result
+is bit-for-bit that sum) plus the ground terms, and ``G`` is one
+COO -> CSC conversion.
+
+The module also provides :class:`NetworkBlueprint`, the assembly
+cache of the solve engine: a package network is recorded once as
+arrays with every TIM tile present and no TEC stamped, together with
+one TEC stamp row per tile, and any concrete deployment is then
+*instantiated* by array operations — TIM nodes of covered tiles and
+their edges masked out, the surviving nodes renumbered, the covered
+tiles' stamp rows spliced in — without re-deriving any layer physics.
+Every model build goes through a blueprint, so there is one build
+path and the element order is the same for every deployment.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.linalg.multigrid import LatticeGeometry
-from repro.thermal.network import NodeRole, ThermalNetwork
+from repro.tec.stamp import stamp_tecs
+from repro.thermal.network import ROLES, NodeRole, ThermalNetwork, role_code
 from repro.utils import celsius_to_kelvin
 
 #: Node roles that live on the tile lattice, with the layer id each
@@ -54,6 +60,11 @@ _LATTICE_LAYERS = {
 }
 
 
+_LAYER_OF_CODE = np.full(len(ROLES), -1, dtype=np.int64)
+for _role, _layer in _LATTICE_LAYERS.items():
+    _LAYER_OF_CODE[role_code(_role)] = _layer
+
+
 def extract_lattice(network, grid_shape):
     """Map a package network onto a :class:`LatticeGeometry`.
 
@@ -67,25 +78,17 @@ def extract_lattice(network, grid_shape):
     """
     rows, cols = int(grid_shape[0]), int(grid_shape[1])
     n = network.num_nodes
+    layers = _LAYER_OF_CODE[network.node_roles()]
+    tiles = network.node_tiles()
+    candidates = np.flatnonzero(
+        (layers >= 0) & (tiles >= 0) & (tiles < rows * cols)
+    )
+    keys = layers[candidates] * (rows * cols) + tiles[candidates]
+    placed = candidates[np.unique(keys, return_index=True)[1]]
     layer = np.full(n, -1, dtype=np.int64)
     tile = np.full(n, -1, dtype=np.int64)
-    seen = set()
-    for index, node in enumerate(network.nodes):
-        layer_id = _LATTICE_LAYERS.get(node.role)
-        if layer_id is None:
-            continue
-        tile_index = node.meta.get("tile")
-        if tile_index is None:
-            continue
-        tile_index = int(tile_index)
-        if not 0 <= tile_index < rows * cols:
-            continue
-        key = (layer_id, tile_index)
-        if key in seen:
-            continue
-        seen.add(key)
-        layer[index] = layer_id
-        tile[index] = tile_index
+    layer[placed] = layers[placed]
+    tile[placed] = tiles[placed]
     return LatticeGeometry(rows=rows, cols=cols, layer=layer, tile=tile)
 
 
@@ -177,154 +180,136 @@ class AssembledSystem:
         return self.p_base + current * current * self.joule
 
 
-#: Event tags of the blueprint stream.
-_NODE, _COND, _GROUND, _SOURCE, _JOULE, _PELTIER, _STAMPS = range(7)
+#: Element kinds of a recording, with the network method adding each.
+_WRITERS = (
+    ("conductance", "add_conductances"),
+    ("ground", "add_ground_conductances"),
+    ("source", "add_sources"),
+    ("joule", "add_joules"),
+    ("peltier", "set_peltiers"),
+)
 
 
 class NetworkBlueprint:
-    """Deployment-independent recording of a package network build.
+    """Deployment-independent array recording of a package network.
 
-    The model builder runs once against this object exactly as it
-    would against a :class:`~repro.thermal.network.ThermalNetwork`,
-    with *every* TIM tile present and no TEC stamped; the stream of
-    builder calls is recorded verbatim.  TEC stamp deltas are recorded
-    separately, one template per tile, between
-    :meth:`begin_stamp_template` / :meth:`end_stamp_template`, and
-    :meth:`mark_stamp_section` marks where stamps belong in the stream.
+    The model builder writes into :attr:`network` (a plain
+    :class:`~repro.thermal.network.ThermalNetwork`) with *every* TIM
+    tile present and no TEC stamped, and hands one
+    :class:`~repro.tec.stamp.TecStampBlock` row per tile to
+    :meth:`mark_stamp_section` at the point of the build where stamps
+    belong.  :meth:`instantiate` then produces the network of a
+    concrete deployment in four array steps:
 
-    :meth:`instantiate` then replays the stream for a concrete
-    deployment: TIM nodes of covered tiles (and every component
-    incident to them) are skipped, surviving node indices are renumbered
-    in stream order, and the covered tiles' stamp templates are emitted
-    at the marker.  Because the replayed call sequence is identical to
-    what a from-scratch build of the same deployment produces, the
-    assembled system is bitwise identical — only the repeated layer
-    physics and node bookkeeping are skipped.
+    1. mask out the TIM nodes of covered tiles and every element
+       incident to them;
+    2. renumber the surviving nodes with a cumsum (the stamp nodes
+       take the slots at the marker);
+    3. splice in the covered tiles' stamp rows at the marker, in tile
+       order;
+    4. recompute the die-conductivity-scale tagged conductances
+       (:meth:`tag_die_scale`) when a scale field is given.
 
-    Conductances that depend on the per-tile die conductivity scale
-    (die lateral edges, die-to-TIM verticals, TEC cold contacts) are
-    *tagged* during recording via :meth:`tag_die_scale` with their
-    unscaled ingredients; :meth:`instantiate` can then replay the same
-    blueprint under a **different** ``die_conductivity_scale``,
-    recomputing exactly those values with the builder's own formulas —
-    still bitwise identical to a from-scratch build with that scale.
-    This is what lets the nonlinear fixed-point iteration update the
-    scale field without reconstructing the model each pass.
+    The element order is the build order, the same for every
+    deployment and every scale, so the assembled matrices of sibling
+    models are exactly what a build of that deployment produces.  A
+    blueprint is immutable once marked and recorded: it is shared by
+    sibling models, by :meth:`CoolingSystemProblem.with_limit` /
+    ``with_solver_mode`` siblings, and pickled for the sweep workers'
+    shared-memory broadcast.
     """
 
     def __init__(self):
-        self._events = []
-        self._event_tags = {}
-        self._templates = {}
-        self._template = None
-        self._template_tags = None
-        self._template_tile = None
-        self._num_nodes = 0
-        self._tim_node_tile = {}
-        self._has_marker = False
+        self.network = ThermalNetwork()
+        self._marker = None
+        self._stamps = None
+        self._tags = []
 
-    # ------------------------------------------------------------------
-    # Builder API (duck-compatible with ThermalNetwork)
-    # ------------------------------------------------------------------
+    def tag_die_scale(self, kind, edges, tiles, payload):
+        """Tag conductances as die-conductivity-scale bound.
 
-    def add_node(self, name, role=NodeRole.OTHER, **meta):
-        if self._template is not None:
-            token = -(1 + sum(1 for e in self._template if e[0] == _NODE))
-            self._template.append((_NODE, token, str(name), role, meta))
-            return token
-        index = self._num_nodes
-        self._num_nodes += 1
-        if role is NodeRole.TIM:
-            # The tile whose TEC coverage displaces this TIM node.  On
-            # a composite layout the node's ``tile`` meta is its
-            # *bounding-lattice* placement while deployments key on
-            # the *global* flat index, carried as ``cover_tile``; on
-            # the single-die package the two coincide.
-            self._tim_node_tile[index] = int(
-                meta.get("cover_tile", meta.get("tile", -1))
-            )
-        self._events.append((_NODE, index, str(name), role, meta))
-        return index
+        ``edges`` are positions in the recorded conductance order,
+        ``kind`` names the builder formula and ``tiles``/``payload``
+        carry its *unscaled* ingredients, per edge or shared:
 
-    def _sink(self):
-        return self._events if self._template is None else self._template
+        * ``"die_lateral"``: ``tiles = (tile_a, tile_b)``, ``payload``
+          the unscaled lateral conductance — recomputed as
+          ``payload * (2 sa sb / (sa + sb))``;
+        * ``"die_tim"``: ``tiles`` the die tile, ``payload =
+          (r_die_exit, tim_half)`` — recomputed as
+          ``1 / (r_die_exit / s + tim_half)``.
 
-    def add_conductance(self, a, b, conductance):
-        self._sink().append((_COND, a, b, float(conductance)))
-
-    def add_ground_conductance(self, node, conductance):
-        self._sink().append((_GROUND, node, float(conductance)))
-
-    def add_source(self, node, power):
-        self._sink().append((_SOURCE, node, float(power)))
-
-    def add_joule(self, node, coefficient):
-        self._sink().append((_JOULE, node, float(coefficient)))
-
-    def set_peltier(self, node, alpha_signed):
-        self._sink().append((_PELTIER, node, float(alpha_signed)))
-
-    def tag_die_scale(self, kind, tiles, payload):
-        """Tag the last recorded event as die-conductivity-scale bound.
-
-        ``kind`` names the builder formula (``"die_lateral"``,
-        ``"die_tim"`` or ``"stamp_cold"``), ``tiles`` the flat tile
-        indices whose scale entries feed it, and ``payload`` the
-        *unscaled* ingredients; :meth:`instantiate` recomputes the
-        tagged value from these when replaying under a different
-        ``die_conductivity_scale``.  Builders call this through
-        ``getattr(net, "tag_die_scale", None)``, so a plain
-        :class:`~repro.thermal.network.ThermalNetwork` (which has no
-        tagging) records nothing.
+        Each formula repeats the builder's float expression exactly,
+        so a scaled instantiation is bit-for-bit the build under that
+        scale (and ``x * 1.0 == x``, ``r / 1.0 == r`` keep an all-ones
+        scale exact too).  The TEC cold contacts rescale through their
+        stamp block (:meth:`~repro.tec.stamp.TecStampBlock.scaled`).
         """
-        sink = self._events if self._template is None else self._template
-        if not sink:
-            raise RuntimeError("no event recorded yet to tag")
-        tags = self._event_tags if self._template is None else self._template_tags
-        tags[len(sink) - 1] = (str(kind), tuple(int(t) for t in tiles), payload)
+        if kind not in ("die_lateral", "die_tim"):
+            raise ValueError("unknown die-scale tag kind {!r}".format(kind))
+        self._tags.append((kind, np.asarray(edges, dtype=np.int64), tiles, payload))
 
-    # ------------------------------------------------------------------
-    # Recording structure
-    # ------------------------------------------------------------------
+    def mark_stamp_section(self, stamps):
+        """Mark the current point of the build as where TEC stamps go.
 
-    def mark_stamp_section(self):
-        """Mark the point of the stream where TEC stamps are inserted."""
-        if self._has_marker:
+        ``stamps`` is a :class:`~repro.tec.stamp.TecStampBlock` with
+        one row per deployable tile in flat tile order, its contact
+        nodes in the recorded numbering.
+        """
+        if self._marker is not None:
             raise RuntimeError("stamp section already marked")
-        self._events.append((_STAMPS,))
-        self._has_marker = True
+        self._marker = {kind: self.network.size(kind) for kind, _ in _WRITERS}
+        self._marker["node"] = self.network.num_nodes
+        self._stamps = stamps
 
-    def begin_stamp_template(self, tile):
-        """Start recording the stamp delta of ``tile``."""
-        if self._template is not None:
-            raise RuntimeError("a stamp template is already being recorded")
-        if tile in self._templates:
-            raise ValueError("tile {} already has a stamp template".format(tile))
-        self._template = []
-        self._template_tags = {}
-        self._template_tile = int(tile)
+    def _scaled_conductances(self, scale):
+        g = self.network.arrays("conductance")[2]
+        if scale is None or not self._tags:
+            return g
+        g = g.copy()
+        for kind, edges, tiles, payload in self._tags:
+            if kind == "die_lateral":
+                sa, sb = scale[tiles[0]], scale[tiles[1]]
+                g[edges] = payload * (2.0 * sa * sb / (sa + sb))
+            else:
+                r_die_exit, tim_half = payload
+                g[edges] = 1.0 / (r_die_exit / scale[tiles] + tim_half)
+        return g
 
-    def end_stamp_template(self, stamp):
-        """Finish the active template; ``stamp`` is the token-valued
-        :class:`~repro.tec.stamp.TecStamp` returned by ``stamp_tec``."""
-        if self._template is None:
-            raise RuntimeError("no stamp template is being recorded")
-        self._templates[self._template_tile] = (
-            self._template, stamp, self._template_tags
-        )
-        self._template = None
-        self._template_tags = None
+    def _cover(self):
+        """Per recorded node, the tile whose TEC displaces it, else -1.
 
-    @property
-    def num_tiles_templated(self):
-        return len(self._templates)
+        A TIM node is displaced by its ``cover_tile`` (a composite
+        layout's global flat index) or, on the single-die package where
+        the two coincide, its ``tile``.
+        """
+        tim = role_code(NodeRole.TIM)
+        parts = []
+        for block in self.network.node_blocks:
+            cover = block.meta.get("cover_tile", block.tiles)
+            parts.append(np.where(block.roles == tim, cover, -1))
+        return np.concatenate(parts).astype(np.int64)
 
-    # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
+    def _write(self, net, head, keep, renumber, g):
+        """Write the recorded elements before (``head``) or after the
+        stamp marker, minus the masked ones, renumbered."""
+        for kind, writer in _WRITERS:
+            arrays = self.network.arrays(kind)
+            if kind == "conductance":
+                arrays = arrays[:2] + (g,)
+            cut = self._marker[kind]
+            span = slice(0, cut) if head else slice(cut, None)
+            *nodes, values = [array[span] for array in arrays]
+            mask = keep[nodes[0]]
+            for other in nodes[1:]:
+                mask &= keep[other]
+            if values.size:
+                getattr(net, writer)(
+                    *[renumber[array[mask]] for array in nodes], values[mask]
+                )
 
     def instantiate(self, tec_tiles, die_conductivity_scale=None):
-        """Replay the recorded build for a concrete deployment.
+        """The network of a concrete deployment.
 
         Returns ``(network, stamps)`` — a populated
         :class:`~repro.thermal.network.ThermalNetwork` and the list of
@@ -332,125 +317,56 @@ class NetworkBlueprint:
         indices, ordered by tile.
 
         When ``die_conductivity_scale`` is given (per-tile positive
-        factors, flat row-major), every conductance tagged via
-        :meth:`tag_die_scale` is recomputed from its unscaled payload
-        under that scale field instead of replaying the recorded value
-        — bitwise identical to building the same deployment from
-        scratch with the same scale.
+        factors, flat row-major), every tagged conductance and every
+        stamped cold contact is recomputed from its unscaled
+        ingredients under that field instead of taking the recorded
+        value.
         """
-        if self._template is not None:
-            raise RuntimeError("cannot instantiate while recording a template")
-        if not self._has_marker:
+        if self._marker is None:
             raise RuntimeError("blueprint has no stamp section marker")
-        covered = {int(t) for t in tec_tiles}
-        missing = covered - set(self._templates)
-        if missing:
+        stamps = self._stamps
+        covered = np.array(sorted({int(t) for t in tec_tiles}), dtype=np.int64)
+        missing = (covered < 0) | (covered >= len(stamps))
+        if np.any(missing):
             raise ValueError(
-                "no stamp template for tiles {}".format(sorted(missing))
+                "no stamp row for tiles {}".format(covered[missing].tolist())
             )
         scale = None
         if die_conductivity_scale is not None:
             scale = np.asarray(die_conductivity_scale, dtype=float)
+
+        head = self._marker["node"]
+        keep = ~np.isin(self._cover(), covered)
+        renumber = np.cumsum(keep) - 1
+        renumber[head:] += 2 * covered.size
+        g = self._scaled_conductances(scale)
+
         net = ThermalNetwork()
-        index = {}
-        stamps = []
-        for position, event in enumerate(self._events):
-            kind = event[0]
-            if kind == _NODE:
-                _, bare, name, role, meta = event
-                tile = self._tim_node_tile.get(bare)
-                if tile is not None and tile in covered:
-                    index[bare] = None
-                else:
-                    index[bare] = net.add_node(name, role, **meta)
-            elif kind == _STAMPS:
-                for tile in sorted(covered):
-                    stamps.append(
-                        self._replay_template(net, tile, index, scale)
-                    )
+        tail_blocks = []
+        offset = 0
+        for block in self.network.node_blocks:
+            part = keep[offset:offset + len(block)]
+            if not part.all():
+                block = block.take(np.flatnonzero(part))
+            if offset < head:
+                net.add_node_block(block)
             else:
-                value = None
-                if scale is not None:
-                    tag = self._event_tags.get(position)
-                    if tag is not None:
-                        value = self._scaled_value(tag, scale)
-                self._apply(net, event, index, value)
-        return net, stamps
+                tail_blocks.append(block)
+            offset += len(part)
+        self._write(net, True, keep, renumber, g)
+        block = stamps.take(covered).renumbered(renumber)
+        if scale is not None:
+            block = block.scaled(scale)
+        stamp_list = stamp_tecs(net, block)
+        for block in tail_blocks:
+            net.add_node_block(block)
+        self._write(net, False, keep, renumber, g)
+        return net, stamp_list
 
-    @staticmethod
-    def _scaled_value(tag, scale):
-        """Recompute a tagged conductance under a scale field.
 
-        Each branch repeats the exact float expression of the builder
-        that recorded the tag (``PackageThermalModel._build_core`` /
-        ``stamp_tec``), so replay stays bitwise identical to a direct
-        build — including for an all-ones scale, since ``x * 1.0 == x``
-        and ``r / 1.0 == r`` exactly.
-        """
-        kind, tiles, payload = tag
-        if kind == "die_lateral":
-            sa, sb = scale[tiles[0]], scale[tiles[1]]
-            return payload * (2.0 * sa * sb / (sa + sb))
-        if kind == "die_tim":
-            r_die_exit, tim_half = payload
-            return 1.0 / (r_die_exit / scale[tiles[0]] + tim_half)
-        if kind == "stamp_cold":
-            g_contact, r_die_exit = payload
-            return 1.0 / (1.0 / g_contact + r_die_exit / scale[tiles[0]])
-        raise ValueError("unknown die-scale tag kind {!r}".format(kind))
-
-    def _apply(self, net, event, index, value=None):
-        kind = event[0]
-        if kind == _COND:
-            a, b = index[event[1]], index[event[2]]
-            if a is None or b is None:
-                return
-            net.add_conductance(a, b, event[3] if value is None else value)
-            return
-        node = index[event[1]]
-        if node is None:
-            return
-        if kind == _GROUND:
-            net.add_ground_conductance(node, event[2])
-        elif kind == _SOURCE:
-            net.add_source(node, event[2])
-        elif kind == _JOULE:
-            net.add_joule(node, event[2])
-        elif kind == _PELTIER:
-            net.set_peltier(node, event[2])
-
-    def _replay_template(self, net, tile, index, scale=None):
-        events, stamp, tags = self._templates[tile]
-        local = {}
-
-        def resolve(token):
-            return local[token] if token < 0 else index[token]
-
-        for position, event in enumerate(events):
-            kind = event[0]
-            if kind == _NODE:
-                _, token, name, role, meta = event
-                local[token] = net.add_node(name, role, **meta)
-            elif kind == _COND:
-                value = event[3]
-                if scale is not None:
-                    tag = tags.get(position)
-                    if tag is not None:
-                        value = self._scaled_value(tag, scale)
-                net.add_conductance(resolve(event[1]), resolve(event[2]), value)
-            elif kind == _GROUND:
-                net.add_ground_conductance(resolve(event[1]), event[2])
-            elif kind == _SOURCE:
-                net.add_source(resolve(event[1]), event[2])
-            elif kind == _JOULE:
-                net.add_joule(resolve(event[1]), event[2])
-            elif kind == _PELTIER:
-                net.set_peltier(resolve(event[1]), event[2])
-        return dataclasses.replace(
-            stamp,
-            hot_node=resolve(stamp.hot_node),
-            cold_node=resolve(stamp.cold_node),
-        )
+def _accumulate(nodes, values, n):
+    """Per-node sums of ``values`` from 0.0, in element order."""
+    return np.bincount(nodes, weights=values, minlength=n).astype(float, copy=False)
 
 
 def assemble(network, ambient_c, grid_shape=None):
@@ -479,44 +395,46 @@ def assemble(network, ambient_c, grid_shape=None):
     n = network.num_nodes
     if n == 0:
         raise ValueError("cannot assemble an empty network")
-    ground = dict(network.ground_items())
-    if not ground:
+    ground_nodes, ground_g = network.arrays("ground")
+    if ground_nodes.size == 0:
         raise ValueError(
             "network has no conductance to ambient; the steady state is undefined"
         )
     ambient_k = celsius_to_kelvin(ambient_c)
 
-    diagonal = np.zeros(n)
-    rows, cols, data = [], [], []
-    for (a, b), conductance in network.conductance_items():
-        rows.extend((a, b))
-        cols.extend((b, a))
-        data.extend((-conductance, -conductance))
-        diagonal[a] += conductance
-        diagonal[b] += conductance
-    for node, conductance in ground.items():
-        diagonal[node] += conductance
+    # Per node, the incident conductances in element order and then the
+    # (per-node summed) ground terms: the edge-by-edge sum, bit for bit.
+    a, b, g = network.arrays("conductance")
+    ends = np.empty(2 * a.size, dtype=np.int64)
+    ends[0::2] = a
+    ends[1::2] = b
+    diagonal = _accumulate(ends, np.repeat(g, 2), n)
+    ground = _accumulate(ground_nodes, ground_g, n)
+    diagonal += ground
 
-    rows.extend(range(n))
-    cols.extend(range(n))
-    data.extend(diagonal)
-    g_matrix = sp.csc_matrix(
-        sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-    )
+    # Builders never add a parallel pair, so every off-diagonal entry is
+    # unique and the COO -> CSC conversion only sorts; a hand-built
+    # network's parallel pairs are summed by the conversion.
+    nodes = np.arange(n)
+    off = -g
+    g_matrix = sp.csc_matrix(sp.coo_matrix(
+        (
+            np.concatenate([off, off, diagonal]),
+            (np.concatenate([a, b, nodes]), np.concatenate([b, a, nodes])),
+        ),
+        shape=(n, n),
+    ))
 
-    p_base = np.zeros(n)
-    for node, power in network.source_items():
-        p_base[node] += power
-    for node, conductance in ground.items():
-        p_base[node] += conductance * ambient_k
+    source_nodes, powers = network.arrays("source")
+    p_base = _accumulate(source_nodes, powers, n)
+    p_base += ground * ambient_k
 
-    joule = np.zeros(n)
-    for node, coefficient in network.joule_items():
-        joule[node] += coefficient
+    joule_nodes, coefficients = network.arrays("joule")
+    joule = _accumulate(joule_nodes, coefficients, n)
 
     d_diagonal = np.zeros(n)
-    for node, alpha in network.peltier_items():
-        d_diagonal[node] = alpha
+    peltier_nodes, alphas = network.arrays("peltier")
+    d_diagonal[peltier_nodes] = alphas
 
     lattice = None
     if grid_shape is not None:

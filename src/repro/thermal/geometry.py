@@ -125,13 +125,33 @@ class TileGrid:
         ``cross_width`` is the width of the shared face in the lateral
         plane (a thickness factor turns it into a cross-section area).
         """
-        for row in range(self.rows):
-            for col in range(self.cols):
-                flat = row * self.cols + col
-                if col < self.cols - 1:
-                    yield flat, flat + 1, self.tile_width, self.tile_height
-                if row < self.rows - 1:
-                    yield flat, flat + self.cols, self.tile_height, self.tile_width
+        a, b, east = self.lateral_pair_arrays()
+        for first, second, is_east in zip(a.tolist(), b.tolist(), east.tolist()):
+            if is_east:
+                yield first, second, self.tile_width, self.tile_height
+            else:
+                yield first, second, self.tile_height, self.tile_width
+
+    def lateral_pair_arrays(self):
+        """Each adjacent tile pair once, as arrays ``(a, b, east)``.
+
+        Row-major, the east pair before the south pair of each tile;
+        ``east`` is True for an east pair (pitch ``tile_width``, face
+        ``tile_height``) and False for a south pair (pitch
+        ``tile_height``, face ``tile_width``).  The package builders
+        stamp lateral conduction in this order.
+        """
+        flat = np.arange(self.num_tiles).reshape(self.rows, self.cols)
+        a = np.stack([flat, flat], axis=-1)
+        b = np.stack([flat + 1, flat + self.cols], axis=-1)
+        valid = np.stack([
+            np.broadcast_to(np.arange(self.cols) < self.cols - 1, flat.shape),
+            np.broadcast_to(
+                (np.arange(self.rows) < self.rows - 1)[:, None], flat.shape
+            ),
+        ], axis=-1)
+        east = np.broadcast_to(np.array([True, False]), valid.shape)
+        return a[valid], b[valid], east[valid]
 
     def boundary_tiles(self, side):
         """Flat indices of the tiles on one side of the grid.
@@ -375,10 +395,12 @@ class CompositeGrid:
 
     def occupied_lattice_tiles(self):
         """Bounding flat index per global tile, length ``num_tiles``."""
-        return np.array(
-            [self.lattice_index(flat) for flat in range(self.num_tiles)],
-            dtype=np.int64,
-        )
+        parts = []
+        for grid, (row0, col0) in zip(self.grids, self.origins):
+            rows = np.arange(row0, row0 + grid.rows)[:, None]
+            cols = np.arange(col0, col0 + grid.cols)[None, :]
+            parts.append((rows * self.cols + cols).ravel())
+        return np.concatenate(parts).astype(np.int64)
 
     def to_grid(self, flat_values):
         """Scatter a global flat vector onto the bounding lattice.

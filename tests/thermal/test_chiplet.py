@@ -232,6 +232,31 @@ class TestChipletDifferential:
         assert coupled.peak_silicon_c < uncoupled.peak_silicon_c
 
 
+def _assert_bitwise_equal(left, right, path):
+    """Walk two objects field by field; every array must match bit for
+    bit (dtype, shape and bytes), every other leaf by ``==``."""
+    assert type(left) is type(right), path
+    if isinstance(left, np.ndarray):
+        assert left.dtype == right.dtype, path
+        assert left.shape == right.shape, path
+        if left.dtype == object:
+            assert left.tolist() == right.tolist(), path
+        else:
+            assert left.tobytes() == right.tobytes(), path
+    elif isinstance(left, dict):
+        assert list(left) == list(right), path
+        for key in left:
+            _assert_bitwise_equal(left[key], right[key], "{}[{!r}]".format(path, key))
+    elif isinstance(left, (list, tuple)):
+        assert len(left) == len(right), path
+        for index, (a, b) in enumerate(zip(left, right)):
+            _assert_bitwise_equal(a, b, "{}[{}]".format(path, index))
+    elif hasattr(left, "__dict__") and not isinstance(left, type):
+        _assert_bitwise_equal(vars(left), vars(right), path)
+    else:
+        assert left == right, path
+
+
 class TestSingleDieIdentity:
     """A single-die layout must take the exact single-die code path."""
 
@@ -249,10 +274,9 @@ class TestSingleDieIdentity:
             routed.system.g_matrix.toarray(), direct.system.g_matrix.toarray()
         )
         assert np.array_equal(routed.system.p_base, direct.system.p_base)
-        bp_routed = routed.network_blueprint()
-        bp_direct = direct.network_blueprint()
-        assert bp_routed._events == bp_direct._events
-        assert bp_routed._templates == bp_direct._templates
+        _assert_bitwise_equal(
+            routed.network_blueprint(), direct.network_blueprint(), "blueprint"
+        )
 
     def test_problem_factory_degenerates(self):
         layout = ChipletLayout((ChipletSpec("die", TileGrid(4, 4), 5.0),))

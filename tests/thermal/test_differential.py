@@ -15,11 +15,12 @@ package networks), so double-precision factorizations agree to ~1e-9 K
 relative; ``atol=1e-6`` Kelvin leaves three orders of margin while
 remaining far below any physically meaningful difference.
 
-Blueprint replay, by contrast, promises *bitwise* equality: replaying
-a recorded :class:`~repro.thermal.assembly.NetworkBlueprint` emits the
-exact builder-call stream of a fresh build, so the assembled arrays
-must be identical — not merely close — on any grid and deployment,
-not just the Alpha fixture it was introduced with.
+Blueprint replay, by contrast, promises *bitwise* equality:
+instantiating a recorded
+:class:`~repro.thermal.assembly.NetworkBlueprint` yields the elements
+of a fresh build in the same order, so the assembled arrays must be
+identical — not merely close — on any grid and deployment, not just
+the Alpha fixture it was introduced with.
 """
 
 import numpy as np

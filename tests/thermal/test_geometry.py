@@ -82,6 +82,22 @@ class TestNeighbors:
         pairs = list(grid.iter_lateral_pairs())
         assert len(pairs) == 3 * 3 + 2 * 4
 
+    def test_lateral_pair_order(self):
+        grid = TileGrid(2, 3, tile_width=1.0, tile_height=2.0)
+        assert list(grid.iter_lateral_pairs()) == [
+            (0, 1, 1.0, 2.0), (0, 3, 2.0, 1.0),
+            (1, 2, 1.0, 2.0), (1, 4, 2.0, 1.0),
+            (2, 5, 2.0, 1.0),
+            (3, 4, 1.0, 2.0),
+            (4, 5, 1.0, 2.0),
+        ]
+        a, b, east = grid.lateral_pair_arrays()
+        assert (a.tolist(), b.tolist(), east.tolist()) == (
+            [0, 0, 1, 1, 2, 3, 4],
+            [1, 3, 2, 4, 5, 4, 5],
+            [True, False, True, False, False, True, True],
+        )
+
     def test_lateral_pairs_unique(self):
         grid = TileGrid(4, 4)
         seen = set()
