@@ -456,8 +456,9 @@ def _add_solver_options(parser, command):
         parser,
         flags=("--backend", "--solver-mode"),
         dest="solver_mode",
-        help="steady-state solver backend: 'reuse' (blocked Woodbury, "
-             "default), 'direct' (one LU per distinct current), 'krylov' "
+        help="steady-state solver backend: 'reuse' (condensed onto the "
+             "TEC support, default), 'direct' (one LU per distinct "
+             "current), 'krylov' "
              "(G-preconditioned GMRES with direct fallback), 'cholesky' "
              "(sparse SPD factorization; CHOLMOD when installed), 'mg' "
              "(multigrid-preconditioned CG), or 'auto' (mg on large "
@@ -1221,10 +1222,20 @@ def build_parser():
 
 
 def main(argv=None):
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A current at or beyond a deployment's runaway limit (e.g.
+    ``transient --current`` past ``lambda_m``) exits with the solver's
+    message instead of a traceback.
+    """
+    from repro.thermal.session import SingularSystemError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SingularSystemError as error:
+        raise SystemExit("repro {}: error: {}".format(args.command, error))
 
 
 if __name__ == "__main__":

@@ -14,36 +14,40 @@ thermally isolated from the ambient.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
 def adjacency_graph(matrix, tol=0.0):
-    """Build the undirected adjacency graph of a symmetric matrix.
+    """The undirected adjacency graph of a square matrix.
 
-    Nodes are ``0..n-1``; an edge joins ``k`` and ``l`` (``k != l``)
-    whenever ``|M[k, l]| > tol``.  Diagonal entries are ignored.
+    Returned as a symmetric boolean ``n x n`` CSR matrix over the nodes
+    ``0..n-1``: entry ``(k, l)`` is True (an edge joins ``k`` and
+    ``l``, ``k != l``) whenever ``|M[k, l]| > tol`` or
+    ``|M[l, k]| > tol``.  Diagonal entries are ignored.
     """
     if sp.issparse(matrix):
-        coo = matrix.tocoo()
-        n = coo.shape[0]
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n))
-        for k, l, value in zip(coo.row, coo.col, coo.data):
-            if k != l and abs(value) > tol:
-                graph.add_edge(int(k), int(l))
-        return graph
-    dense = np.asarray(matrix, dtype=float)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise ValueError("matrix must be square, got shape {}".format(dense.shape))
-    n = dense.shape[0]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    rows, cols = np.nonzero(np.abs(dense) > tol)
-    for k, l in zip(rows, cols):
-        if k != l:
-            graph.add_edge(int(k), int(l))
+        coo = sp.coo_matrix(matrix)
+        shape = coo.shape
+        keep = (coo.row != coo.col) & (np.abs(coo.data) > tol)
+        rows, cols = coo.row[keep], coo.col[keep]
+    else:
+        dense = np.asarray(matrix, dtype=float)
+        shape = dense.shape
+        if dense.ndim == 2:
+            rows, cols = np.nonzero(np.abs(dense) > tol)
+            keep = rows != cols
+            rows, cols = rows[keep], cols[keep]
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError("matrix must be square, got shape {}".format(shape))
+    n = shape[0]
+    both = np.ones(2 * rows.size, dtype=bool)
+    graph = sp.csr_matrix(
+        (both, (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(n, n),
+    )
+    graph.sum_duplicates()
     return graph
 
 
@@ -55,9 +59,9 @@ def is_irreducible(matrix, tol=0.0):
     non-empty square matrices).
     """
     graph = adjacency_graph(matrix, tol=tol)
-    if graph.number_of_nodes() <= 1:
+    if graph.shape[0] <= 1:
         return True
-    return nx.is_connected(graph)
+    return connected_components(graph, directed=False, return_labels=False) == 1
 
 
 def irreducible_components(matrix, tol=0.0):
@@ -68,4 +72,5 @@ def irreducible_components(matrix, tol=0.0):
     matrix yields a single component covering every index.
     """
     graph = adjacency_graph(matrix, tol=tol)
-    return [sorted(component) for component in nx.connected_components(graph)]
+    count, labels = connected_components(graph, directed=False)
+    return [np.flatnonzero(labels == label).tolist() for label in range(count)]

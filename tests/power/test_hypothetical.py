@@ -53,20 +53,29 @@ class TestGenerator:
 
     def test_units_connected(self, chip):
         """Flood-fill growth must produce 4-connected units."""
-        import networkx as nx
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
 
         grid = chip.grid
         for unit in chip.units:
-            graph = nx.Graph()
-            tiles = set(unit.tiles)
-            graph.add_nodes_from(tiles)
+            tiles = sorted(set(unit.tiles))
+            position = {tile: k for k, tile in enumerate(tiles)}
+            rows, cols = [], []
             for tile in tiles:
                 row, col = grid.row_col(tile)
                 for r, c in grid.neighbors(row, col):
                     other = grid.flat_index(r, c)
-                    if other in tiles:
-                        graph.add_edge(tile, other)
-            assert nx.is_connected(graph), unit.name
+                    if other in position:
+                        rows.append(position[tile])
+                        cols.append(position[other])
+            graph = sp.csr_matrix(
+                (np.ones(len(rows)), (rows, cols)),
+                shape=(len(tiles), len(tiles)),
+            )
+            count = connected_components(
+                graph, directed=False, return_labels=False
+            )
+            assert count == 1, unit.name
 
     def test_deterministic_by_seed(self):
         a = hypothetical_chip(seed=7)

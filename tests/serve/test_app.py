@@ -207,6 +207,59 @@ class TestBatchingBitIdentity:
         assert stats["batcher"]["batches"] == 1
 
 
+class TestBeyondRunaway:
+    """A current at or beyond the chip's runaway limit is refused with a
+    422 and a message — never a 500 or a non-physical state."""
+
+    def test_solve_is_a_422(self):
+        async def scenario(app):
+            return await asgi_request(
+                app, "POST", "/solve", small_solve_body(current_a=1.0e6)
+            )
+
+        status, body = with_app(scenario)
+        assert status == 422
+        assert body["error_type"] == "SingularSystemError"
+        assert "runaway" in body["error"]
+
+    def test_transient_is_a_422(self):
+        async def scenario(app):
+            return await asgi_request(
+                app, "POST", "/transient",
+                small_solve_body(current_a=1.0e6, dt=1e-3, steps=2),
+            )
+
+        status, body = with_app(scenario)
+        assert status == 422
+        assert body["error_type"] == "SingularSystemError"
+
+    def test_coalesced_batch_answers_the_other_requests(self):
+        currents = (0.8, 1.0e6, 0.5)
+
+        async def scenario(app):
+            responses = await asyncio.gather(*(
+                asgi_request(
+                    app, "POST", "/solve", small_solve_body(current_a=current)
+                )
+                for current in currents
+            ))
+            stats = await asgi_request(app, "GET", "/stats")
+            return responses, stats
+
+        responses, (_, stats) = with_app(scenario, batch_window_s=0.05)
+        # All three requests rode one batch.
+        assert stats["batcher"]["batches"] == 1
+        assert [status for status, _ in responses] == [200, 422, 200]
+        assert "runaway" in responses[1][1]["error"]
+        for current, (_, body) in zip(currents, responses):
+            if current > 1.0:
+                continue
+            reference = worker.execute(
+                0, _small_scenario(current_a=current)
+            ).values
+            assert body["results"][0]["values"] == reference
+
+
 class TestEvictionAccounting:
     def test_eviction_closes_stats_cleanly(self):
         async def scenario(app):

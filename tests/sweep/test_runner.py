@@ -146,6 +146,25 @@ class TestSerialBackend:
         )
 
 
+class TestBeyondRunaway:
+    def test_scenario_becomes_an_error_row(self):
+        sweep_worker.clear_caches()
+        spec = SweepSpec(name="runaway", scenarios=(
+            Scenario(name="ok", task="solve", rows=4, cols=4,
+                     power_map=_HOTSPOT, tec_tiles=(5, 6, 9, 10),
+                     current_a=0.4),
+            Scenario(name="beyond", task="solve", rows=4, cols=4,
+                     power_map=_HOTSPOT, tec_tiles=(5, 6, 9, 10),
+                     current_a=1.0e6),
+        ))
+        report = SweepRunner().run(spec)
+        assert [result.name for result in report.results] == ["ok"]
+        (error,) = report.errors
+        assert error.name == "beyond"
+        assert error.error_type == "SingularSystemError"
+        assert "runaway" in error.message
+
+
 class TestFaultTolerance:
     @pytest.fixture(scope="class", params=["serial", "process"])
     def report(self, request):

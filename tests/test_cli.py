@@ -129,6 +129,11 @@ class TestTransient:
             main(["transient", "--benchmark", "hc08", "--tiles", "5",
                   "--current", "0.5", "--dt", "0"])
 
+    def test_current_beyond_runaway_exits_with_a_message(self, capsys):
+        with pytest.raises(SystemExit, match="runaway"):
+            main(["transient", "--benchmark", "hc08", "--tiles", "5",
+                  "--current", "1e6", "--steps", "2"])
+
     def test_steps_validated(self, capsys):
         with pytest.raises(SystemExit, match="--steps"):
             main(["transient", "--benchmark", "hc08", "--tiles", "5",

@@ -1,10 +1,10 @@
 """The runaway bound answered from the model's solve session.
 
 Under the ``reuse`` backend :meth:`PackageThermalModel.runaway_current`
-reads the session's influence block instead of factoring ``G`` again.
-These tests pin that path against the standalone sparse-LU path (bit
-for bit), against the factorization count, against the pencil
-``(G, D)`` itself, and against the paper's binary search.
+reads the session's condensed pencil instead of factoring ``G`` again.
+These tests pin that path against the standalone support-last
+factorization (bit for bit), against the factorization count, against
+the pencil ``(G, D)`` itself, and against the paper's binary search.
 """
 
 import math
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.benchmarks import load_benchmark
-from repro.linalg import runaway as runaway_module
+from repro.linalg import condensed as condensed_module
 from repro.linalg.runaway import (
     runaway_current_binary_search,
     runaway_current_eigen,
@@ -37,19 +37,20 @@ def no_standalone_lu(monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("runaway path factored G on its own")
 
-    monkeypatch.setattr(runaway_module, "splu", forbidden)
+    monkeypatch.setattr(condensed_module, "splu", forbidden)
 
 
 class TestSessionPath:
     def test_bitwise_equal_to_standalone(self, reuse_model):
         system = reuse_model.system
         standalone, standalone_vector = runaway_current_eigen(
-            system.g_matrix, system.d_diagonal, return_vector=True
+            system.g_matrix, system.d_diagonal, return_vector=True,
+            lattice=system.lattice,
         )
         session = reuse_model.runaway_current()
         _, session_vector = runaway_current_eigen(
             system.g_matrix, system.d_diagonal, return_vector=True,
-            influence=reuse_model.runaway_influence(),
+            condensed=reuse_model.runaway_condensed(),
         )
         assert session.value == standalone.value
         assert np.array_equal(session_vector, standalone_vector)
@@ -61,7 +62,7 @@ class TestSessionPath:
             small_grid, small_power, tec_tiles=_TILES, solver_mode="auto"
         )
         assert model.solver.effective_mode == "reuse"
-        assert model.runaway_influence() is not None
+        assert model.runaway_condensed() is not None
         assert math.isfinite(model.runaway_current().value)
 
     def test_adds_no_factorization(self, reuse_model, no_standalone_lu):
@@ -71,7 +72,8 @@ class TestSessionPath:
         delta = reuse_model.solver.stats.diff(before)
         assert math.isfinite(result.value)
         assert delta.factorizations == 0
-        assert delta.rhs_columns == 0
+        # The one column is the eigenvector's lift solve.
+        assert delta.rhs_columns == 1
 
     def test_cold_session_factors_once_through_the_session(
         self, reuse_model, no_standalone_lu
@@ -79,7 +81,7 @@ class TestSessionPath:
         result = reuse_model.runaway_current()
         assert math.isfinite(result.value)
         assert reuse_model.solver.stats.factorizations == 1
-        # The block it built serves the later Woodbury solves.
+        # The pencil it built serves the later per-current solves.
         reuse_model.solve(0.5 * result.value)
         assert reuse_model.solver.stats.factorizations == 1
 
@@ -90,16 +92,18 @@ class TestSessionPath:
         model = PackageThermalModel(
             small_grid, small_power, tec_tiles=_TILES, solver_mode=mode
         )
-        assert model.runaway_influence() is None
+        assert model.runaway_condensed() is None
         system = model.system
-        expected = runaway_current_eigen(system.g_matrix, system.d_diagonal)
+        expected = runaway_current_eigen(
+            system.g_matrix, system.d_diagonal, lattice=system.lattice
+        )
         assert model.runaway_current().value == expected.value
 
     def test_eigenvector_satisfies_the_pencil(self, reuse_model):
         system = reuse_model.system
         result, vector = runaway_current_eigen(
             system.g_matrix, system.d_diagonal, return_vector=True,
-            influence=reuse_model.runaway_influence(),
+            condensed=reuse_model.runaway_condensed(),
         )
         g_v = system.g_matrix @ vector
         residual = g_v - result.value * (system.d_diagonal * vector)
@@ -118,12 +122,12 @@ class TestSessionPath:
         self, reuse_model
     ):
         def forbidden():
-            raise AssertionError("influence block requested for D <= 0")
+            raise AssertionError("condensed pencil requested for D <= 0")
 
         system = reuse_model.system
         result, vector = runaway_current_eigen(
             system.g_matrix, -np.abs(system.d_diagonal),
-            return_vector=True, influence=forbidden,
+            return_vector=True, condensed=forbidden,
         )
         assert math.isinf(result.value)
         assert vector is None
