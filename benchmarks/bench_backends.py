@@ -10,9 +10,13 @@ checks the acceptance criteria of the backend-layer PRs:
   once the grid outgrows the direct limit) on the peak temperature of
   every probe current to 1e-6 K;
 * on a >= 48x48 grid with a dense deployment, the ``krylov`` backend
-  beats the blocked-Woodbury ``reuse`` mode wall-clock;
-* on the 128x128 grid (stride-lattice deployment), the batched
-  ``cholesky`` backend beats ``reuse`` wall-clock;
+  beats the condensed ``reuse`` mode wall-clock (the dense
+  support x support block of its support-last factorization grows
+  with the deployment);
+* on the 128x128 grid (stride-lattice deployment, 512 support nodes),
+  the condensed ``reuse`` backend — one support-last factorization for
+  every probe current — beats the batched ``cholesky`` backend, which
+  factors once per current, wall-clock;
 * on the 256x256 grid (>= 260k nodes) the geometric-multigrid ``mg``
   backend beats every assembled-factorization backend by >= 2x
   wall-clock while holding less solver state (``solver_bytes``, the
@@ -29,8 +33,9 @@ variable (comma-separated side lengths, e.g. ``8,16``) so CI can run a
 fast subset; the >= 48x48 speedup assertion skips itself when no large
 grid is in the list.  The ``reuse`` backend is skipped (and the skip
 logged in the JSON) once the Peltier support exceeds
-``_REUSE_SUPPORT_LIMIT`` — its dense influence block would not fit a
-small machine, which is exactly the scaling wall this PR removes.
+``_REUSE_SUPPORT_LIMIT`` — the dense support x support trailing block
+of its factorization, and the block's eigendecomposition, grow
+quadratically and cubically with the support.
 
 Run:  pytest benchmarks/bench_backends.py -s
       python benchmarks/bench_backends.py
@@ -65,9 +70,10 @@ _TOTAL_POWER_W = 60.0
 #: runaway current.
 _PROBE_CURRENTS = (0.25, 0.5, 1.0)
 
-#: Skip the ``reuse`` backend beyond this Peltier-support size: its
-#: dense ``n x support`` influence block and ``support^3`` capacitance
-#: factorization are the scaling wall under study.
+#: Skip the ``reuse`` backend beyond this Peltier-support size: the
+#: dense ``support x support`` trailing block of its factorization and
+#: the block's ``support^3`` eigendecomposition are the scaling wall
+#: under study.
 _REUSE_SUPPORT_LIMIT = 2500
 
 #: Skip the ``direct`` backend beyond this node count: one general LU
@@ -155,9 +161,9 @@ def _safe_currents(system):
 
 def _time_backend(system, backend, currents):
     solver = SteadyStateSolver(system, mode=backend)
-    # The previous backend's session (large LU factors, the dense reuse
-    # influence block) dies through cycle collection; sweep it now so
-    # the decay doesn't land inside this backend's measurement.
+    # The previous backend's session (large LU factors) dies through
+    # cycle collection; sweep it now so the decay doesn't land inside
+    # this backend's measurement.
     gc.collect()
     start = time.perf_counter()
     batch = solver.solve_batch(currents)
@@ -229,8 +235,8 @@ def run_workload(sides=None):
             entries.append(entry)
         if "reuse" in timings:
             # The acceptance ratios: how much faster each challenger
-            # backend answers the same probe currents than the dense
-            # Woodbury update.
+            # backend answers the same probe currents than the
+            # condensed reuse backend.
             for backend in ("krylov", "cholesky", "mg"):
                 if backend in timings:
                     measured_entries[backend]["speedup_vs_reuse"] = (
@@ -312,11 +318,13 @@ def test_krylov_beats_reuse_on_large_grid(workload):
 
 
 @pytest.mark.slow
-def test_cholesky_beats_reuse_on_128(workload):
-    """The batched sparse-SPD backend wins the 128x128 column."""
+def test_reuse_beats_cholesky_on_128(workload):
+    """The condensed reuse backend wins the 128x128 column over the
+    batched sparse-SPD backend: one support-last factorization answers
+    every probe current, where cholesky factors once per current."""
     entries, _ = workload
     ratios = {
-        entry["grid"]: entry["speedup_vs_reuse"]
+        entry["grid"]: 1.0 / entry["speedup_vs_reuse"]
         for entry in entries
         if entry.get("backend") == "cholesky"
         and entry.get("speedup_vs_reuse") is not None and entry["side"] >= 128
@@ -326,7 +334,7 @@ def test_cholesky_beats_reuse_on_128(workload):
             "no >= 128x128 grid ran both reuse and cholesky "
             "(BENCH_BACKENDS_GRIDS subset)"
         )
-    print("cholesky speedup vs reuse: " + ", ".join(
+    print("reuse speedup vs cholesky: " + ", ".join(
         "{} {:.1f}x".format(grid, ratio) for grid, ratio in sorted(ratios.items())
     ))
     assert max(ratios.values()) > 1.0

@@ -45,9 +45,10 @@ class MultiPinModel:
     :class:`~repro.thermal.session.SolveSession` (the arbitrary-
     diagonal path, ``SessionView.solve_diagonal``) instead of a private
     ``splu`` per probe: factorizations are LRU-cached on the diagonal,
-    the reuse backend answers supported diagonals with a dense Woodbury
-    update of the shared base factorization, and the work lands in the
-    model's ``SolverStats``.
+    the reuse backend answers supported diagonals with an ``m x m``
+    Cholesky of its Schur complement ``C_S - diag(d_S)`` on the shared
+    base factorization, and the work lands in the model's
+    ``SolverStats``.
     """
 
     def __init__(self, model):

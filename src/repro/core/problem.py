@@ -44,8 +44,9 @@ class CoolingSystemProblem:
     solver_mode:
         Steady-state solver backend for every model built by this
         problem — one of :data:`~repro.thermal.solve.SOLVER_MODES`:
-        ``"reuse"`` (default — one sparse LU per deployment, blocked
-        Woodbury updates across currents), ``"direct"`` (one sparse LU
+        ``"reuse"`` (default — one sparse LU per deployment with the TEC
+        support last, condensed ``m x m`` work across currents),
+        ``"direct"`` (one sparse LU
         per distinct current), ``"cholesky"`` (one sparse SPD
         factorization per distinct current), ``"krylov"``
         (G-preconditioned GMRES/BiCGSTAB with direct fallback),

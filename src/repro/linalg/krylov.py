@@ -12,8 +12,8 @@ BiCGSTAB therefore converge in a handful of iterations for any current
 comfortably below runaway — each iteration costs one triangular solve
 plus one sparse matrix-vector product, independent of the deployment
 density.  This is what lets the ``krylov`` solver backend scale to
-fine tile grids with dense TEC deployments, where the dense Woodbury
-capacitance of the ``reuse`` backend (``|S| x |S|``) becomes the
+fine tile grids with dense TEC deployments, where the dense
+``|S| x |S|`` Schur complement of the ``reuse`` backend becomes the
 bottleneck.
 
 The module is generic linear algebra: it takes any sparse/dense square

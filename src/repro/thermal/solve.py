@@ -10,25 +10,28 @@ of :mod:`repro.thermal.session`.  Six modes are accepted by
     seed behaviour; cost ``O(LU(n))`` per *distinct* current.
 
 ``mode="reuse"``
-    Blocked Woodbury factorization reuse.  ``D`` is diagonal and only
-    non-zero on the TEC hot/cold nodes, so ``G - i D`` is a low-rank
-    diagonal perturbation of ``G``.  The engine factorizes ``G`` once
-    per assembled system, batch-solves the ``2 m`` influence columns
-    ``W = G^{-1} I_S`` (``S`` = Peltier support) in one BLAS-3 pass,
-    and answers every current through the Woodbury identity
+    The condensed engine (:mod:`repro.linalg.condensed`).  ``D`` is
+    diagonal and only non-zero on the TEC hot/cold nodes ``S``, so
+    ``G - i D`` differs from ``G`` only in its ``S x S`` block.  The
+    engine factors ``G`` once per assembled system with ``S`` ordered
+    last (geometric nested dissection over the tile lattice) and reads
+    the ``2m x 2m`` Schur complement ``C_S = ((G^{-1})[S, S])^{-1}``
+    off the factor's trailing block; one eigendecomposition of the
+    pencil ``(diag(d_S), C_S)`` then gives ``lambda_m`` and answers
+    every current:
 
-        (G - i D)^{-1} b = x + W (I - i d Z)^{-1} (i d x_S)
+        (G - i D)^{-1} b = x + G^{-1} I_S (i d_S * (x_S + delta)),
+        (C_S - i diag(d_S)) delta = i d_S * x_S
 
-    with ``x = G^{-1} b``, ``Z = I_S^T W`` and ``d`` the support
-    diagonal.  The power-vector solves are *blocked over currents*
-    too: ``p(i) = p_base + i^2 joule`` is linear in ``(1, i^2)``, so
-    one two-column triangular solve answers ``G^{-1} p(i)`` for every
-    current ever requested.  Per current this leaves one dense
-    ``2m x 2m`` capacitance factorization (cached per current, LRU)
-    and BLAS-3 back-substitutions — ``O((2m)^3)`` once per current,
-    ``O(n * 2m)`` per solve.  Ideal while the support is small; the
-    capacitance blows up quadratically-to-cubically as deployments
-    densify.
+    with ``x = G^{-1} b``.  The power-vector solves are *blocked over
+    currents* too: ``p(i) = p_base + i^2 joule`` is linear in
+    ``(1, i^2)``, so one two-column triangular solve answers
+    ``G^{-1} p(i)`` for every current ever requested.  Per current this
+    leaves two dense ``2m x 2m`` products and one sparse lift solve; a
+    current at or beyond ``lambda_m`` raises
+    :class:`SingularSystemError`.  Ideal while the support is small;
+    the dense trailing block grows quadratically (its
+    eigendecomposition cubically) as deployments densify.
 
 ``mode="krylov"``
     G-preconditioned iterative solves
@@ -38,7 +41,7 @@ of :mod:`repro.thermal.session`.  Six modes are accepted by
     clusters at 1 with a spread shrinking in the runaway margin, so a
     handful of iterations suffice per current *independent of the
     deployment density*.  Per current: ``k`` triangular solves plus
-    ``k`` sparse mat-vecs (``k`` ~ 5-30), no dense capacitance at
+    ``k`` sparse mat-vecs (``k`` ~ 5-30), no dense support block at
     all.  A residual above the target triggers an automatic fallback
     to the direct per-current LU (counted in
     ``SolverStats.krylov_fallbacks``), so krylov never silently
@@ -72,8 +75,8 @@ of :mod:`repro.thermal.session`.  Six modes are accepted by
 
 ``mode="auto"``
     Pick ``reuse``, ``krylov`` or ``mg`` per assembled system
-    (:func:`select_backend`): small supports keep the dense Woodbury
-    update, dense deployments on fine grids switch to the iterative
+    (:func:`select_backend`): small supports keep the condensed
+    engine, dense deployments on fine grids switch to the iterative
     backend, and grids at/past ``MG_NODE_CROSSOVER`` nodes go
     multigrid regardless of support.
 
@@ -146,10 +149,9 @@ class SteadyStateSolver(SessionView):
         An :class:`~repro.thermal.assembly.AssembledSystem`.
     cache_size:
         Number of per-current cache entries kept (true LRU): LU
-        factorizations in ``direct`` mode, dense capacitance
-        factorizations in ``reuse`` mode, and solved temperature
-        vectors in both.  Keys are exact float currents — see the
-        module docstring.
+        factorizations in ``direct``/``cholesky`` mode and solved
+        temperature vectors in every mode.  Keys are exact float
+        currents — see the module docstring.
     mode:
         One of :data:`SOLVER_MODES` — ``"direct"``, ``"reuse"``,
         ``"krylov"``, ``"cholesky"``, ``"mg"``, or ``"auto"``
