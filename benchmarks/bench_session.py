@@ -7,8 +7,8 @@ checks the acceptance criteria of the solve-session PR:
 * **Control-loop trace** — a PI controller sweeping through many
   quantized current levels is run twice on identical problems, once
   under the ``direct`` backend (one sparse LU per distinct level) and
-  once under ``reuse`` (one shifted base LU + dense Woodbury caps per
-  level).  The traces must agree to 1e-9 K with identical commanded
+  once under ``reuse`` (one shifted support-last base LU and one
+  condensed pencil for every level).  The traces must agree to 1e-9 K with identical commanded
   currents, and ``SolverStats`` must show the reuse run needing at
   least 3x fewer sparse factorizations.  A
   :class:`~repro.thermal.transient.TransientSimulator` then runs over

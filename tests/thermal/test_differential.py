@@ -2,7 +2,7 @@
 
 Four implementations answer ``(G - i D) theta = p(i)`` for a package
 model: the per-current sparse-LU engine (``mode="direct"``), the
-Woodbury factorization-reuse engine (``mode="reuse"``), the
+condensed factorization-reuse engine (``mode="reuse"``), the
 G-preconditioned iterative backend (``mode="krylov"``, with ``auto``
 dispatching between the last two), and a dense ``numpy.linalg.solve``
 on the assembled matrices.  They share no code past assembly, so

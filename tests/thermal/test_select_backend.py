@@ -1,7 +1,7 @@
 """Properties of the ``auto`` backend heuristic.
 
 :func:`~repro.thermal.session.select_backend` decides between the
-blocked-Woodbury ``reuse`` backend, the iterative ``krylov`` backend
+condensed ``reuse`` backend, the iterative ``krylov`` backend
 and the geometric-multigrid ``mg`` backend from
 ``(num_nodes, support_size)`` alone.  Contracts:
 
@@ -57,8 +57,8 @@ class TestSelectBackendProperties:
     @given(num_nodes=_NODES, support=_SUPPORT)
     def test_chiplet_scale_grids_always_go_mg(self, num_nodes, support):
         """At or past the node crossover the support is irrelevant:
-        the hierarchy's O(n) memory is what matters, not the Woodbury
-        rank."""
+        the hierarchy's O(n) memory is what matters, not the support
+        size."""
         if num_nodes >= MG_NODE_CROSSOVER:
             assert select_backend(num_nodes, support) == "mg"
         else:

@@ -248,7 +248,7 @@ class TestSolveDiagonal:
         view = model.session.base_view()
         d = self._device_diagonal(model)
         # A nonzero entry outside the Peltier support (a silicon node)
-        # breaks the Woodbury structure; the reuse backend must answer
+        # breaks the condensed structure; the reuse backend must answer
         # it with a direct factorization, not silently wrong numbers.
         silicon = model.silicon_nodes[0]
         assert model.system.d_diagonal[silicon] == 0.0
