@@ -11,20 +11,32 @@ the Alpha greedy deployment — and measures:
   rebuilds the problem, reassembles the nodal system and refactorizes,
   which is what serving without the pool would cost.
 
+Both run the default batcher: a chip's solve dispatches at once when
+no batch of that chip is running, and requests that arrive meanwhile
+ride its next batch.  The first request stays inside the timed phase.
+
 Acceptance criteria of the serving PR:
 
 * warm throughput >= 3x cold throughput;
 * every response agrees with ``repro solve --json`` to within 1e-9 K
   (in fact bit-identical — both paths run the same task impl on the
   same assembled system);
-* p50/p95/p99 latencies recorded to ``BENCH_serve.json`` at the repo
-  root (schema: :func:`repro.io.results.bench_report_to_json`).
+* p50/p95/p99 latencies and each configuration's ``/stats`` batcher
+  counters (``requests``, ``batches``, ``max_batch_seen``) recorded to
+  ``BENCH_serve.json`` at the repo root (schema:
+  :func:`repro.io.results.bench_report_to_json`).
 
 Environment knobs for CI-sized runs:
 
-* ``BENCH_SERVE_REQUESTS`` — requests per configuration (default 64);
+* ``BENCH_SERVE_REQUESTS`` — requests per configuration (default 1024;
+  the warm phase must last well over 0.2 s, or the one cold first
+  request and scheduler noise decide the warm/cold ratio);
 * ``BENCH_SERVE_CLIENTS``  — concurrent load-generator clients
   (default 4).
+
+A run with any ``BENCH_SERVE_*`` override writes
+``BENCH_serve-fast.json`` instead, so a fast run never overwrites the
+checked-in full-run numbers.
 
 Run:  pytest benchmarks/bench_serve.py -s
 """
@@ -41,9 +53,11 @@ from repro.io.results import bench_report_to_json
 from repro.serve import RequestPool, ServeConfig, ServerThread, create_app
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
-_REQUESTS = int(os.environ.get("BENCH_SERVE_REQUESTS", "64"))
+_REQUESTS = int(os.environ.get("BENCH_SERVE_REQUESTS", "1024"))
 _CLIENTS = int(os.environ.get("BENCH_SERVE_CLIENTS", "4"))
+_FULL_RUN = not any(name.startswith("BENCH_SERVE_") for name in os.environ)
 _CURRENT_CYCLE = 8
+_BATCHER_COUNTERS = ("requests", "batches", "max_batch_seen")
 
 
 @pytest.fixture(scope="module")
@@ -75,40 +89,41 @@ def request_stream(cli_reference):
 
 
 def _drive(config, requests):
+    """Replay ``requests`` on a fresh server: ``(report, wall, batcher)``."""
     app = create_app(config)
     with ServerThread(app) as server:
         pool = RequestPool(server.host, server.port, clients=_CLIENTS)
         start = time.perf_counter()
         report = pool.run(requests)
         wall = time.perf_counter() - start
+        stats = RequestPool(server.host, server.port, clients=1).run(
+            [("GET", "/stats", None)]
+        )
     assert report.errors == 0
     assert all(status == 200 for status, _ in report.responses)
-    return report, wall
+    batcher = stats.responses[0][1]["batcher"]
+    return report, wall, {name: batcher[name] for name in _BATCHER_COUNTERS}
 
 
 @pytest.fixture(scope="module")
 def runs(request_stream):
-    # A 1 ms coalescing window: with a closed-loop generator the
-    # window is pure added latency per batch, so the default 5 ms
-    # (tuned for open-loop traffic) would throttle the warm run.
-    warm, warm_wall = _drive(
-        ServeConfig(batch_window_s=0.001), request_stream
-    )
-    cold, cold_wall = _drive(
-        ServeConfig(pool_size=0, batch_window_s=0.001), request_stream
-    )
-    return {"warm": (warm, warm_wall), "cold": (cold, cold_wall)}
+    return {
+        "warm": _drive(ServeConfig(), request_stream),
+        "cold": _drive(ServeConfig(pool_size=0), request_stream),
+    }
 
 
-def _entry(configuration, report, wall):
+def _entry(configuration, report, wall, batcher):
     summary = report.as_dict()
-    summary.update({"configuration": configuration, "wall_s": wall})
+    summary.update({
+        "configuration": configuration, "wall_s": wall, "batcher": batcher,
+    })
     return summary
 
 
 def test_responses_agree_with_cli(runs, cli_reference):
     base_current = cli_reference["current_a"]
-    for configuration, (report, _) in runs.items():
+    for configuration, (report, _, _) in runs.items():
         checked = 0
         for _, body in report.responses:
             result = body["results"][0]
@@ -131,13 +146,16 @@ def test_writes_bench_json(runs):
     entries[0]["speedup_vs_cold"] = (
         entries[0]["throughput_rps"] / entries[1]["throughput_rps"]
     )
-    path = _REPO_ROOT / "BENCH_serve.json"
+    path = _REPO_ROOT / (
+        "BENCH_serve.json" if _FULL_RUN else "BENCH_serve-fast.json"
+    )
     bench_report_to_json(
         "serve", entries, path,
         metadata={
             "workload": "{} solve requests, {} clients, {}-current cycle "
                         "on the alpha greedy deployment".format(
                             _REQUESTS, _CLIENTS, _CURRENT_CYCLE),
+            "run": "full" if _FULL_RUN else "fast",
             "cpu_count": os.cpu_count(),
         },
     )
@@ -147,12 +165,14 @@ def test_writes_bench_json(runs):
 def test_warm_pool_beats_cold_by_3x(runs):
     speedup = runs["warm"][0].throughput_rps / runs["cold"][0].throughput_rps
     print()
-    for label, (report, wall) in (("warm", runs["warm"]),
-                                  ("cold", runs["cold"])):
+    for label, (report, wall, batcher) in (("warm", runs["warm"]),
+                                           ("cold", runs["cold"])):
         stats = report.as_dict()["latency_ms"]
         print("{}: {:7.1f} req/s  p50 {:6.2f} ms  p95 {:6.2f} ms  "
-              "p99 {:6.2f} ms  ({:.2f} s wall)".format(
+              "p99 {:6.2f} ms  ({:.2f} s wall, {} batches for {} "
+              "requests, max {})".format(
                   label, report.throughput_rps, stats["p50"],
-                  stats["p95"], stats["p99"], wall))
+                  stats["p95"], stats["p99"], wall, batcher["batches"],
+                  batcher["requests"], batcher["max_batch_seen"]))
     print("warm-vs-cold throughput: {:.1f}x".format(speedup))
     assert speedup >= 3.0

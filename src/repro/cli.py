@@ -27,7 +27,7 @@ Usage (also installed as the ``repro`` console script)::
     python -m repro.cli runaway [--benchmark alpha]
     python -m repro.cli conjecture [--matrices 500]
     python -m repro.cli serve [--host 127.0.0.1] [--port 8080]
-                              [--pool-size 8] [--batch-window 0.005]
+                              [--pool-size 8] [--batch-max 64]
                               [--threads 4] [--workers 4]
     python -m repro.cli info
 
@@ -1145,13 +1145,9 @@ def _add_serve(subparsers):
              "(default 8; 0 disables the warm pool)",
     )
     parser.add_argument(
-        "--batch-window", type=float, default=None, metavar="SECONDS",
-        help="same-chip request coalescing window (default 0.005; "
-             "0 coalesces only within one event-loop tick)",
-    )
-    parser.add_argument(
         "--batch-max", type=int, default=None, metavar="N",
-        help="max solve scenarios per coalesced batch (default 64)",
+        help="max solve scenarios per coalesced batch (default 64; "
+             "same-chip solves queue behind a running one)",
     )
     parser.add_argument(
         "--threads", type=int, default=None, metavar="N",
@@ -1176,7 +1172,6 @@ def _cmd_serve(args):
 
     overrides = {
         "pool_size": args.pool_size,
-        "batch_window_s": args.batch_window,
         "batch_max": args.batch_max,
         "threads": args.threads,
         "workers": args.workers,
@@ -1190,8 +1185,8 @@ def _cmd_serve(args):
     except ValueError as error:
         raise SystemExit("repro serve: error: {}".format(error))
     print("repro serve: listening on http://{}:{} "
-          "(pool {}, batch window {} s)".format(
-              args.host, args.port, config.pool_size, config.batch_window_s))
+          "(pool {}, batch max {})".format(
+              args.host, args.port, config.pool_size, config.batch_max))
     print("endpoints: POST /solve /sweep /deploy /transient; "
           "GET /healthz /stats — Ctrl-C to stop")
     run(app, host=args.host, port=args.port)

@@ -8,8 +8,9 @@ stdlib one).  Endpoints:
 ``POST /solve``
     Steady-state solve(s) of one chip/deployment at one or more
     currents.  Answered through the warm session pool and the request
-    batcher: concurrent same-blueprint requests coalesce into one
-    batched multi-RHS solve, identical points are deduplicated, and
+    batcher: a chip with no solve running dispatches at once, requests
+    that arrive while one runs coalesce into its next batched
+    multi-RHS solve, identical points are deduplicated, and
     every response carries the per-solve solver-stats delta so clients
     can see cache behaviour (``cache_hits``) and batching
     (``coalesced``).
@@ -45,11 +46,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolEx
 from dataclasses import asdict, dataclass, fields
 
 from repro.serve import schemas
-from repro.serve.batcher import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_WINDOW_S,
-    RequestBatcher,
-)
+from repro.serve.batcher import DEFAULT_MAX_BATCH, RequestBatcher
 from repro.serve.pool import DEFAULT_MAX_ENTRIES, SessionPool
 from repro.sweep.report import ScenarioError, SweepReport
 from repro.sweep.runner import pool_fault
@@ -72,8 +69,8 @@ class ServeConfig:
     """Tunables of the serving tier.
 
     ``pool_size=0`` disables the warm pool (every request builds cold —
-    the benchmark baseline); ``batch_window_s=0`` coalesces only
-    within one event-loop tick.  ``workers=None`` sizes the process
+    the benchmark baseline).  ``batch_max`` caps the scenarios of one
+    coalesced ``/solve`` batch.  ``workers=None`` sizes the process
     pool to the machine.  ``default_backend`` is applied to every
     request scenario that leaves ``backend`` unset (one of
     :data:`~repro.thermal.session.SOLVER_MODES`; None keeps the
@@ -82,7 +79,6 @@ class ServeConfig:
     """
 
     pool_size: int = DEFAULT_MAX_ENTRIES
-    batch_window_s: float = DEFAULT_WINDOW_S
     batch_max: int = DEFAULT_MAX_BATCH
     threads: int = 4
     workers: int = None
@@ -127,9 +123,7 @@ class ReproServeApp:
         self.config = config if config is not None else ServeConfig()
         self.pool = SessionPool(self.config.pool_size)
         self.batcher = RequestBatcher(
-            self._execute_solve_batch,
-            window_s=self.config.batch_window_s,
-            max_batch=self.config.batch_max,
+            self._execute_solve_batch, max_batch=self.config.batch_max
         )
         self._threads = None
         self._processes = None

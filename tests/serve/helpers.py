@@ -4,7 +4,9 @@
 interface (no sockets); ``with_app`` runs an async scenario against a
 fresh app inside one event loop and guarantees executor teardown.
 Both keep every request of a test on a single loop, which is what the
-pool's per-entry ``asyncio.Lock`` objects require.
+pool's per-entry ``asyncio.Lock`` objects require.  ``SolveGate``
+holds ``/solve`` batches open so a test can queue requests behind a
+running batch without relying on timing.
 """
 
 import asyncio
@@ -85,3 +87,36 @@ def with_app(scenario, **config_kwargs):
             await app.shutdown()
 
     return asyncio.run(main())
+
+
+class SolveGate:
+    """Hold every ``/solve`` batch of ``app`` open until :meth:`release`.
+
+    Wraps the batcher's executor, so a test decides when a running
+    batch ends; ``sizes`` records the scenario count of each batch as
+    it is dispatched.  Create it inside the running event loop.
+    """
+
+    def __init__(self, app):
+        self.sizes = []
+        self._released = asyncio.Event()
+        inner = app.batcher.executor
+
+        async def gated(key, scenarios):
+            self.sizes.append(len(scenarios))
+            await self._released.wait()
+            return await inner(key, scenarios)
+
+        app.batcher.executor = gated
+
+    def release(self):
+        self._released.set()
+
+
+async def until(condition, ticks=100):
+    """Yield event-loop ticks until ``condition()`` holds (bounded)."""
+    for _ in range(ticks):
+        if condition():
+            return
+        await asyncio.sleep(0)
+    raise AssertionError("condition not reached within {} ticks".format(ticks))

@@ -9,7 +9,14 @@ from repro.sweep import worker
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import Scenario, SweepSpec
 
-from tests.serve.helpers import SMALL_CHIP, asgi_request, small_solve_body, with_app
+from tests.serve.helpers import (
+    SMALL_CHIP,
+    SolveGate,
+    asgi_request,
+    small_solve_body,
+    until,
+    with_app,
+)
 
 
 def _small_scenario(**overrides):
@@ -115,19 +122,28 @@ class TestWarmPoolSharing:
     def test_concurrent_same_chip_requests_share_one_session(self):
         """Two concurrent same-blueprint requests land on one warm
         session: the pool holds a single entry and the repeated
-        request is answered from cache (``cache_hits > 0``)."""
+        request is answered from cache (``cache_hits > 0``).  The
+        second arrives while the first one's batch is held open."""
 
         async def scenario(app):
             body = small_solve_body()
             warmup = await asgi_request(app, "POST", "/solve", body)
-            concurrent = await asyncio.gather(
-                asgi_request(app, "POST", "/solve", body),
-                asgi_request(app, "POST", "/solve", body),
+            gate = SolveGate(app)
+            first = asyncio.ensure_future(
+                asgi_request(app, "POST", "/solve", body)
             )
+            await until(lambda: gate.sizes == [1])
+            second = asyncio.ensure_future(
+                asgi_request(app, "POST", "/solve", body)
+            )
+            await until(lambda: app.batcher.stats()["pending_keys"] == 1)
+            gate.release()
+            concurrent = await asyncio.gather(first, second)
             stats = await asgi_request(app, "GET", "/stats")
-            return warmup, concurrent, stats
+            return warmup, concurrent, stats, gate.sizes
 
-        warmup, concurrent, stats = with_app(scenario, batch_window_s=0.02)
+        warmup, concurrent, stats, sizes = with_app(scenario)
+        assert sizes == [1, 1]
         status, first = warmup
         assert status == 200
         assert first["results"][0]["pool"]["hit"] is False
@@ -136,6 +152,11 @@ class TestWarmPoolSharing:
             result = body["results"][0]
             assert result["pool"]["hit"] is True
             assert result["cache_hits"] > 0
+        # The second request waited for the held batch, then ran.
+        batcher = stats[1]["batcher"]
+        assert batcher["in_flight"] == 0
+        wait_ms = batcher["queue_wait_ms"]
+        assert wait_ms["max"] >= wait_ms["mean"] > 0.0
         # One chip, one warm session, no rebuilds.
         pool_stats = stats[1]["pool"]
         assert len(pool_stats["entries"]) == 1
@@ -172,15 +193,30 @@ class TestWarmPoolSharing:
 
 class TestBatchingBitIdentity:
     def test_batched_multi_current_matches_serial_worker(self):
+        """A multi-current request queued behind a running batch rides
+        the chip's next batch and still matches serial solves bitwise."""
         currents = [0.2, 0.5, 0.8, 1.1]
 
         async def scenario(app):
+            gate = SolveGate(app)
+            running = asyncio.ensure_future(asgi_request(
+                app, "POST", "/solve", small_solve_body(current_a=0.3)
+            ))
+            await until(lambda: gate.sizes == [1])
             body = small_solve_body()
             del body["current_a"]
             body["currents_a"] = currents
-            return await asgi_request(app, "POST", "/solve", body)
+            queued = asyncio.ensure_future(
+                asgi_request(app, "POST", "/solve", body)
+            )
+            await until(lambda: app.batcher.stats()["requests"] == 5)
+            gate.release()
+            (first_status, _), response = await asyncio.gather(running, queued)
+            assert first_status == 200
+            return response, gate.sizes
 
-        status, body = with_app(scenario, batch_window_s=0.02)
+        (status, body), sizes = with_app(scenario)
+        assert sizes == [1, len(currents)]
         assert status == 200
         assert body["count"] == len(currents)
         for current, result in zip(currents, body["results"]):
@@ -191,14 +227,20 @@ class TestBatchingBitIdentity:
 
     def test_duplicate_points_coalesce_to_one_solve(self):
         async def scenario(app):
+            gate = SolveGate(app)
             body = small_solve_body()
             del body["current_a"]
             body["currents_a"] = [0.7, 0.7, 0.7]
-            response = await asgi_request(app, "POST", "/solve", body)
+            pending = asyncio.ensure_future(
+                asgi_request(app, "POST", "/solve", body)
+            )
+            await until(lambda: gate.sizes == [3])
+            gate.release()
+            response = await pending
             stats = await asgi_request(app, "GET", "/stats")
             return response, stats
 
-        (status, body), (_, stats) = with_app(scenario, batch_window_s=0.02)
+        (status, body), (_, stats) = with_app(scenario)
         assert status == 200
         results = body["results"]
         assert [r["coalesced"] for r in results] == [False, True, True]
@@ -237,18 +279,28 @@ class TestBeyondRunaway:
         currents = (0.8, 1.0e6, 0.5)
 
         async def scenario(app):
-            responses = await asyncio.gather(*(
-                asgi_request(
-                    app, "POST", "/solve", small_solve_body(current_a=current)
-                )
-                for current in currents
+            gate = SolveGate(app)
+            running = asyncio.ensure_future(asgi_request(
+                app, "POST", "/solve", small_solve_body(current_a=0.3)
             ))
+            await until(lambda: gate.sizes == [1])
+            queued = []
+            for count, current in enumerate(currents, start=2):
+                queued.append(asyncio.ensure_future(asgi_request(
+                    app, "POST", "/solve", small_solve_body(current_a=current)
+                )))
+                await until(lambda: app.batcher.stats()["requests"] == count)
+            gate.release()
+            first, *responses = await asyncio.gather(running, *queued)
+            assert first[0] == 200
             stats = await asgi_request(app, "GET", "/stats")
-            return responses, stats
+            return responses, stats, gate.sizes
 
-        responses, (_, stats) = with_app(scenario, batch_window_s=0.05)
-        # All three requests rode one batch.
-        assert stats["batcher"]["batches"] == 1
+        responses, (_, stats), sizes = with_app(scenario)
+        # All three requests queued behind the running batch and rode
+        # the next one together.
+        assert sizes == [1, 3]
+        assert stats["batcher"]["batches"] == 2
         assert [status for status, _ in responses] == [200, 422, 200]
         assert "runaway" in responses[1][1]["error"]
         for current, (_, body) in zip(currents, responses):
@@ -384,6 +436,12 @@ class TestDefaultBackend:
     reuse one), and an explicit per-request ``backend`` always wins
     over the server default.
     """
+
+    def test_removed_batch_window_field_is_refused(self):
+        from repro.serve import ServeConfig
+
+        with pytest.raises(ValueError, match="unknown config field"):
+            ServeConfig.from_dict({"batch_window_s": 0.005})
 
     def test_invalid_default_backend_rejected(self):
         import pytest

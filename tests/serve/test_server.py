@@ -8,14 +8,14 @@ import socket
 import pytest
 
 from repro.cli import build_parser, main
-from repro.serve import RequestPool, ServeConfig, ServerThread, create_app
+from repro.serve import RequestPool, ServerThread, create_app
 
 from tests.serve.helpers import small_solve_body
 
 
 @pytest.fixture(scope="module")
 def server():
-    app = create_app(ServeConfig(batch_window_s=0.0))
+    app = create_app()
     with ServerThread(app) as running:
         yield running
 
@@ -158,11 +158,16 @@ class TestServeCli:
     def test_parser_accepts_serve_flags(self):
         args = build_parser().parse_args([
             "serve", "--port", "0", "--pool-size", "4",
-            "--batch-window", "0.01", "--batch-max", "16",
-            "--threads", "2", "--workers", "3",
+            "--batch-max", "16", "--threads", "2", "--workers", "3",
         ])
         assert args.command == "serve"
         assert (args.pool_size, args.batch_max, args.workers) == (4, 16, 3)
+
+    def test_batch_window_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--batch-window", "0.01"])
+        assert excinfo.value.code == 2
+        assert "--batch-window" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_nonpositive_workers_rejected(self, capsys, value):
