@@ -1,45 +1,49 @@
-"""Cold-vs-incremental GreedyDeploy race.
+"""GreedyDeploy against its all-cold loop.
 
-Runs the full GreedyDeploy pipeline twice per workload — once with the
-per-round-recompute ``cold`` engine and once with the reuse-layered
-``incremental`` engine (:mod:`repro.core.engine`) — on the Table I
-``alpha`` floorplan and on dense Gaussian-hotspot grids (24x24 up to
-48x48), and checks the acceptance criteria of the incremental-engine
-PR:
+Runs the full GreedyDeploy pipeline twice per workload — once as
+:func:`repro.core.deploy.greedy_deploy` runs it (a round after the
+first runs warm once its Peltier support reaches
+``repro.core.engine._DIRECT_MIN_SUPPORT``) and once with that
+threshold patched to ``math.inf``, so every round runs cold — on the
+Table I ``alpha`` floorplan and on dense Gaussian-hotspot grids (24x24
+up to 48x48), and checks:
 
-* both engines visit identical rounds (same ``added_tiles`` per
-  round) and finish with the identical deployment;
+* both loops visit identical rounds (same ``added_tiles`` per round)
+  and finish with the identical deployment and verdict;
 * their optima agree: polished on a *common* model (the deterministic
   :func:`repro.core.current.polish_current` fixed point — raw argmins
   sit on a solver-noise plateau, and polishing on different solver
   backends shifts the shallow parabola vertex by ~1e-6), ``I_opt``
   matches to 1e-6 A and the peak temperature to 1e-6 K;
-* on a dense >= 32x32 grid the incremental engine is >= 3x faster
-  end-to-end (cold is timed *with* the same final polish so both
-  engines deliver the same artifact).
+* on a dense >= 32x32 grid ``greedy_deploy`` is >= 3x faster than the
+  all-cold loop end to end.  A run whose last round was warm polishes
+  its optimum; the all-cold run then gets the same polish, timed, so
+  both walls cover the same deliverable.
 
-The measurements are written to ``BENCH_deploy.json`` at the repo
-root (schema: :func:`repro.io.results.bench_report_to_json`) so the
-perf trajectory is machine-readable across commits.
-
-The workload list honours the ``BENCH_DEPLOY_GRIDS`` environment
-variable (comma-separated, e.g. ``table1,24``) so CI can run a fast
-subset; the speedup assertion skips itself when no >= 32x32 grid is
-in the list.
+A full default run writes ``BENCH_deploy.json`` at the repo root
+(schema: :func:`repro.io.results.bench_report_to_json`, tagged
+``"run": "full"``).  The workload list honours the
+``BENCH_DEPLOY_GRIDS`` environment variable (comma-separated, e.g.
+``table1,24``) so CI can run a fast subset; any override writes
+``BENCH_deploy-fast.json`` instead, so a fast run never overwrites the
+checked-in full-run numbers, and the speedup assertion skips itself
+when no >= 32x32 grid is in the list.
 
 Run:  pytest benchmarks/bench_deploy.py -s
       python benchmarks/bench_deploy.py
 """
 
 import dataclasses
+import math
 import os
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize  # noqa: F401 — preload so neither engine pays the import
+import scipy.optimize  # noqa: F401 — preload so neither loop pays the import
 
+from repro.core import engine
 from repro.core.current import polish_current
 from repro.core.deploy import greedy_deploy
 from repro.core.problem import CoolingSystemProblem
@@ -50,9 +54,10 @@ from repro.thermal.stack import PackageStack
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _DEFAULT_WORKLOADS = "table1,24,32,48"
+_FULL_RUN = "BENCH_DEPLOY_GRIDS" not in os.environ
 
-#: Problem 2 search tolerance for both engines.  Tight enough that the
-#: two engines' search centers land close together, so the common
+#: Problem 2 search tolerance for both loops.  Tight enough that the
+#: two loops' search centers land close together, so the common
 #: polish converges to the same fixed point well inside the 1e-6 A
 #: agreement budget.
 _CURRENT_TOLERANCE = 1.0e-6
@@ -63,7 +68,7 @@ _PEAK_AGREEMENT_K = 1.0e-6
 
 #: The speedup assertion only fires on grids at least this large —
 #: smaller instances are dominated by per-run constants (bare solve,
-#: model assembly) that neither engine can amortize.
+#: model assembly) that no round can amortize.
 _SPEEDUP_MIN_SIDE = 32
 _SPEEDUP_TARGET = 3.0
 
@@ -72,10 +77,10 @@ _SPEEDUP_TARGET = 3.0
 #: 75th percentile of the bare map.  Offenders then cover ~25% of the
 #: die in round 0 and the re-optimized current uncovers a second,
 #: much larger offender ring, so the greedy loop takes two rounds —
-#: the second warm-started round is what the incremental engine
-#: accelerates.  The instance ends infeasible (offenders inside the
-#: deployment), mirroring the HC06/HC09 rows of Table I; both engines
-#: must agree on that verdict.
+#: the second round's support is past the warm-round threshold on
+#: every dense grid.  The instance ends infeasible (offenders inside
+#: the deployment), mirroring the HC06/HC09 rows of Table I; both
+#: loops must agree on that verdict.
 _LIMIT_PERCENTILE = 75.0
 
 
@@ -115,7 +120,7 @@ def _gaussian_power(side):
 
 def _dense_grid_problem(side):
     """A dense hotspot instance; returns one problem per call so the
-    two engines never share solver caches."""
+    two loops never share solver caches."""
     grid = TileGrid(side, side)
     die_side = max(grid.width, grid.height)
     problem = CoolingSystemProblem(
@@ -136,34 +141,30 @@ def _problem_for(workload):
     return _dense_grid_problem(int(workload))
 
 
-def _run_engine(problem, engine):
-    """Time one full GreedyDeploy pipeline, polish included.
+def _timed_deploy(problem, all_cold):
+    """One full GreedyDeploy pipeline and its wall time."""
+    with pytest.MonkeyPatch.context() as patch:
+        if all_cold:
+            patch.setattr(engine, "_DIRECT_MIN_SUPPORT", math.inf)
+        start = time.perf_counter()
+        result = greedy_deploy(problem, current_tolerance=_CURRENT_TOLERANCE)
+        return result, time.perf_counter() - start
 
-    The incremental engine polishes its own optimum; the cold run gets
-    the identical treatment so both walls cover the same deliverable.
-    """
-    start = time.perf_counter()
-    result = greedy_deploy(
-        problem, current_tolerance=_CURRENT_TOLERANCE, engine=engine
+
+def _warm_rounds(result):
+    return sum(
+        r.runaway_method.startswith("shift-invert")
+        for r in result.deploy_stats.rounds
     )
-    current = result.current
-    if engine == "cold" and result.tec_tiles and result.current_result is not None:
-        current, _ = polish_current(
-            result.model,
-            result.current,
-            upper=0.98 * result.current_result.lambda_m,
-        )
-    wall = time.perf_counter() - start
-    return result, float(current), wall
 
 
 def _common_polish(reference, current):
-    """Polish a current on the *reference* (cold) model.
+    """Polish a current on the *reference* (all-cold) model.
 
-    Comparing optima across engines needs one evaluation oracle: the
-    engines run different solver backends in their final rounds, and
-    backend round-off alone shifts the polish fixed point by ~1e-6 A
-    on shallow objectives.  On a shared model both engines' argmins
+    Comparing optima across the loops needs one evaluation oracle: a
+    warm round may run on another solver backend, and backend
+    round-off alone shifts the polish fixed point by ~1e-6 A on
+    shallow objectives.  On a shared model both loops' argmins
     collapse to the same fixed point to ~1e-13 A.
     """
     upper = None
@@ -175,18 +176,29 @@ def _common_polish(reference, current):
 
 def _measure(workload):
     problem_cold = _problem_for(workload)
-    problem_inc = _problem_for(workload)
-    cold, cold_current, cold_wall = _run_engine(problem_cold, "cold")
-    inc, inc_current, inc_wall = _run_engine(problem_inc, "incremental")
+    problem_deploy = _problem_for(workload)
+    cold, cold_wall = _timed_deploy(problem_cold, all_cold=True)
+    deploy, deploy_wall = _timed_deploy(problem_deploy, all_cold=False)
+    cold_current = float(cold.current)
+    if deploy.deploy_stats.polish_evaluations:
+        # greedy_deploy polished its warm final optimum: give the
+        # all-cold run the same polish so both walls cover the same
+        # deliverable.
+        start = time.perf_counter()
+        cold_current, _ = polish_current(
+            cold.model, cold.current,
+            upper=0.98 * cold.current_result.lambda_m,
+        )
+        cold_wall += time.perf_counter() - start
 
-    rounds_match = len(cold.iterations) == len(inc.iterations) and all(
+    rounds_match = len(cold.iterations) == len(deploy.iterations) and all(
         a.added_tiles == b.added_tiles
-        for a, b in zip(cold.iterations, inc.iterations)
+        for a, b in zip(cold.iterations, deploy.iterations)
     )
     ref_cold = _common_polish(cold, cold_current)
-    ref_inc = _common_polish(cold, inc_current)
+    ref_deploy = _common_polish(cold, float(deploy.current))
     peak_cold = float(cold.model.solve(ref_cold).peak_silicon_c)
-    peak_inc = float(cold.model.solve(ref_inc).peak_silicon_c)
+    peak_deploy = float(cold.model.solve(ref_deploy).peak_silicon_c)
 
     grid = problem_cold.grid
     return {
@@ -197,26 +209,27 @@ def _measure(workload):
         "limit_c": float(problem_cold.max_temperature_c),
         "feasible": bool(cold.feasible),
         "rounds": len(cold.iterations),
+        "warm_rounds": _warm_rounds(deploy),
         "tecs": int(cold.num_tecs),
         "wall_cold_s": cold_wall,
-        "wall_incremental_s": inc_wall,
-        "speedup": cold_wall / inc_wall,
-        "same_deployment": bool(cold.tec_tiles == inc.tec_tiles),
+        "wall_deploy_s": deploy_wall,
+        "speedup": cold_wall / deploy_wall,
+        "same_deployment": bool(cold.tec_tiles == deploy.tec_tiles),
         "same_rounds": bool(rounds_match),
-        "same_feasible": bool(cold.feasible == inc.feasible),
+        "same_feasible": bool(cold.feasible == deploy.feasible),
         "i_opt_cold_a": ref_cold,
-        "i_opt_incremental_a": ref_inc,
-        "di_a": abs(ref_cold - ref_inc),
-        "dpeak_k": abs(peak_cold - peak_inc),
+        "i_opt_deploy_a": ref_deploy,
+        "di_a": abs(ref_cold - ref_deploy),
+        "dpeak_k": abs(peak_cold - peak_deploy),
         "evals_cold": cold.deploy_stats.total_evaluations,
-        "evals_incremental": inc.deploy_stats.total_evaluations,
+        "evals_deploy": deploy.deploy_stats.total_evaluations,
         "stats_cold": cold.deploy_stats.as_dict(),
-        "stats_incremental": inc.deploy_stats.as_dict(),
+        "stats_deploy": deploy.deploy_stats.as_dict(),
     }
 
 
 def run_workload(workloads=None):
-    """Race both engines on every workload.
+    """Race greedy_deploy against the all-cold loop on every workload.
 
     Returns ``(entries, metadata)`` in the ``BENCH_deploy.json`` shape:
     one entry per workload with both walls, the speedup and the
@@ -227,14 +240,35 @@ def run_workload(workloads=None):
         for workload in (workloads if workloads is not None else _workloads())
     ]
     metadata = {
-        "workload": "GreedyDeploy cold vs incremental, polish included",
+        "workload": "GreedyDeploy vs its all-cold loop, polish included",
+        "run": "full" if _FULL_RUN else "fast",
         "current_tolerance": _CURRENT_TOLERANCE,
         "limit_percentile": _LIMIT_PERCENTILE,
+        "warm_min_support": engine._DIRECT_MIN_SUPPORT,
         "speedup_min_side": _SPEEDUP_MIN_SIDE,
         "speedup_target": _SPEEDUP_TARGET,
         "cpu_count": os.cpu_count(),
     }
     return entries, metadata
+
+
+def _report_path():
+    return _REPO_ROOT / (
+        "BENCH_deploy.json" if _FULL_RUN else "BENCH_deploy-fast.json"
+    )
+
+
+def _row(entry):
+    return (
+        "{:>12} cold {:7.3f} s  greedy_deploy {:7.3f} s  -> {:5.2f}x  "
+        "({} rounds, {} warm, {} TECs, evals {} -> {}, dI {:.1e} A, "
+        "dPeak {:.1e} K)".format(
+            entry["workload"], entry["wall_cold_s"], entry["wall_deploy_s"],
+            entry["speedup"], entry["rounds"], entry["warm_rounds"],
+            entry["tecs"], entry["evals_cold"], entry["evals_deploy"],
+            entry["di_a"], entry["dpeak_k"],
+        )
+    )
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +280,7 @@ def workload():
     return run_workload()
 
 
-def test_engines_agree(workload):
+def test_loops_agree(workload):
     entries, _ = workload
     assert entries
     for entry in entries:
@@ -258,19 +292,11 @@ def test_engines_agree(workload):
         assert entry["dpeak_k"] <= _PEAK_AGREEMENT_K, (label, entry["dpeak_k"])
 
 
-def test_incremental_speedup_on_dense_grid(workload):
+def test_warm_round_speedup_on_dense_grid(workload):
     entries, _ = workload
     print()
     for entry in entries:
-        print(
-            "{:>12} cold {:7.3f} s  incremental {:7.3f} s  -> {:5.2f}x  "
-            "({} rounds, {} TECs, evals {} -> {})".format(
-                entry["workload"], entry["wall_cold_s"],
-                entry["wall_incremental_s"], entry["speedup"],
-                entry["rounds"], entry["tecs"],
-                entry["evals_cold"], entry["evals_incremental"],
-            )
-        )
+        print(_row(entry))
     ratios = {
         entry["workload"]: entry["speedup"]
         for entry in entries
@@ -282,7 +308,7 @@ def test_incremental_speedup_on_dense_grid(workload):
             "(BENCH_DEPLOY_GRIDS subset)".format(_SPEEDUP_MIN_SIDE)
         )
     best = max(ratios.values())
-    print("incremental speedup on dense grids: " + ", ".join(
+    print("speedup over the all-cold loop on dense grids: " + ", ".join(
         "{} {:.2f}x".format(name, ratio)
         for name, ratio in sorted(ratios.items())
     ))
@@ -291,7 +317,7 @@ def test_incremental_speedup_on_dense_grid(workload):
 
 def test_writes_bench_json(workload):
     entries, metadata = workload
-    path = _REPO_ROOT / "BENCH_deploy.json"
+    path = _report_path()
     bench_report_to_json("deploy", entries, path, metadata=metadata)
     assert path.exists()
 
@@ -299,14 +325,7 @@ def test_writes_bench_json(workload):
 if __name__ == "__main__":
     measured_entries, run_metadata = run_workload()
     for item in measured_entries:
-        print(
-            "{:>12} cold {:7.3f} s  incremental {:7.3f} s  -> {:5.2f}x  "
-            "(dI {:.2e} A, dPeak {:.2e} K)".format(
-                item["workload"], item["wall_cold_s"],
-                item["wall_incremental_s"], item["speedup"],
-                item["di_a"], item["dpeak_k"],
-            )
-        )
-    out = _REPO_ROOT / "BENCH_deploy.json"
+        print(_row(item))
+    out = _report_path()
     bench_report_to_json("deploy", measured_entries, out, metadata=run_metadata)
     print("written to {}".format(out))

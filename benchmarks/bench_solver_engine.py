@@ -107,7 +107,7 @@ def test_writes_bench_json(engine_run, legacy_run):
 
 
 @pytest.mark.benchmark(group="solver-engine")
-def test_greedy_deploy_engine_timing(benchmark):
+def test_greedy_deploy_solve_engine_timing(benchmark):
     def run():
         return greedy_deploy(load_benchmark("alpha"))
 

@@ -12,7 +12,7 @@ temperatures diverge (Theorem 2).  Under Conjecture 1 every
 ``theta_k(i)`` is convex on ``[0, lambda_m)`` (Theorem 3 + the Lemma 4
 certificate), so the max is convex and any local minimum is global.
 
-Three solvers are provided:
+Four solvers are provided (:data:`CURRENT_METHODS`):
 
 * ``method="golden"`` (default): bracket the minimum by doubling from
   zero, then golden-section — derivative-free, robust, and optimal for
@@ -26,11 +26,11 @@ Three solvers are provided:
 * ``method="newton"``: safeguarded secant (Illinois) root-find on the
   exact slope ``theta'(i)`` — each evaluation reuses the current's
   factorized system for the derivative solve, so a warm-started round
-  converges in ~6-8 factorizations; the workhorse of the incremental
-  deployment engine's warm rounds.
+  converges in ~6-8 factorizations; the workhorse of GreedyDeploy's
+  warm rounds (:func:`repro.core.engine.warm_round`).
 
-Warm starts: callers that already know ``lambda_m`` (the incremental
-engine's shift-inverted estimate) pass it via ``lambda_m=`` to skip
+Warm starts: callers that already know ``lambda_m`` (a warm round's
+shift-inverted estimate) pass it via ``lambda_m=`` to skip
 the per-round dense eigensolve, and seed the search with ``bounds=``
 — a sub-interval of ``[0, upper]`` around the previous round's
 optimum, validated by interior-vs-edge probes and expanded when the
@@ -57,6 +57,9 @@ from repro.utils.validate import check_in_range, check_positive
 #: Golden ratio constant for the section search.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Problem 2 search methods accepted by :func:`minimize_peak_temperature`.
+CURRENT_METHODS = ("golden", "gradient", "brent", "newton")
+
 
 @dataclass
 class CurrentOptimizationResult:
@@ -73,7 +76,7 @@ class CurrentOptimizationResult:
     evaluations:
         Number of steady-state solves performed.
     method:
-        ``"golden"`` or ``"gradient"``.
+        The search method, one of :data:`CURRENT_METHODS`.
     converged:
         True when the bracket/step tolerance was met within the
         iteration budget.  For the gradient method this also requires
@@ -171,9 +174,8 @@ def minimize_peak_temperature(
     lambda_m:
         Externally computed runaway current (a float or anything with
         ``.value``/``__float__``).  Skips the internal
-        ``model.runaway_current()`` eigensolve — the incremental
-        deployment engine passes its warm shift-inverted estimate
-        here.  Must be an *upper* bound on the true value only up to
+        ``model.runaway_current()`` eigensolve — a warm GreedyDeploy
+        round passes its shift-inverted estimate here.  Must be an *upper* bound on the true value only up to
         the safety margin: a ``1/safety_fraction`` overestimate still
         keeps the capped search interval valid.
     bounds:
@@ -193,6 +195,12 @@ def minimize_peak_temperature(
     """
     check_positive(tolerance, "tolerance")
     check_in_range(safety_fraction, "safety_fraction", 0.0, 1.0, inclusive=(False, False))
+    if method not in CURRENT_METHODS:
+        raise ValueError(
+            "unknown method {!r}; use one of {}".format(
+                method, ", ".join(CURRENT_METHODS)
+            )
+        )
     objective = _PeakObjective(model, record_history=record_history)
     stats_before = model.solver.stats.copy()
 
@@ -246,14 +254,9 @@ def minimize_peak_temperature(
     elif method == "brent":
         interval = warm_interval if warm_interval is not None else (0.0, upper)
         result = _brent_bounded(objective, interval, tolerance, max_iterations)
-    elif method == "newton":
+    else:  # "newton"
         result = _newton_on_slope(objective, bounds, upper, tolerance, max_iterations)
-        warm_interval = bounds if bounds is not None else None
-    else:
-        raise ValueError(
-            "unknown method {!r}; use 'golden', 'gradient', 'brent' or "
-            "'newton'".format(method)
-        )
+        warm_interval = bounds
     current, peak, converged = result
     return CurrentOptimizationResult(
         current=current,
@@ -453,9 +456,9 @@ def polish_current(model, current, *, spacing=1.0e-3, upper=None,
     ``O((i - i*)^2 f''' / f'')`` bias from the start point, so the fit
     is iterated — recentered on each vertex — until the vertex moves
     by less than ``1e-4 h`` (a fixed point independent of which
-    plateau point seeded it, reproducible to ~1e-7 A).  Used by the
-    incremental engine on its final optimum and by the
-    cold/incremental agreement checks.
+    plateau point seeded it, reproducible to ~1e-7 A).  Used on the
+    final optimum of a GreedyDeploy run whose last round was warm, and
+    by the warm-vs-cold agreement checks.
 
     Returns ``(polished_current, evaluations)`` — the best center so
     far (the input current on the first step) when the local samples

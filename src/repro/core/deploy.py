@@ -25,10 +25,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.core import engine
 from repro.core.current import minimize_peak_temperature
-
-#: GreedyDeploy engine implementations accepted by :func:`greedy_deploy`.
-DEPLOY_ENGINES = ("cold", "incremental")
+from repro.core.engine import DeployStats, RoundStats
 
 
 @dataclass
@@ -80,7 +79,7 @@ class DeploymentResult:
         problem does not expose shared stats).
     deploy_stats:
         :class:`~repro.core.engine.DeployStats` with per-round timing
-        and reuse counters (populated by both engines).
+        and warm-round counters.
     """
 
     feasible: bool
@@ -129,9 +128,21 @@ class DeploymentResult:
         return {name: tuple(tiles) for name, tiles in grouped.items()}
 
 
-def greedy_deploy(problem, *, current_method=None, current_tolerance=1.0e-4,
-                  max_rounds=None, engine="cold"):
+def greedy_deploy(problem, *, current_method="golden", current_tolerance=1.0e-4,
+                  max_rounds=None):
     """Run GreedyDeploy (Figure 5) on a :class:`CoolingSystemProblem`.
+
+    Every round runs cold — build the deployment's model, solve
+    Problem 2 over the whole capped interval with ``current_method``,
+    solve the steady state — except a round that is not the first and
+    whose Peltier support ``2 |S_TEC|`` reaches
+    :data:`repro.core.engine._DIRECT_MIN_SUPPORT`.  Such a round runs
+    :func:`~repro.core.engine.warm_round`: a shift-inverted runaway
+    bound seeded by the previous round's eigenvector and a slope
+    root-find inside the previous optimum's bracket.  A run whose last
+    round was warm polishes its final optimum
+    (:func:`~repro.core.engine.polish_final`); an all-cold run is
+    returned as the rounds left it.
 
     Parameters
     ----------
@@ -139,44 +150,17 @@ def greedy_deploy(problem, *, current_method=None, current_tolerance=1.0e-4,
         The :class:`~repro.core.problem.CoolingSystemProblem`.
     current_method / current_tolerance:
         Passed to :func:`~repro.core.current.minimize_peak_temperature`
-        for the per-iteration Problem 2 solves.  ``current_method=None``
-        selects the engine's default (``"golden"`` cold, ``"brent"``
-        incremental).
+        for the per-iteration Problem 2 solves (the cold rounds, and a
+        warm round's rescue).
     max_rounds:
         Safety cap on iterations; defaults to the tile count (the loop
         provably terminates within that many rounds since the
         deployment grows each round).
-    engine:
-        ``"cold"`` runs every round from scratch; ``"incremental"``
-        dispatches to
-        :func:`~repro.core.engine.incremental_greedy_deploy`, which
-        reuses factorizations, runaway eigenvectors and Problem 2
-        brackets across rounds.
 
     Returns
     -------
     DeploymentResult
     """
-    if engine not in DEPLOY_ENGINES:
-        raise ValueError(
-            "unknown deploy engine {!r}; expected one of {}".format(
-                engine, ", ".join(DEPLOY_ENGINES)
-            )
-        )
-    if engine == "incremental":
-        from repro.core.engine import incremental_greedy_deploy
-
-        return incremental_greedy_deploy(
-            problem,
-            current_method=current_method or "brent",
-            current_tolerance=current_tolerance,
-            max_rounds=max_rounds,
-        )
-    if current_method is None:
-        current_method = "golden"
-
-    from repro.core.engine import DeployStats, RoundStats
-
     start = time.perf_counter()
     if max_rounds is None:
         max_rounds = problem.grid.num_tiles
@@ -186,83 +170,57 @@ def greedy_deploy(problem, *, current_method=None, current_tolerance=1.0e-4,
 
     shared_stats = getattr(problem, "solver_stats", None)
     stats_before = shared_stats.copy() if shared_stats is not None else None
+    deploy_stats = DeployStats()
 
-    def _stats_delta():
-        if shared_stats is None:
-            return None
-        return shared_stats.diff(stats_before)
+    model = problem.model(())
+    state = model.solve(0.0)
+    no_tec_peak = state.peak_silicon_c
+    offenders = problem.tiles_above_limit(state)
 
-    deploy_stats = DeployStats(engine="cold")
-
-    bare_model = problem.model(())
-    bare_state = bare_model.solve(0.0)
-    no_tec_peak = bare_state.peak_silicon_c
-    offenders = problem.tiles_above_limit(bare_state)
-
+    # A bare chip within the limit is the answer; one above it with no
+    # round budget (max_rounds == 0) is an infeasible one.
+    feasible = not offenders
     deployment = set()
     iterations = []
-
-    if not offenders:
-        return DeploymentResult(
-            feasible=True,
-            tec_tiles=(),
-            current=0.0,
-            peak_c=no_tec_peak,
-            no_tec_peak_c=no_tec_peak,
-            tec_power_w=0.0,
-            iterations=[],
-            runtime_s=time.perf_counter() - start,
-            problem=problem,
-            model=bare_model,
-            current_result=None,
-            solver_stats=_stats_delta(),
-            deploy_stats=deploy_stats,
-        )
-
-    if max_rounds == 0:
-        # No optimization budget: the bare chip violates the limit and
-        # we are not allowed to deploy anything, so report infeasible
-        # instead of crashing on an absent optimum.
-        return DeploymentResult(
-            feasible=False,
-            tec_tiles=(),
-            current=0.0,
-            peak_c=no_tec_peak,
-            no_tec_peak_c=no_tec_peak,
-            tec_power_w=0.0,
-            iterations=[],
-            runtime_s=time.perf_counter() - start,
-            problem=problem,
-            model=bare_model,
-            current_result=None,
-            solver_stats=_stats_delta(),
-            deploy_stats=deploy_stats,
-        )
-
-    model = bare_model
     optimum = None
-    state = bare_state
-    feasible = False
-    for round_index in range(max_rounds):
-        round_stats = RoundStats(index=round_index, runaway_method="eigen")
+    previous = None
+    warm = False
+    for round_index in range(max_rounds if offenders else 0):
         round_start = time.perf_counter()
         added = tuple(sorted(offenders - deployment))
         deployment |= offenders
-        phase_start = time.perf_counter()
-        model = problem.model(deployment)
-        round_stats.assembly_s = time.perf_counter() - phase_start
-        optimum = minimize_peak_temperature(
-            model, method=current_method, tolerance=current_tolerance
+        warm = (
+            round_index > 0
+            and 2 * len(deployment) >= engine._DIRECT_MIN_SUPPORT
         )
+        if warm:
+            round_stats = RoundStats(index=round_index)
+            model, optimum, state, vector = engine.warm_round(
+                problem, deployment, previous, round_stats, deploy_stats,
+                current_method=current_method,
+                current_tolerance=current_tolerance,
+            )
+        else:
+            round_stats = RoundStats(index=round_index, runaway_method="eigen")
+            phase_start = time.perf_counter()
+            model = problem.model(deployment)
+            round_stats.assembly_s = time.perf_counter() - phase_start
+            optimum = minimize_peak_temperature(
+                model, method=current_method, tolerance=current_tolerance
+            )
+            phase_start = time.perf_counter()
+            state = model.solve(optimum.current)
+            round_stats.steady_s = time.perf_counter() - phase_start
+            round_stats.runaway_s = optimum.runaway_s
+            round_stats.current_opt_s = optimum.search_s
+            round_stats.evaluations = optimum.evaluations
+            round_stats.lambda_m = optimum.lambda_m
+            deploy_stats.runaway_dense += 1
+            vector = None
         phase_start = time.perf_counter()
-        state = model.solve(optimum.current)
         offenders = problem.tiles_above_limit(state)
-        round_stats.steady_s = time.perf_counter() - phase_start
-        round_stats.runaway_s = optimum.runaway_s
-        round_stats.current_opt_s = optimum.search_s
-        round_stats.evaluations = optimum.evaluations
-        round_stats.lambda_m = optimum.lambda_m
-        deploy_stats.runaway_dense += 1
+        round_stats.steady_s += time.perf_counter() - phase_start
+        previous = (model, optimum, vector)
         iterations.append(
             GreedyIteration(
                 index=round_index,
@@ -279,12 +237,17 @@ def greedy_deploy(problem, *, current_method=None, current_tolerance=1.0e-4,
             feasible = True
             break
         if offenders <= deployment:
-            feasible = False
             break
+
+    current = 0.0 if optimum is None else optimum.current
+    if warm:
+        current, state = engine.polish_final(
+            problem, model, optimum, state, offenders, deployment, deploy_stats
+        )
     return DeploymentResult(
         feasible=feasible,
         tec_tiles=tuple(sorted(deployment)),
-        current=optimum.current,
+        current=current,
         peak_c=state.peak_silicon_c,
         no_tec_peak_c=no_tec_peak,
         tec_power_w=state.tec_input_power_w(),
@@ -293,6 +256,8 @@ def greedy_deploy(problem, *, current_method=None, current_tolerance=1.0e-4,
         problem=problem,
         model=model,
         current_result=optimum,
-        solver_stats=_stats_delta(),
+        solver_stats=(
+            shared_stats.diff(stats_before) if shared_stats is not None else None
+        ),
         deploy_stats=deploy_stats,
     )

@@ -1,52 +1,43 @@
-"""Incremental GreedyDeploy engine: round-to-round reuse (perf layer).
+"""The warm GreedyDeploy round and per-round instrumentation.
 
-The cold :func:`~repro.core.deploy.greedy_deploy` loop treats every
-round as a fresh problem: rebuild the model, recompute ``lambda_m``
-exactly, restart the Problem 2 bracket from zero.
-Consecutive rounds differ by a handful of TEC stamps, so almost all
-of that work is redundant.  :func:`incremental_greedy_deploy` runs
-the *same algorithm* (Figure 5 — identical round structure, identical
-termination rules) through three reuse layers:
+:func:`~repro.core.deploy.greedy_deploy` runs every round cold — build
+the model, compute ``lambda_m`` exactly, search the whole capped
+current interval — except a round that is not the first and whose
+Peltier support ``2 |S_TEC|`` reaches :data:`_DIRECT_MIN_SUPPORT`.
+Such a round runs :func:`warm_round`, which carries three things over
+from the round before:
 
-1. **Cross-round factorization bordering**
-   (:class:`~repro.thermal.border.BorderedDeployContext`): reuse-mode
-   rounds solve through the anchor round's sparse LU plus a bordered
-   dense correction, so a whole run pays one sparse factorization.
-2. **Warm-started runaway current**
+1. **Warm-started runaway current**
    (:func:`~repro.linalg.runaway.runaway_current_shift_invert`): the
    previous round's runaway eigenvector — mapped across the rounds'
    node renumbering by stable node *names* — seeds a few shift-
-   inverted inverse iterations through the solve engine, replacing
-   the dense eigensolve.  The Rayleigh-quotient estimate certifies an
-   upper bound on ``lambda_m``; if it ever overshoots past the safety
-   margin, the resulting :class:`SingularSystemError` is caught, the
-   exact eigenvalue recomputed, and the round's optimization retried
-   (counted in ``DeployStats.runaway_rescues``).
-3. **Warm-started Problem 2**: the previous optimum, scaled by the
-   ``lambda_m`` ratio, brackets the next one; the bounded search
-   (default ``"brent"``) converges in a fraction of the cold
-   evaluation count.
+   inverted inverse iterations through the round's own solves,
+   replacing the dense eigensolve.  After a cold round the vector is
+   read off that round's eigenproblem (under ``reuse`` the condensed
+   pencil it already built, plus one lift solve).  The Rayleigh
+   quotient certifies an upper bound on ``lambda_m``; if it overshoots
+   past the safety margin, the resulting :class:`SingularSystemError`
+   is caught, the exact eigenvalue recomputed and the round's search
+   rerun on a cold bracket (``DeployStats.runaway_rescues``).
+2. **Warm-started Problem 2**: the previous optimum, scaled by the
+   ``lambda_m`` ratio, brackets the next one, and the slope root-find
+   (``method="newton"``) converges in a handful of evaluations.
+3. **A per-current backend**: a warm round evaluates only a handful of
+   distinct currents, so under ``reuse`` (also ``auto`` resolving to
+   it) the round runs on ``"direct"`` — one small sparse LU per
+   current instead of the support-last factorization, whose dense
+   ``m x m`` trailing block and pencil eigendecomposition grow as
+   ``m^2`` and ``m^3``.  Every other backend keeps its own.
 
-Because a warmed round touches only a handful of distinct currents,
-rounds with a large Peltier support (``_DIRECT_MIN_SUPPORT``) skip
-the condensed engine entirely and run on the ``"direct"`` backend —
-one small sparse LU per current instead of a support-last
-factorization with its dense ``m x m`` Schur complement.  A cold-start
-round on ``reuse`` factors once and shares the condensed pencil
-between the exact runaway eigensolve and its per-current solves;
-other backends pay one standalone sparse LU for the eigensolve.  Such
-rounds report ``border_mode == "direct"``.
-
-The final optimum is refined by
-:func:`~repro.core.current.polish_current`, making the reported
-``I_opt`` agree with an identically polished cold run to ~1e-6 A —
-solver round-off otherwise scatters raw argmins across the
-objective's noise plateau.
+A run whose last round was warm refines its optimum with
+:func:`~repro.core.current.polish_current` (:func:`polish_final`), so
+the reported ``I_opt`` agrees with an identically polished all-cold
+run to ~1e-6 A — solver round-off otherwise scatters raw argmins
+across the objective's noise plateau.
 
 Per-round instrumentation is threaded through :class:`DeployStats` /
-:class:`RoundStats` (also populated by the cold path) and surfaces in
-``DeploymentResult.deploy_stats``, the sweep worker's values, the CLI
-and the JSON reports.
+:class:`RoundStats` and surfaces in ``DeploymentResult.deploy_stats``,
+the sweep worker's values, the CLI and the JSON reports.
 """
 
 from __future__ import annotations
@@ -62,7 +53,6 @@ from repro.linalg.runaway import (
     runaway_current_eigen,
     runaway_current_shift_invert,
 )
-from repro.thermal.border import BorderedDeployContext
 from repro.thermal.solve import SingularSystemError
 
 
@@ -88,16 +78,9 @@ class RoundStats:
         appended when a singular solve forced an exact recomputation
         mid-round.
     runaway_iterations:
-        Shift-invert solve count (0 for the dense paths).
+        Shift-invert solve count (0 for the exact eigensolve).
     current_warm:
         True when the Problem 2 search ran inside a warm-start bracket.
-    border_mode:
-        :meth:`BorderedDeployContext.attach` outcome for the round
-        (``"anchor"``, ``"bordered"``, ``"refactorized"``,
-        ``"reanchored"``, ``"skipped"``), ``"direct"`` for a warm
-        round served by per-current sparse factorizations (large
-        support, see ``_DIRECT_MIN_SUPPORT``), or ``"off"`` for the
-        cold path.
     lambda_m:
         The runaway estimate the round searched under (A).
     """
@@ -112,7 +95,6 @@ class RoundStats:
     runaway_method: str = ""
     runaway_iterations: int = 0
     current_warm: bool = False
-    border_mode: str = "off"
     lambda_m: float = 0.0
 
     def as_dict(self):
@@ -121,24 +103,21 @@ class RoundStats:
 
 @dataclass
 class DeployStats:
-    """Whole-run reuse instrumentation for GreedyDeploy.
+    """Whole-run instrumentation for GreedyDeploy.
 
     ``rounds`` holds one :class:`RoundStats` per greedy round; the
-    counters aggregate reuse hits across the run.
+    counters aggregate across the run: exact (``runaway_dense``) and
+    warm (``runaway_warm``) runaway bounds, warm seeds that fell back
+    to the exact eigensolve, rescued warm searches, warm-bracket
+    searches and the final polish's evaluations.
     """
 
-    engine: str = "cold"
     rounds: list = field(default_factory=list)
     runaway_dense: int = 0
     runaway_warm: int = 0
     runaway_fallbacks: int = 0
     runaway_rescues: int = 0
     current_warm_rounds: int = 0
-    border_anchor: int = 0
-    border_bordered: int = 0
-    border_refactorized: int = 0
-    border_reanchored: int = 0
-    border_direct: int = 0
     polish_evaluations: int = 0
 
     @property
@@ -162,11 +141,9 @@ class DeployStats:
     def summary(self):
         """Compact one-line report for CLIs and benchmarks."""
         return (
-            "{} engine: {} rounds, {} evals, runaway {} warm / {} dense "
-            "({} fallbacks, {} rescues), current warm {} rounds, border "
-            "{} anchor / {} bordered / {} refactorized / {} reanchored / "
-            "{} direct".format(
-                self.engine,
+            "{} rounds, {} evals, runaway {} warm / {} dense "
+            "({} fallbacks, {} rescues), current warm {} rounds, "
+            "polish {} evals".format(
                 len(self.rounds),
                 self.total_evaluations,
                 self.runaway_warm,
@@ -174,25 +151,9 @@ class DeployStats:
                 self.runaway_fallbacks,
                 self.runaway_rescues,
                 self.current_warm_rounds,
-                self.border_anchor,
-                self.border_bordered,
-                self.border_refactorized,
-                self.border_reanchored,
-                self.border_direct,
+                self.polish_evaluations,
             )
         )
-
-    def record_border_mode(self, mode):
-        if mode == "anchor":
-            self.border_anchor += 1
-        elif mode == "bordered":
-            self.border_bordered += 1
-        elif mode == "refactorized":
-            self.border_refactorized += 1
-        elif mode == "reanchored":
-            self.border_reanchored += 1
-        elif mode == "direct":
-            self.border_direct += 1
 
 
 #: Half-width of the warm-start bracket, as a fraction of the scaled
@@ -211,16 +172,13 @@ _SHIFT_HINT_FRACTION = 0.6
 #: Problem 2 safety fraction (mirrors minimize_peak_temperature).
 _SAFETY_FRACTION = 0.98
 
-#: Peltier support size (~2 nodes per deployed tile) above which a
-#: *warm* round runs on the ``"direct"`` backend instead of the
-#: condensed engine.  A warm round evaluates only a handful of
-#: distinct currents (one shift-invert shift plus ~5-8 slope
-#: root-find points), so a per-current sparse LU each beats the
-#: support-last factorization, whose dense trailing block grows as
-#: ``m^2`` and its eigendecomposition as ``m^3``.  Cold-start
-#: rounds always stay on the reuse backend — the exact runaway
-#: eigensolve reads the session's condensed pencil, and a cold bracket
-#: search evaluates enough currents to amortize it.
+#: Peltier support size (~2 nodes per deployed tile) from which a
+#: round after the first runs warm (:func:`warm_round`).  Below it a
+#: cold round is cheap: the condensed pencil's ``m x m``
+#: eigendecomposition answers ``lambda_m`` and every current of the
+#: search.  Above it that eigendecomposition dominates, and a few
+#: shift-inverted solves plus a bracketed slope root-find over a
+#: handful of per-current factorizations beat it.
 _DIRECT_MIN_SUPPORT = 256
 
 
@@ -249,10 +207,8 @@ def _exact_runaway(model, stats=None):
 
     In (effective) reuse mode the eigenproblem reads the solve
     session's condensed pencil (:meth:`PackageThermalModel.runaway_condensed`)
-    — zero additional factorizations; on a bordered round ``C_S`` comes
-    from one support solve through the adopted cross-round base.
-    Other backends pay one standalone sparse LU inside
-    :func:`runaway_current_eigen`.
+    — zero additional factorizations.  Other backends pay one
+    standalone sparse LU inside :func:`runaway_current_eigen`.
     """
     if stats is not None:
         stats.runaway_dense += 1
@@ -266,14 +222,19 @@ def _exact_runaway(model, stats=None):
     return result.value, vector, "eigen", 0
 
 
-def _runaway_estimate(model, previous, stats):
-    """Warm shift-invert when a seed is available, exact otherwise."""
-    if previous is not None and previous.get("vector") is not None:
-        guess = _map_vector(previous["vector"], previous["names"], model)
+def _runaway_estimate(model, previous_model, previous_lambda, vector, stats):
+    """Warm shift-invert seeded by ``vector`` (an eigenvector of
+    ``previous_model``), the exact eigensolve when no seed maps."""
+    if vector is not None:
+        names = {
+            node.name: index
+            for index, node in enumerate(previous_model.network.nodes)
+        }
+        guess = _map_vector(vector, names, model)
         if guess is not None:
             shift = None
-            if math.isfinite(previous["lambda_m"]) and previous["lambda_m"] > 0.0:
-                shift = _SHIFT_HINT_FRACTION * previous["lambda_m"]
+            if math.isfinite(previous_lambda) and previous_lambda > 0.0:
+                shift = _SHIFT_HINT_FRACTION * previous_lambda
             result, vector = runaway_current_shift_invert(
                 model.solver.solve_rhs,
                 model.system.g_matrix,
@@ -284,235 +245,111 @@ def _runaway_estimate(model, previous, stats):
             if result is not None and math.isfinite(result.value):
                 stats.runaway_warm += 1
                 return result.value, vector, "shift-invert", result.iterations
-        stats.runaway_fallbacks += 1
+    stats.runaway_fallbacks += 1
     return _exact_runaway(model, stats)
 
 
-def incremental_greedy_deploy(
-    problem,
-    *,
-    current_method="brent",
-    current_tolerance=1.0e-4,
-    max_rounds=None,
-    polish=True,
-    border=True,
-):
-    """GreedyDeploy with cross-round reuse (see the module docstring).
+def warm_round(problem, deployment, previous, round_stats, stats, *,
+               current_method, current_tolerance):
+    """Run one warm GreedyDeploy round on ``deployment``.
 
-    Same algorithm, arguments and result contract as
-    :func:`~repro.core.deploy.greedy_deploy` (which dispatches here
-    for ``engine="incremental"``), plus:
-
-    polish:
-        Refine the final optimum with
-        :func:`~repro.core.current.polish_current` (kept only when it
-        does not change the feasibility verdict).
-    border:
-        Enable the cross-round bordered factorization context;
-        automatically inert for rounds resolved to a non-reuse
-        backend.
+    ``previous`` is ``(model, optimum, vector)`` of the round before:
+    its model, its :class:`~repro.core.current.CurrentOptimizationResult`
+    and its runaway eigenvector, None after a cold round (the vector is
+    then read off that round's eigenproblem here).  ``current_method``
+    drives the rescue's cold-bracket search.  Fills ``round_stats`` and
+    ``stats``; returns ``(model, optimum, state, vector)``.
     """
-    from repro.core.deploy import DeploymentResult, GreedyIteration
+    previous_model, previous_optimum, vector = previous
+    previous_lambda = previous_optimum.lambda_m
 
-    start = time.perf_counter()
-    if max_rounds is None:
-        max_rounds = problem.grid.num_tiles
-    max_rounds = int(max_rounds)
-    if max_rounds < 0:
-        raise ValueError("max_rounds must be non-negative, got {}".format(max_rounds))
+    phase_start = time.perf_counter()
+    # The problem's own model resolves ``auto`` for this system.
+    model = problem.model(deployment)
+    if model.solver.effective_mode == "reuse":
+        direct = problem.with_solver_mode("direct")
+        # One shared counter object, so the run's solver-stats delta
+        # covers the warm round too.
+        direct.solver_stats = problem.solver_stats
+        model = direct.model(deployment)
+    round_stats.assembly_s = time.perf_counter() - phase_start
 
-    shared_stats = getattr(problem, "solver_stats", None)
-    stats_before = shared_stats.copy() if shared_stats is not None else None
-
-    def _stats_delta():
-        if shared_stats is None:
-            return None
-        return shared_stats.diff(stats_before)
-
-    deploy_stats = DeployStats(engine="incremental")
-
-    bare_model = problem.model(())
-    bare_state = bare_model.solve(0.0)
-    no_tec_peak = bare_state.peak_silicon_c
-    offenders = problem.tiles_above_limit(bare_state)
-
-    if not offenders or max_rounds == 0:
-        return DeploymentResult(
-            feasible=not offenders,
-            tec_tiles=(),
-            current=0.0,
-            peak_c=no_tec_peak,
-            no_tec_peak_c=no_tec_peak,
-            tec_power_w=0.0,
-            iterations=[],
-            runtime_s=time.perf_counter() - start,
-            problem=problem,
-            model=bare_model,
-            current_result=None,
-            solver_stats=_stats_delta(),
-            deploy_stats=deploy_stats,
-        )
-
-    context = BorderedDeployContext() if border else None
-    direct_problem = None
-    previous = None
-    deployment = set()
-    iterations = []
-    model = bare_model
-    optimum = None
-    state = bare_state
-    lam = math.inf
-    feasible = False
-
-    for round_index in range(max_rounds):
-        round_stats = RoundStats(index=round_index)
-        round_start = time.perf_counter()
-
-        added = tuple(sorted(offenders - deployment))
-        deployment |= offenders
-
-        warm = previous is not None and previous.get("vector") is not None
-        direct_round = warm and 2 * len(deployment) >= _DIRECT_MIN_SUPPORT
-
-        phase_start = time.perf_counter()
-        if direct_round:
-            if direct_problem is None:
-                direct_problem = problem.with_solver_mode("direct")
-                if shared_stats is not None:
-                    # One shared counter object so the result's
-                    # solver-stats delta covers direct rounds too.
-                    direct_problem.solver_stats = shared_stats
-            model = direct_problem.model(deployment)
-        else:
-            model = problem.model(deployment)
-        round_stats.assembly_s = time.perf_counter() - phase_start
-
-        if direct_round:
-            round_stats.border_mode = "direct"
-            deploy_stats.record_border_mode("direct")
-        elif context is not None:
-            round_stats.border_mode = context.attach(model)
-            deploy_stats.record_border_mode(round_stats.border_mode)
-
-        phase_start = time.perf_counter()
-        lam, vector, runaway_method, runaway_iters = _runaway_estimate(
-            model, previous, deploy_stats
-        )
-        round_stats.runaway_s = time.perf_counter() - phase_start
-        round_stats.runaway_method = runaway_method
-        round_stats.runaway_iterations = runaway_iters
-        round_stats.lambda_m = lam
-
-        bounds = None
-        if (
-            previous is not None
-            and math.isfinite(lam)
-            and math.isfinite(previous["lambda_m"])
-            and previous["lambda_m"] > 0.0
-            and previous["current"] > 0.0
-        ):
-            guess = previous["current"] * (lam / previous["lambda_m"])
-            half = max(_WARM_HALF_FRACTION * guess, 50.0 * current_tolerance)
-            bounds = (guess - half, guess + half)
-
-        # Warm rounds switch to the slope root-find: with a trusted
-        # bracket it needs the fewest factorizations per round of all
-        # the methods.  Cold-start rounds use the requested method on
-        # the full capped interval.
-        round_method = "newton" if bounds is not None else current_method
-        try:
-            optimum = minimize_peak_temperature(
-                model,
-                method=round_method,
-                tolerance=current_tolerance,
-                lambda_m=lam,
-                bounds=bounds,
-            )
-            phase_start = time.perf_counter()
-            state = model.solve(optimum.current)
-        except SingularSystemError:
-            # The warm Rayleigh bound overshot lambda_m past the safety
-            # margin and a capped-interval solve went singular: recover
-            # with the exact eigenvalue and a cold-bracket retry.
-            deploy_stats.runaway_rescues += 1
-            lam, vector, _, _ = _exact_runaway(model)
-            round_stats.runaway_method = runaway_method + "+rescue"
-            round_stats.lambda_m = lam
-            optimum = minimize_peak_temperature(
-                model,
-                method=current_method,
-                tolerance=current_tolerance,
-                lambda_m=lam,
-            )
-            phase_start = time.perf_counter()
-            state = model.solve(optimum.current)
-        offenders = problem.tiles_above_limit(state)
-        round_stats.steady_s = time.perf_counter() - phase_start
-        round_stats.current_opt_s = optimum.search_s
-        round_stats.runaway_s += optimum.runaway_s
-        round_stats.evaluations = optimum.evaluations
-        round_stats.current_warm = optimum.warm_started
-        if optimum.warm_started:
-            deploy_stats.current_warm_rounds += 1
-
-        iterations.append(
-            GreedyIteration(
-                index=round_index,
-                added_tiles=added,
-                deployment_size=len(deployment),
-                current=optimum.current,
-                peak_c=state.peak_silicon_c,
-                offending_tiles=tuple(sorted(offenders)),
-            )
-        )
-        previous = {
-            "lambda_m": lam,
-            "vector": vector,
-            "names": {
-                node.name: index
-                for index, node in enumerate(model.network.nodes)
-            },
-            "current": optimum.current,
-        }
-        round_stats.wall_s = time.perf_counter() - round_start
-        deploy_stats.rounds.append(round_stats)
-
-        if not offenders:
-            feasible = True
-            break
-        if offenders <= deployment:
-            feasible = False
-            break
-
-    final_current = optimum.current
-    if polish and model.stamps:
-        upper = _SAFETY_FRACTION * lam if math.isfinite(lam) else None
-        polished, evals = polish_current(
-            model, optimum.current, upper=upper
-        )
-        deploy_stats.polish_evaluations += evals
-        if polished != final_current:
-            polished_state = model.solve(polished)
-            polished_offenders = problem.tiles_above_limit(polished_state)
-            verdict_stable = bool(polished_offenders) == bool(offenders) and (
-                not polished_offenders or polished_offenders <= deployment
-            )
-            if verdict_stable:
-                final_current = polished
-                state = polished_state
-
-    return DeploymentResult(
-        feasible=feasible,
-        tec_tiles=tuple(sorted(deployment)),
-        current=final_current,
-        peak_c=state.peak_silicon_c,
-        no_tec_peak_c=no_tec_peak,
-        tec_power_w=state.tec_input_power_w(),
-        iterations=iterations,
-        runtime_s=time.perf_counter() - start,
-        problem=problem,
-        model=model,
-        current_result=optimum,
-        solver_stats=_stats_delta(),
-        deploy_stats=deploy_stats,
+    phase_start = time.perf_counter()
+    if vector is None:
+        vector = _exact_runaway(previous_model)[1]
+    lam, vector, runaway_method, iterations = _runaway_estimate(
+        model, previous_model, previous_lambda, vector, stats
     )
+    round_stats.runaway_s = time.perf_counter() - phase_start
+    round_stats.runaway_method = runaway_method
+    round_stats.runaway_iterations = iterations
+    round_stats.lambda_m = lam
+
+    bounds = None
+    if (
+        math.isfinite(lam)
+        and math.isfinite(previous_lambda)
+        and previous_lambda > 0.0
+        and previous_optimum.current > 0.0
+    ):
+        guess = previous_optimum.current * (lam / previous_lambda)
+        half = max(_WARM_HALF_FRACTION * guess, 50.0 * current_tolerance)
+        bounds = (guess - half, guess + half)
+
+    try:
+        optimum = minimize_peak_temperature(
+            model,
+            method="newton" if bounds is not None else current_method,
+            tolerance=current_tolerance,
+            lambda_m=lam,
+            bounds=bounds,
+        )
+        phase_start = time.perf_counter()
+        state = model.solve(optimum.current)
+    except SingularSystemError:
+        # The warm Rayleigh bound overshot lambda_m past the safety
+        # margin and a capped-interval solve went singular: recover
+        # with the exact eigenvalue and a cold-bracket retry.
+        stats.runaway_rescues += 1
+        lam, vector, _, _ = _exact_runaway(model, stats)
+        round_stats.runaway_method = runaway_method + "+rescue"
+        round_stats.lambda_m = lam
+        optimum = minimize_peak_temperature(
+            model,
+            method=current_method,
+            tolerance=current_tolerance,
+            lambda_m=lam,
+        )
+        phase_start = time.perf_counter()
+        state = model.solve(optimum.current)
+    round_stats.steady_s = time.perf_counter() - phase_start
+    round_stats.current_opt_s = optimum.search_s
+    round_stats.runaway_s += optimum.runaway_s
+    round_stats.evaluations = optimum.evaluations
+    round_stats.current_warm = optimum.warm_started
+    if optimum.warm_started:
+        stats.current_warm_rounds += 1
+    return model, optimum, state, vector
+
+
+def polish_final(problem, model, optimum, state, offenders, deployment, stats):
+    """Polish a warm final optimum; returns ``(current, state)``.
+
+    The polished current is kept only when it leaves the run's
+    feasibility verdict unchanged.
+    """
+    upper = None
+    if math.isfinite(optimum.lambda_m):
+        upper = _SAFETY_FRACTION * optimum.lambda_m
+    polished, evaluations = polish_current(model, optimum.current, upper=upper)
+    stats.polish_evaluations += evaluations
+    if polished == optimum.current:
+        return optimum.current, state
+    polished_state = model.solve(polished)
+    polished_offenders = problem.tiles_above_limit(polished_state)
+    verdict_stable = bool(polished_offenders) == bool(offenders) and (
+        not polished_offenders or polished_offenders <= deployment
+    )
+    if verdict_stable:
+        return polished, polished_state
+    return optimum.current, state

@@ -281,7 +281,7 @@ class CoolingSystemProblem:
 
         Convenience front-end for
         :func:`~repro.core.deploy.greedy_deploy`; keyword arguments
-        (``engine``, ``current_method``, ``max_rounds``, ...) pass
+        (``current_method``, ``current_tolerance``, ``max_rounds``) pass
         through unchanged.
         """
         from repro.core.deploy import greedy_deploy

@@ -211,8 +211,8 @@ class CondensedPencil:
 
 def condensed_pencil(base, support, d_support, solve, num_nodes):
     """The pencil of a factored base: ``C_S`` off the trailing block of
-    a :class:`SupportLastFactor`, else (an adopted cross-round solve,
-    or a reordered factor) ``Z^{-1}`` from one ``m``-column solve
+    a :class:`SupportLastFactor`, else (a reordered factor)
+    ``Z^{-1}`` from one ``m``-column solve
     ``Z = (A^{-1})[S, S]``.  ``solve`` is the caller's ``base.solve``."""
     size = support.size
     if isinstance(base, SupportLastFactor) and base.trailing_block_is_support():

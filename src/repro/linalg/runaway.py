@@ -40,8 +40,8 @@ Three computations are provided:
     over ``lattice`` — the same call on the same ordering, so both
     agree bit for bit.
 ``runaway_current_shift_invert``
-    Warm-started inverse iteration on the pencil ``(G, D)`` for the
-    incremental deployment engine: given the previous round's runaway
+    Warm-started inverse iteration on the pencil ``(G, D)`` for
+    GreedyDeploy's warm rounds: given the previous round's runaway
     eigenvector, a few shift-inverted solves ``(G - s D)^{-1} D v``
     through the solve engine's cached factorizations converge to the
     new ``lambda_m`` — no dense eigensolve, no extra sparse LU.  The

@@ -60,7 +60,6 @@ SCENARIO_FIELDS = GEOMETRY_FIELDS + (
     "current_method",
     "current_tolerance",
     "max_rounds",
-    "engine",
     "rom",
     "rom_dim",
     "rom_tol",
@@ -188,19 +187,19 @@ def parse_deploy(payload):
     """``POST /deploy`` body -> one ``greedy`` (or ``table1``) scenario.
 
     ``full_cover: true`` requests the Full-Cover baseline too (the
-    ``table1`` task); ``engine`` / ``max_rounds`` forward to
-    GreedyDeploy exactly like the CLI flags.
+    ``table1`` task); ``max_rounds``, ``current_method`` and
+    ``current_tolerance`` forward to GreedyDeploy.
     """
     payload = _require_mapping(payload, "/deploy body")
     _reject_unknown(
         payload,
-        GEOMETRY_FIELDS + ("engine", "max_rounds", "full_cover",
+        GEOMETRY_FIELDS + ("max_rounds", "full_cover",
                            "current_method", "current_tolerance"),
         "/deploy body",
     )
     task = "table1" if payload.get("full_cover") else "greedy"
     fields = _geometry_fields(payload)
-    for key in ("engine", "max_rounds", "current_method", "current_tolerance"):
+    for key in ("max_rounds", "current_method", "current_tolerance"):
         if payload.get(key) is not None:
             fields[key] = payload[key]
     fields.update(name="deploy", task=task)

@@ -45,6 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
+from repro.core.current import CURRENT_METHODS
 from repro.thermal.solve import SOLVER_MODES
 from repro.thermal.stack import PackageStack
 from repro.utils import check_nonnegative, check_positive
@@ -122,15 +123,13 @@ class Scenario:
         deployed device its own pin.
     current_method / current_tolerance:
         Problem 2 solver knobs forwarded to
-        :func:`~repro.core.current.minimize_peak_temperature`.
+        :func:`~repro.core.current.minimize_peak_temperature`;
+        ``current_method`` is one of
+        :data:`~repro.core.current.CURRENT_METHODS`.
     max_rounds:
-        Greedy-round budget for ``greedy`` / ``table1`` tasks; None
-        runs to the natural termination (the
-        :func:`~repro.core.deploy.greedy_deploy` default).
-    engine:
-        GreedyDeploy engine for ``greedy`` / ``table1`` tasks — one of
-        :data:`~repro.core.deploy.DEPLOY_ENGINES` (``"cold"``,
-        ``"incremental"``) or None for the default (``"cold"``).
+        Greedy-round budget for ``greedy`` / ``table1`` tasks, a whole
+        number >= 0 (not a bool); None runs to the natural termination
+        (the :func:`~repro.core.deploy.greedy_deploy` default).
     backend:
         Solver backend for the instance — one of
         :data:`~repro.thermal.solve.SOLVER_MODES` (``"direct"``,
@@ -163,27 +162,36 @@ class Scenario:
     current_method: str = "golden"
     current_tolerance: float = 1.0e-4
     max_rounds: int = None
-    engine: str = None
     backend: str = None
 
     def __post_init__(self):
         if self.max_rounds is not None:
-            object.__setattr__(self, "max_rounds", int(self.max_rounds))
+            try:
+                rounds = int(self.max_rounds)
+                whole = (
+                    not isinstance(self.max_rounds, bool)
+                    and rounds == float(self.max_rounds)
+                )
+            except (TypeError, ValueError, OverflowError):
+                whole = False
+            if not whole:
+                raise ValueError(
+                    "max_rounds must be None or a whole number, got "
+                    "{!r}".format(self.max_rounds)
+                )
+            object.__setattr__(self, "max_rounds", rounds)
             if self.max_rounds < 0:
                 raise ValueError(
                     "max_rounds must be None or >= 0, got {}".format(
                         self.max_rounds
                     )
                 )
-        if self.engine is not None:
-            from repro.core.deploy import DEPLOY_ENGINES
-
-            if self.engine not in DEPLOY_ENGINES:
-                raise ValueError(
-                    "engine must be one of {} (or None), got {!r}".format(
-                        DEPLOY_ENGINES, self.engine
-                    )
+        if self.current_method not in CURRENT_METHODS:
+            raise ValueError(
+                "current_method must be one of {}, got {!r}".format(
+                    CURRENT_METHODS, self.current_method
                 )
+            )
         if self.backend is not None and self.backend not in SOLVER_MODES:
             raise ValueError(
                 "backend must be one of {} (or None), got {!r}".format(
@@ -399,8 +407,7 @@ class SweepSpec:
     # ------------------------------------------------------------------
 
     @classmethod
-    def table1(cls, names=None, *, current_method="golden", max_rounds=None,
-               engine=None):
+    def table1(cls, names=None, *, current_method="golden", max_rounds=None):
         """One ``table1`` scenario per Table I benchmark row."""
         from repro.experiments.benchmarks import benchmark_names
 
@@ -409,7 +416,7 @@ class SweepSpec:
             scenarios=[
                 Scenario(name=name, task="table1", benchmark=name,
                          current_method=current_method,
-                         max_rounds=max_rounds, engine=engine)
+                         max_rounds=max_rounds)
                 for name in names
             ],
             name="table1",

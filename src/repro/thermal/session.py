@@ -588,44 +588,9 @@ class SessionView:
 
         Builds it on first call (reuse/krylov machinery).  The returned
         object answers ``.solve(rhs)`` for 1-D or ``(n, k)`` right-hand
-        sides; the incremental deployment engine anchors its
-        cross-round bordered solves on it.
+        sides.
         """
         return self._base_factorization()
-
-    def adopt_base(self, base_solve):
-        """Inject an external base-``G`` solve (cross-round reuse).
-
-        ``base_solve`` must answer ``.solve(rhs)`` with ``G^{-1} rhs``
-        for this solver's assembled system — e.g. a
-        :class:`~repro.thermal.border.BorderedDeployContext` view that
-        expresses this round's ``G`` as a bordered low-rank update of
-        an earlier round's factorization.  A reuse-mode round seeded
-        this way performs **zero** new sparse LU factorizations; with no
-        trailing factor block, the condensed pencil takes
-        ``C_S = Z^{-1}`` from one ``m``-column solve through it.
-
-        Only meaningful on the unshifted view, in (effective) ``reuse``
-        mode, and before the view has built its own base factorization.
-        """
-        if self._shift is not None:
-            raise RuntimeError(
-                "adopt_base is only available on the unshifted (steady) view"
-            )
-        if self.effective_mode != "reuse":
-            raise RuntimeError(
-                "adopt_base requires the 'reuse' backend, solver is {!r}".format(
-                    self.effective_mode
-                )
-            )
-        if self._base_lu is not None:
-            raise RuntimeError("base factorization already built; cannot adopt")
-        if not hasattr(base_solve, "solve"):
-            raise TypeError("base_solve must expose a .solve(rhs) method")
-        self._base_lu = base_solve
-        support = np.flatnonzero(self.system.d_diagonal)
-        self._support = support
-        self._d_support = self.system.d_diagonal[support]
 
     def condensed(self):
         """The view's :class:`~repro.linalg.condensed.CondensedPencil`,
@@ -1202,8 +1167,7 @@ def _factor_bytes(factor):
     Both factor kinds the engine produces expose their fill: SuperLU
     handles via ``.nnz`` (L + U nonzeros) and
     :class:`~repro.linalg.cholesky.CholeskyFactor` via its ``nnz``
-    slot.  Adopted bordered solves (no ``nnz``) count zero — their
-    memory belongs to the donor round.
+    slot.  A solve object without ``nnz`` counts zero.
     """
     nnz = getattr(factor, "nnz", None)
     return int(nnz) * 12 if nnz is not None else 0

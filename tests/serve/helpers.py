@@ -26,6 +26,25 @@ for _tile in SMALL_CHIP["tec_tiles"]:
     SMALL_CHIP["power_map"][_tile] = 0.55
 
 
+#: GreedyDeploy settings every front end must refuse up front, with
+#: the fragment the refusal names.
+BAD_DEPLOY_SETTINGS = [
+    ({"current_method": "warp"}, "current_method"),
+    ({"max_rounds": 2.7}, "max_rounds"),
+    ({"max_rounds": True}, "max_rounds"),
+]
+
+
+def small_deploy_body(**overrides):
+    body = {
+        "rows": SMALL_CHIP["rows"],
+        "cols": SMALL_CHIP["cols"],
+        "power_map": list(SMALL_CHIP["power_map"]),
+    }
+    body.update(overrides)
+    return body
+
+
 def small_solve_body(**overrides):
     body = {
         "rows": SMALL_CHIP["rows"],

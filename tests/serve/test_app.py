@@ -10,9 +10,11 @@ from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import Scenario, SweepSpec
 
 from tests.serve.helpers import (
+    BAD_DEPLOY_SETTINGS,
     SMALL_CHIP,
     SolveGate,
     asgi_request,
+    small_deploy_body,
     small_solve_body,
     until,
     with_app,
@@ -105,6 +107,20 @@ class TestBadInput:
         assert status == 400
         assert fragment in body["error"]
         assert pooled == 0
+
+    @pytest.mark.parametrize(
+        "overrides, fragment",
+        BAD_DEPLOY_SETTINGS + [({"engine": "cold"}, "unknown field(s)")],
+    )
+    def test_deploy_rejects_bad_settings_with_400(self, overrides, fragment):
+        async def scenario(app):
+            return await asgi_request(
+                app, "POST", "/deploy", small_deploy_body(**overrides)
+            )
+
+        status, body = with_app(scenario)
+        assert status == 400
+        assert fragment in body["error"]
 
     def test_transient_rejects_out_of_range_tiles(self):
         async def scenario(app):

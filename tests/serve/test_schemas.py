@@ -14,7 +14,12 @@ from repro.serve.schemas import (
 )
 from repro.sweep.spec import Scenario, SweepSpec
 
-from tests.serve.helpers import SMALL_CHIP, small_solve_body
+from tests.serve.helpers import (
+    BAD_DEPLOY_SETTINGS,
+    SMALL_CHIP,
+    small_deploy_body,
+    small_solve_body,
+)
 
 
 class TestParseSolve:
@@ -130,9 +135,22 @@ class TestParseDeploy:
         scenario = parse_deploy({"benchmark": "alpha", "full_cover": True})
         assert scenario.task == "table1"
 
-    def test_engine_forwarded(self):
-        scenario = parse_deploy({"benchmark": "alpha", "engine": "incremental"})
-        assert scenario.engine == "incremental"
+    def test_engine_rejected(self):
+        with pytest.raises(SchemaError, match=r"unknown field\(s\).*engine"):
+            parse_deploy({"benchmark": "alpha", "engine": "incremental"})
+
+    def test_deploy_settings_forwarded(self):
+        scenario = parse_deploy(small_deploy_body(
+            max_rounds=2, current_method="brent", current_tolerance=1e-5,
+        ))
+        assert scenario.max_rounds == 2
+        assert scenario.current_method == "brent"
+        assert scenario.current_tolerance == 1e-5
+
+    @pytest.mark.parametrize("overrides, fragment", BAD_DEPLOY_SETTINGS)
+    def test_bad_deploy_settings_rejected(self, overrides, fragment):
+        with pytest.raises(SchemaError, match=fragment):
+            parse_deploy(small_deploy_body(**overrides))
 
 
 class TestParseSweep:
@@ -168,6 +186,18 @@ class TestParseSweep:
     def test_entry_needs_name_and_task(self):
         with pytest.raises(SchemaError, match="name"):
             parse_sweep({"scenarios": [{"task": "greedy", "benchmark": "alpha"}]})
+
+    def test_engine_field_rejected(self):
+        entry = {"name": "e", "task": "greedy", "benchmark": "alpha",
+                 "engine": "cold"}
+        with pytest.raises(SchemaError, match=r"unknown field\(s\).*engine"):
+            parse_sweep({"scenarios": [entry]})
+
+    @pytest.mark.parametrize("overrides, fragment", BAD_DEPLOY_SETTINGS)
+    def test_bad_deploy_settings_rejected(self, overrides, fragment):
+        entry = dict(small_deploy_body(**overrides), name="g", task="greedy")
+        with pytest.raises(SchemaError, match=fragment):
+            parse_sweep({"scenarios": [entry]})
 
 
 class TestBlueprintKey:

@@ -5,6 +5,14 @@ import pytest
 from repro.experiments.benchmarks import benchmark_names
 from repro.sweep import TASKS, Scenario, SweepSpec
 
+#: GreedyDeploy settings a scenario must refuse, with the field the
+#: message names (the serve tests send the same inputs over HTTP).
+BAD_DEPLOY_SETTINGS = [
+    ({"current_method": "warp"}, "current_method"),
+    ({"max_rounds": 2.7}, "max_rounds"),
+    ({"max_rounds": True}, "max_rounds"),
+]
+
 
 def _explicit(name="s", task="greedy", **overrides):
     kwargs = dict(
@@ -72,23 +80,25 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="backend"):
             _explicit(backend="jacobi")
 
-    def test_engine_defaults_to_none(self):
-        assert _explicit().engine is None
+    def test_max_rounds_defaults_to_none(self):
         assert _explicit().max_rounds is None
 
-    @pytest.mark.parametrize("engine", ["cold", "incremental"])
-    def test_valid_engines_accepted(self, engine):
-        assert _explicit(engine=engine).engine == engine
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            _explicit(engine="warp")
+        # GreedyDeploy has one loop; the deploy-engine field is gone.
+        with pytest.raises(TypeError, match="engine"):
+            _explicit(engine="cold")
 
     def test_max_rounds_coerced_and_validated(self):
         assert _explicit(max_rounds="3").max_rounds == 3
+        assert _explicit(max_rounds=4.0).max_rounds == 4
         assert _explicit(max_rounds=0).max_rounds == 0
         with pytest.raises(ValueError, match="max_rounds"):
             _explicit(max_rounds=-1)
+
+    @pytest.mark.parametrize("overrides, fragment", BAD_DEPLOY_SETTINGS)
+    def test_bad_deploy_settings_rejected(self, overrides, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            _explicit(**overrides)
 
     def test_solve_needs_current(self):
         with pytest.raises(ValueError, match="current_a"):

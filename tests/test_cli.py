@@ -292,8 +292,9 @@ class TestWorkersValidation:
 
 
 class TestRoundsAndEngine:
-    """``--max-rounds`` validation mirrors ``--workers``; the engine
-    and round-stats flags ride the solve/table1 paths end to end."""
+    """``--max-rounds`` validation mirrors ``--workers``; the
+    round-stats flag rides the solve/table1 paths end to end, and the
+    removed ``--engine`` flag is a usage error."""
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_solve_rejects_nonpositive_rounds(self, capsys, value):
@@ -316,20 +317,27 @@ class TestRoundsAndEngine:
         assert "invalid int value" in capsys.readouterr().err
 
     def test_unknown_engine_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["solve", "--benchmark", "hc08", "--engine", "warp"])
-        assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        for argv in (
+            ["solve", "--benchmark", "hc08", "--engine", "cold"],
+            ["table1", "--benchmarks", "alpha", "--engine", "incremental"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_solve_incremental_with_round_stats(self, capsys):
+        # hc05 at 80 C takes two rounds; the second covers 137 tiles,
+        # a Peltier support past the warm-round threshold.
         code = main([
-            "solve", "--benchmark", "hc08",
-            "--engine", "incremental", "--round-stats",
+            "solve", "--benchmark", "hc05", "--limit", "80", "--round-stats",
         ])
         out = capsys.readouterr().out
-        assert code in (0, 1)
-        assert "round stats (incremental engine:" in out
+        assert code == 1
+        assert "round stats (2 rounds," in out
         assert "round 0:" in out
+        assert "(cold bracket), runaway eigen" in out
+        assert "(warm bracket), runaway shift-invert" in out
 
     def test_solve_max_rounds_caps_loop(self, capsys):
         # hc06 at 85 C is infeasible, so the greedy loop runs multiple
@@ -345,8 +353,7 @@ class TestRoundsAndEngine:
 
     def test_table1_round_stats(self, capsys):
         code = main([
-            "table1", "--benchmarks", "alpha",
-            "--engine", "incremental", "--round-stats",
+            "table1", "--benchmarks", "alpha", "--round-stats",
         ])
         out = capsys.readouterr().out
         assert code == 0

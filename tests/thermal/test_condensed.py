@@ -11,7 +11,6 @@ plus one lift solve (:mod:`repro.linalg.condensed`).  These tests pin:
 * refusal at and beyond ``lambda_m`` (and a solve just below it);
 * one sparse factorization per reuse view, whatever is solved on it;
 * shifted (transient) views and per-device diagonals against direct;
-* adopted cross-round bases (``engine="incremental"``) against cold;
 * the runaway eigenpair: session vs standalone bit for bit, and the
   pencil residual;
 * the trailing-block check that lets ``C_S`` be read off ``U``.
@@ -221,35 +220,6 @@ class TestAgainstDirect:
             d, system.p_base
         )
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
-class TestAdoptedBases:
-    def test_incremental_matches_cold(self):
-        cold = greedy_deploy(
-            _gaussian_problem(12), engine="cold", current_tolerance=1e-6
-        )
-        inc = greedy_deploy(
-            _gaussian_problem(12), engine="incremental", current_tolerance=1e-6
-        )
-        modes = [r.border_mode for r in inc.deploy_stats.rounds]
-        assert any(mode in ("bordered", "refactorized") for mode in modes)
-        assert cold.tec_tiles == inc.tec_tiles
-        assert cold.feasible == inc.feasible
-        assert inc.peak_c == pytest.approx(cold.peak_c, abs=1e-6)
-
-    def test_adopted_base_pencil_matches_own_factor(self, deployed_models):
-        model = deployed_models["hc01-greedy"]
-        own = _fresh(model)
-        adopted = _fresh(model)
-        adopted.adopt_base(splu(model.system.g_matrix.tocsc()))
-        expected = own.condensed().schur
-        got = adopted.condensed().schur
-        assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
-        lam = model.runaway_current().value
-        np.testing.assert_allclose(
-            adopted.solve(0.9 * lam), own.solve(0.9 * lam), rtol=1e-9
-        )
-        assert adopted.stats.factorizations == 0
 
 
 class TestRunawayPencil:

@@ -97,12 +97,6 @@ class TestViewKeying:
         assert view.shift[0] != 999.0
         assert model.solver.shift is None
 
-    def test_adopt_base_rejected_on_shifted_views(self, make_model):
-        model = make_model("reuse")
-        view = model.session.view(_shift_for(model))
-        with pytest.raises(RuntimeError, match="unshifted"):
-            view.adopt_base(None)
-
     def test_shifted_views_inherit_the_session_mode(self, make_model):
         model = make_model("auto")
         view = model.session.view(_shift_for(model))
