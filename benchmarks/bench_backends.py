@@ -6,36 +6,37 @@ assembled system and probe currents through the batched
 :meth:`~repro.thermal.session.SessionView.solve_batch` kernel, and
 checks the acceptance criteria of the backend-layer PRs:
 
-* every backend agrees with the ``direct`` reference (``cholesky``
-  once the grid outgrows the direct limit) on the peak temperature of
-  every probe current to 1e-6 K;
-* on a >= 48x48 grid with a dense deployment, the ``krylov`` backend
-  beats the condensed ``reuse`` mode wall-clock (the dense
-  support x support block of its support-last factorization grows
-  with the deployment);
+* every backend agrees with the ``direct`` reference on the peak
+  temperature of every probe current to 1e-6 K;
+* on a >= 48x48 grid with a dense deployment, the per-current SPD
+  factorization of ``direct`` beats the condensed ``reuse`` mode
+  wall-clock (the dense support x support block of its support-last
+  factorization grows with the deployment) — the fact ``auto``'s
+  support threshold relies on;
 * on the 128x128 grid (stride-lattice deployment, 512 support nodes),
   the condensed ``reuse`` backend — one support-last factorization for
-  every probe current — beats the batched ``cholesky`` backend, which
+  every probe current — beats the batched ``direct`` backend, which
   factors once per current, wall-clock;
 * on the 256x256 grid (>= 260k nodes) the geometric-multigrid ``mg``
-  backend beats every assembled-factorization backend by >= 2x
-  wall-clock while holding less solver state (``solver_bytes``, the
+  backend beats the assembled SPD factorization by >= 2x wall-clock
+  while holding less solver state (``solver_bytes``, the
   deterministic factor-fill/operator accounting of
   ``SessionView.solver_state_bytes``).  All ratios are reported in
   ``BENCH_backends.json``.
 
-The measurements are written to ``BENCH_backends.json`` at the repo
-root (schema: :func:`repro.io.results.bench_report_to_json`) so the
-perf trajectory is machine-readable across commits.
-
-The grid list honours the ``BENCH_BACKENDS_GRIDS`` environment
-variable (comma-separated side lengths, e.g. ``8,16``) so CI can run a
-fast subset; the >= 48x48 speedup assertion skips itself when no large
-grid is in the list.  The ``reuse`` backend is skipped (and the skip
-logged in the JSON) once the Peltier support exceeds
-``_REUSE_SUPPORT_LIMIT`` — the dense support x support trailing block
-of its factorization, and the block's eigendecomposition, grow
-quadratically and cubically with the support.
+A full default run writes ``BENCH_backends.json`` at the repo root
+(schema: :func:`repro.io.results.bench_report_to_json`, tagged
+``"run": "full"``) so the perf trajectory is machine-readable across
+commits.  The grid list honours the ``BENCH_BACKENDS_GRIDS``
+environment variable (comma-separated side lengths, e.g. ``8,16``) so
+CI can run a fast subset; any override writes
+``BENCH_backends-fast.json`` instead, so a fast run never overwrites
+the checked-in full-run numbers, and the >= 48x48 speedup assertion
+skips itself when no large grid is in the list.  The ``reuse`` backend
+is skipped (and the skip logged in the JSON) once the Peltier support
+exceeds ``_REUSE_SUPPORT_LIMIT`` — the dense support x support
+trailing block of its factorization, and the block's
+eigendecomposition, grow quadratically and cubically with the support.
 
 Run:  pytest benchmarks/bench_backends.py -s
       python benchmarks/bench_backends.py
@@ -59,7 +60,8 @@ from repro.thermal.stack import PackageStack
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _DEFAULT_GRIDS = "8,16,32,48,64,128,256"
-_BACKENDS = ("direct", "reuse", "krylov", "cholesky", "mg")
+_FULL_RUN = "BENCH_BACKENDS_GRIDS" not in os.environ
+_BACKENDS = ("direct", "reuse", "mg")
 
 #: Total die power (W), split uniformly over the tiles so refining the
 #: grid changes the resolution, not the thermal problem.
@@ -75,12 +77,6 @@ _PROBE_CURRENTS = (0.25, 0.5, 1.0)
 #: the block's ``support^3`` eigendecomposition are the scaling wall
 #: under study.
 _REUSE_SUPPORT_LIMIT = 2500
-
-#: Skip the ``direct`` backend beyond this node count: one general LU
-#: *per probe current* on a >= 260k-node system is the per-current
-#: scaling wall the mg tier removes — the agreement reference falls
-#: back to ``cholesky`` on those grids.
-_DIRECT_NODE_LIMIT = 100_000
 
 #: Grids up to this side get full TEC coverage; larger ones a
 #: checkerboard (still dense: 50% of the tiles).
@@ -219,15 +215,6 @@ def run_workload(sides=None):
                     ),
                 ))
                 continue
-            if backend == "direct" and system.num_nodes > _DIRECT_NODE_LIMIT:
-                entries.append(dict(
-                    base,
-                    backend="direct",
-                    skipped="{} nodes exceed the direct limit {}".format(
-                        system.num_nodes, _DIRECT_NODE_LIMIT
-                    ),
-                ))
-                continue
             measured = _time_backend(system, backend, currents)
             timings[backend] = measured
             entry = dict(base, **measured)
@@ -237,21 +224,18 @@ def run_workload(sides=None):
             # The acceptance ratios: how much faster each challenger
             # backend answers the same probe currents than the
             # condensed reuse backend.
-            for backend in ("krylov", "cholesky", "mg"):
-                if backend in timings:
-                    measured_entries[backend]["speedup_vs_reuse"] = (
-                        timings["reuse"]["wall_s"] / timings[backend]["wall_s"]
-                    )
-        if "mg" in timings:
-            # The mg acceptance ratios: wall-clock vs each
-            # assembled-factorization backend on the same system.
-            for backend in ("direct", "cholesky"):
-                if backend in timings:
-                    measured_entries["mg"]["speedup_vs_" + backend] = (
-                        timings[backend]["wall_s"] / timings["mg"]["wall_s"]
-                    )
+            for backend in ("direct", "mg"):
+                measured_entries[backend]["speedup_vs_reuse"] = (
+                    timings["reuse"]["wall_s"] / timings[backend]["wall_s"]
+                )
+        # The mg acceptance ratio: wall-clock vs the assembled SPD
+        # factorization on the same system.
+        measured_entries["mg"]["speedup_vs_direct"] = (
+            timings["direct"]["wall_s"] / timings["mg"]["wall_s"]
+        )
     metadata = {
         "workload": "grid-resolution scaling, dense TEC deployments",
+        "run": "full" if _FULL_RUN else "fast",
         "total_power_w": _TOTAL_POWER_W,
         "reuse_support_limit": _REUSE_SUPPORT_LIMIT,
         "cpu_count": os.cpu_count(),
@@ -276,11 +260,7 @@ def test_backends_agree(workload):
             by_grid.setdefault(entry["grid"], []).append(entry)
     assert by_grid
     for grid, measured in by_grid.items():
-        # direct is the reference where it ran; past _DIRECT_NODE_LIMIT
-        # the factored-SPD backend takes over as the exact baseline.
-        by_backend = {e["backend"]: e for e in measured}
-        reference = by_backend.get("direct") or by_backend.get("cholesky")
-        assert reference is not None, grid
+        reference = {e["backend"]: e for e in measured}["direct"]
         for entry in measured:
             for peak, ref_peak in zip(entry["peak_k"], reference["peak_k"]):
                 assert peak == pytest.approx(ref_peak, abs=1.0e-6), (
@@ -288,12 +268,12 @@ def test_backends_agree(workload):
                 )
 
 
-def test_krylov_beats_reuse_on_large_grid(workload):
+def test_direct_beats_reuse_on_large_grid(workload):
     entries, _ = workload
     ratios = {
         entry["grid"]: entry["speedup_vs_reuse"]
         for entry in entries
-        if entry.get("backend") == "krylov"
+        if entry.get("backend") == "direct"
         and entry.get("speedup_vs_reuse") is not None and entry["side"] >= 48
     }
     print()
@@ -307,34 +287,34 @@ def test_krylov_beats_reuse_on_large_grid(workload):
                 entry["num_nodes"], entry["support"]))
     if not ratios:
         pytest.skip(
-            "no >= 48x48 grid ran both reuse and krylov "
+            "no >= 48x48 grid ran both reuse and direct "
             "(BENCH_BACKENDS_GRIDS subset)"
         )
     best = max(ratios.values())
-    print("krylov speedup vs reuse on large grids: " + ", ".join(
+    print("direct speedup vs reuse on large grids: " + ", ".join(
         "{} {:.1f}x".format(grid, ratio) for grid, ratio in sorted(ratios.items())
     ))
     assert best > 1.0
 
 
 @pytest.mark.slow
-def test_reuse_beats_cholesky_on_128(workload):
+def test_reuse_beats_direct_on_128(workload):
     """The condensed reuse backend wins the 128x128 column over the
     batched sparse-SPD backend: one support-last factorization answers
-    every probe current, where cholesky factors once per current."""
+    every probe current, where direct factors once per current."""
     entries, _ = workload
     ratios = {
         entry["grid"]: 1.0 / entry["speedup_vs_reuse"]
         for entry in entries
-        if entry.get("backend") == "cholesky"
+        if entry.get("backend") == "direct"
         and entry.get("speedup_vs_reuse") is not None and entry["side"] >= 128
     }
     if not ratios:
         pytest.skip(
-            "no >= 128x128 grid ran both reuse and cholesky "
+            "no >= 128x128 grid ran both reuse and direct "
             "(BENCH_BACKENDS_GRIDS subset)"
         )
-    print("reuse speedup vs cholesky: " + ", ".join(
+    print("reuse speedup vs direct: " + ", ".join(
         "{} {:.1f}x".format(grid, ratio) for grid, ratio in sorted(ratios.items())
     ))
     assert max(ratios.values()) > 1.0
@@ -343,8 +323,8 @@ def test_reuse_beats_cholesky_on_128(workload):
 @pytest.mark.slow
 def test_mg_wins_256(workload):
     """The multigrid tier's acceptance on the chiplet-scale column:
-    >= 2x wall-clock over every assembled-factorization backend that
-    ran the >= 256x256 grid, with less solver state."""
+    >= 2x wall-clock over the assembled SPD factorization of ``direct``
+    on the >= 256x256 grid, with less solver state."""
     entries, _ = workload
     mg_entries = [
         entry for entry in entries
@@ -359,7 +339,7 @@ def test_mg_wins_256(workload):
         rivals = [
             entry for entry in entries
             if entry["side"] == mg_entry["side"] and "skipped" not in entry
-            and entry["backend"] in ("direct", "cholesky")
+            and entry["backend"] == "direct"
         ]
         assert rivals, "mg ran unopposed on {}".format(mg_entry["grid"])
         for rival in rivals:
@@ -374,9 +354,15 @@ def test_mg_wins_256(workload):
             )
 
 
+def _report_path():
+    return _REPO_ROOT / (
+        "BENCH_backends.json" if _FULL_RUN else "BENCH_backends-fast.json"
+    )
+
+
 def test_writes_bench_json(workload):
     entries, metadata = workload
-    path = _REPO_ROOT / "BENCH_backends.json"
+    path = _report_path()
     bench_report_to_json("backends", entries, path, metadata=metadata)
     assert path.exists()
 
@@ -390,6 +376,6 @@ if __name__ == "__main__":
         else:
             print("{:>7} {:<7} {:8.3f} s".format(
                 item["grid"], item["backend"], item["wall_s"]))
-    out = _REPO_ROOT / "BENCH_backends.json"
+    out = _report_path()
     bench_report_to_json("backends", measured_entries, out, metadata=run_metadata)
     print("written to {}".format(out))

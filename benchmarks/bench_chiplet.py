@@ -7,7 +7,7 @@ shared interposer/spreader/sink) and measures:
 * composite assembly time and node count — the 2.5D build must stay
   in the same complexity class as the single-die assembly;
 * the geometric-multigrid solve of the composite system, against the
-  factored-SPD ``cholesky`` baseline where it fits — the acceptance
+  factored-SPD ``direct`` baseline where it fits — the acceptance
   column is the 128-per-chiplet package (>= 150k nodes), where the
   chiplet grid only the mg tier handles comfortably must solve and
   agree with the baseline to 1e-6 K;
@@ -15,13 +15,14 @@ shared interposer/spreader/sink) and measures:
   :class:`~repro.thermal.reference.ReferenceChipletModel` differential
   (<= 1e-6 K), pinning the physics at benchmark scale too.
 
-The measurements are written to ``BENCH_chiplet.json`` at the repo
-root (schema: :func:`repro.io.results.bench_report_to_json`).
-
-The per-chiplet side list honours the ``BENCH_CHIPLET_SIDES``
-environment variable (comma-separated, e.g. ``16,32``) so CI can run a
-fast subset; the >= 150k-node acceptance assertion skips itself when
-no large column is in the list.
+A full default run writes ``BENCH_chiplet.json`` at the repo root
+(schema: :func:`repro.io.results.bench_report_to_json`, tagged
+``"run": "full"``).  The per-chiplet side list honours the
+``BENCH_CHIPLET_SIDES`` environment variable (comma-separated, e.g.
+``16,32``) so CI can run a fast subset; any override writes
+``BENCH_chiplet-fast.json`` instead, so a fast run never overwrites
+the checked-in full-run numbers, and the >= 150k-node acceptance
+assertion skips itself when no large column is in the list.
 
 Run:  pytest benchmarks/bench_chiplet.py -s
       python benchmarks/bench_chiplet.py
@@ -39,14 +40,15 @@ from repro.thermal.model import CompositeThermalModel
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _DEFAULT_SIDES = "16,32,128"
+_FULL_RUN = "BENCH_CHIPLET_SIDES" not in os.environ
 
 #: Per-chiplet total power (W): two of these per package, spread
 #: uniformly, so refining the grids changes the resolution only.
 _CHIPLET_POWER_W = 30.0
 
-#: The cholesky baseline stops being timed past this node count; the
+#: The direct baseline stops being timed past this node count; the
 #: mg column keeps going alone (with its residual as the check).
-_CHOLESKY_NODE_LIMIT = 400_000
+_DIRECT_NODE_LIMIT = 400_000
 
 #: Columns at or below this per-chiplet side also run the independent
 #: reference assembly (dense spsolve — fine at small scale only).
@@ -108,21 +110,21 @@ def run_workload(sides=None):
         mg_model, mg_entry = _time_solve(layout, "mg")
         base["num_nodes"] = int(mg_model.num_nodes)
         entries.append(dict(base, **mg_entry))
-        if mg_model.num_nodes <= _CHOLESKY_NODE_LIMIT:
-            _, chol_entry = _time_solve(layout, "cholesky")
-            chol_entry["mg_speedup"] = (
-                chol_entry["solve_s"] / mg_entry["solve_s"]
+        if mg_model.num_nodes <= _DIRECT_NODE_LIMIT:
+            _, direct_entry = _time_solve(layout, "direct")
+            direct_entry["mg_speedup"] = (
+                direct_entry["solve_s"] / mg_entry["solve_s"]
             )
-            chol_entry["peak_delta_vs_mg_c"] = abs(
-                chol_entry["peak_c"] - mg_entry["peak_c"]
+            direct_entry["peak_delta_vs_mg_c"] = abs(
+                direct_entry["peak_c"] - mg_entry["peak_c"]
             )
-            entries.append(dict(base, **chol_entry))
+            entries.append(dict(base, **direct_entry))
         else:
             entries.append(dict(
                 base,
-                backend="cholesky",
-                skipped="{} nodes exceed the cholesky limit {}".format(
-                    mg_model.num_nodes, _CHOLESKY_NODE_LIMIT
+                backend="direct",
+                skipped="{} nodes exceed the direct limit {}".format(
+                    mg_model.num_nodes, _DIRECT_NODE_LIMIT
                 ),
             ))
         if side <= _REFERENCE_SIDE_LIMIT:
@@ -141,6 +143,7 @@ def run_workload(sides=None):
             ))
     metadata = {
         "workload": "two-chiplet interposer package, composite mg solves",
+        "run": "full" if _FULL_RUN else "fast",
         "chiplet_power_w": _CHIPLET_POWER_W,
         "acceptance_nodes": _ACCEPTANCE_NODES,
         "cpu_count": os.cpu_count(),
@@ -197,9 +200,15 @@ def test_mg_solves_chiplet_scale_grid(workload):
         assert entry["peak_c"] > 45.0  # above ambient: heat actually flowed
 
 
+def _report_path():
+    return _REPO_ROOT / (
+        "BENCH_chiplet.json" if _FULL_RUN else "BENCH_chiplet-fast.json"
+    )
+
+
 def test_writes_bench_json(workload):
     entries, metadata = workload
-    path = _REPO_ROOT / "BENCH_chiplet.json"
+    path = _report_path()
     bench_report_to_json("chiplet", entries, path, metadata=metadata)
     assert path.exists()
 
@@ -213,6 +222,6 @@ if __name__ == "__main__":
         else:
             print("{:>10} {:<9} {:8.3f} s  peak {:7.3f} C".format(
                 item["column"], item["backend"], item["solve_s"], item["peak_c"]))
-    out = _REPO_ROOT / "BENCH_chiplet.json"
+    out = _report_path()
     bench_report_to_json("chiplet", measured_entries, out, metadata=run_metadata)
     print("written to {}".format(out))

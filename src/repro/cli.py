@@ -7,7 +7,7 @@ Usage (also installed as the ``repro`` console script)::
                                [--max-rounds N] [--round-stats]
     python -m repro.cli sweep [--benchmark alpha] [--power-scales 0.9 1.1]
                               [--budgets 0 0.5 1.0] [--workers 4]
-                              [--backend krylov]
+                              [--backend direct]
     python -m repro.cli solve --benchmark alpha [--limit 85] [--json OUT]
                               [--max-rounds N] [--round-stats]
     python -m repro.cli solve --flp chip.flp --powers powers.json --limit 85
@@ -47,7 +47,7 @@ from repro.utils.validate import check_nonnegative, check_tile_indices
 #: the scientific stack at parser-build time; unknown backends fail at
 #: parse time with this list, uniformly across every subcommand
 #: (``tests/test_cli.py::TestBackendValidation``).
-_BACKENDS = ("direct", "reuse", "krylov", "cholesky", "mg", "auto")
+_BACKENDS = ("direct", "reuse", "mg", "auto")
 
 #: Reduced-order modes exposed by ``--rom``.  Mirrors
 #: :data:`repro.linalg.mor.ROM_MODES` (same deferred-import rationale
@@ -433,12 +433,10 @@ def _add_solver_options(parser, command):
         flags=("--backend", "--solver-mode"),
         dest="solver_mode",
         help="steady-state solver backend: 'reuse' (condensed onto the "
-             "TEC support, default), 'direct' (one LU per distinct "
-             "current), 'krylov' "
-             "(G-preconditioned GMRES with direct fallback), 'cholesky' "
-             "(sparse SPD factorization; CHOLMOD when installed), 'mg' "
+             "TEC support, default), 'direct' (one sparse SPD "
+             "factorization per distinct current), 'mg' "
              "(multigrid-preconditioned CG), or 'auto' (mg on large "
-             "grids, else reuse vs krylov by support size)",
+             "grids, else reuse vs direct by support size)",
     )
     parser.add_argument(
         "--solver-cache-size", type=int, default=None,

@@ -24,8 +24,8 @@ from the round before:
    (``method="newton"``) converges in a handful of evaluations.
 3. **A per-current backend**: a warm round evaluates only a handful of
    distinct currents, so under ``reuse`` (also ``auto`` resolving to
-   it) the round runs on ``"direct"`` — one small sparse LU per
-   current instead of the support-last factorization, whose dense
+   it) the round runs on ``"direct"`` — one sparse SPD factorization
+   per current instead of the support-last factorization, whose dense
    ``m x m`` trailing block and pencil eigendecomposition grow as
    ``m^2`` and ``m^3``.  Every other backend keeps its own.
 

@@ -46,14 +46,12 @@ class CoolingSystemProblem:
         problem — one of :data:`~repro.thermal.solve.SOLVER_MODES`:
         ``"reuse"`` (default — one sparse LU per deployment with the TEC
         support last, condensed ``m x m`` work across currents),
-        ``"direct"`` (one sparse LU
-        per distinct current), ``"cholesky"`` (one sparse SPD
-        factorization per distinct current), ``"krylov"``
-        (G-preconditioned GMRES/BiCGSTAB with direct fallback),
+        ``"direct"`` (one sparse SPD factorization per distinct
+        current; refuses currents at or beyond ``lambda_m``),
         ``"mg"`` (multigrid-preconditioned CG, one hierarchy per view)
         or ``"auto"`` (per assembled system: ``mg`` from
         :data:`~repro.thermal.solve.MG_NODE_CROSSOVER` nodes on, else
-        reuse vs krylov from the support size).
+        reuse vs direct from the support size).
     solver_cache_size:
         Per-current cache size forwarded to the solver.
     incremental_assembly:

@@ -23,12 +23,7 @@ thermal substrate produces (sparse) ``G``/``D`` pairs and hands them to
 these routines.
 """
 
-from repro.linalg.cholesky import (
-    HAVE_CHOLMOD,
-    CholeskyFactor,
-    NotPositiveDefiniteError,
-    spd_factorize,
-)
+from repro.linalg.cholesky import NotPositiveDefiniteError, spd_factorize
 from repro.linalg.conjecture import (
     ConjectureCampaignResult,
     conjecture1_holds,
@@ -42,7 +37,6 @@ from repro.linalg.inverse_positive import (
 from repro.linalg.irreducible import adjacency_graph, is_irreducible
 from repro.linalg.krylov import (
     DEFAULT_RTOL,
-    KRYLOV_METHODS,
     KrylovReport,
     krylov_solve,
 )
@@ -75,13 +69,10 @@ from repro.linalg.stieltjes import (
 
 __all__ = [
     "CertificationError",
-    "CholeskyFactor",
     "ConjectureCampaignResult",
     "DEFAULT_ROM_DIM",
     "DEFAULT_ROM_TOL_K",
     "DEFAULT_RTOL",
-    "HAVE_CHOLMOD",
-    "KRYLOV_METHODS",
     "KrylovReport",
     "NotPositiveDefiniteError",
     "ROM_AUTO_MIN_NODES",

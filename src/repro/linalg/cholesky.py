@@ -1,22 +1,19 @@
-"""Sparse Cholesky factorization backend for SPD systems.
+"""Sparse SPD factorization: the kernel of every ``direct`` solve.
 
 The session core factors ``G - iD`` (and the shifted/capacitance
 variants) thousands of times per sweep; for the SPD matrices the paper
-guarantees below the runaway current, a sparse Cholesky factorization
-is the natural kernel — roughly half the flops and memory of an LU,
-and the standard backend of large-grid thermal simulators such as
-3D-ICE.
+guarantees below the runaway current (Lemma 1, Theorem 1), a
+pivot-free symmetric factorization is the natural kernel — roughly
+half the fill of a general LU, and the standard kernel of large-grid
+thermal simulators such as 3D-ICE.
 
-:func:`spd_factorize` is the single seam.  When scikit-sparse is
-importable it wraps CHOLMOD (supernodal Cholesky, the fast path on
-big grids).  Otherwise it falls back to SciPy's SuperLU restricted to
-symmetric mode with diagonal pivoting suppressed: with no off-diagonal
-pivoting the factorization of an SPD matrix is exactly the ``LDL'``
-Cholesky up to scaling, every pivot is positive, and a non-positive
-pivot certifies the matrix was not positive definite — the same oracle
-:mod:`repro.linalg.spd` uses.  Both paths expose one ``solve`` method
-accepting a vector or an ``(n, k)`` right-hand-side block, so the
-factor object is a drop-in for a ``splu`` handle in the session layer.
+:func:`spd_factorize` runs SciPy's SuperLU restricted to symmetric
+mode with diagonal pivoting suppressed and the MMD ordering on
+``A + A'``: with no off-diagonal pivoting the factorization of an SPD
+matrix is exactly the ``LDL'`` Cholesky up to scaling, every pivot is
+positive, and a non-positive pivot certifies the matrix was not
+positive definite — the same oracle :mod:`repro.linalg.spd` uses.
+For ``G - iD`` that certifies ``i < lambda_m``.
 """
 
 from __future__ import annotations
@@ -25,57 +22,46 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-try:  # pragma: no cover - exercised only where CHOLMOD is installed
-    from sksparse.cholmod import CholmodNotPositiveDefiniteError
-    from sksparse.cholmod import cholesky as _cholmod_cholesky
-
-    HAVE_CHOLMOD = True
-except ImportError:  # pragma: no cover - the container has no sksparse
-    _cholmod_cholesky = None
-    CholmodNotPositiveDefiniteError = None
-    HAVE_CHOLMOD = False
-
 
 class NotPositiveDefiniteError(ValueError):
     """The matrix handed to :func:`spd_factorize` is not SPD.
 
     For ``G - iD`` this means the current is at or beyond the runaway
-    current ``lambda_m`` (Theorem 1), exactly the condition the other
-    backends report as a singular system.
+    current ``lambda_m`` (Theorem 1), the condition the solve session
+    reports as a singular system.
     """
 
 
-class CholeskyFactor:
-    """A factored SPD matrix with a ``splu``-compatible ``solve``.
+def spd_factorize(matrix):
+    """Factor a sparse SPD matrix, returning an object with ``solve``.
 
-    ``nnz`` is the factor fill (nonzeros of ``L + U`` for the SuperLU
-    path, of ``L`` for CHOLMOD) — the memory-accounting hook the
-    backend benchmarks use to compare solver-state footprints.
+    Parameters
+    ----------
+    matrix:
+        Sparse symmetric positive definite matrix (any SciPy sparse
+        format; converted to CSC).
+
+    Returns
+    -------
+    scipy.sparse.linalg.SuperLU
+        ``factor.solve(rhs)`` accepts a vector or an ``(n, k)`` block;
+        ``factor.nnz`` is the fill of ``L + U``.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        If the matrix is singular or indefinite.  Callers solving
+        ``G - iD`` translate this into their at-runaway error.
     """
-
-    __slots__ = ("_solve", "shape", "nnz")
-
-    def __init__(self, solve, shape, nnz=0):
-        self._solve = solve
-        self.shape = shape
-        self.nnz = int(nnz)
-
-    def solve(self, rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        return self._solve(rhs)
-
-
-def _factorize_cholmod(matrix):  # pragma: no cover - needs sksparse
-    try:
-        factor = _cholmod_cholesky(matrix)
-    except CholmodNotPositiveDefiniteError as error:
-        raise NotPositiveDefiniteError(
-            "matrix is not positive definite (CHOLMOD)"
-        ) from error
-    return CholeskyFactor(factor, matrix.shape, nnz=factor.L().nnz)
-
-
-def _factorize_splu(matrix):
+    if not sp.issparse(matrix):
+        raise TypeError(
+            "spd_factorize needs a sparse matrix, got {}".format(
+                type(matrix).__name__
+            )
+        )
+    matrix = matrix.tocsc()
+    if matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("matrix must be square, got {}".format(matrix.shape))
     try:
         # MMD on A + A' is the ordering SuperLU documents for symmetric
         # mode — on the layered package meshes it roughly halves the
@@ -96,38 +82,4 @@ def _factorize_splu(matrix):
         raise NotPositiveDefiniteError(
             "matrix is not positive definite (non-positive pivot)"
         )
-    return CholeskyFactor(lu.solve, matrix.shape, nnz=lu.nnz)
-
-
-def spd_factorize(matrix):
-    """Factor a sparse SPD matrix, returning an object with ``solve``.
-
-    Parameters
-    ----------
-    matrix:
-        Sparse symmetric positive definite matrix (any SciPy sparse
-        format; converted to CSC).
-
-    Returns
-    -------
-    CholeskyFactor
-        ``factor.solve(rhs)`` accepts a vector or an ``(n, k)`` block.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If the matrix is singular or indefinite.  Callers solving
-        ``G - iD`` translate this into their at-runaway error.
-    """
-    if not sp.issparse(matrix):
-        raise TypeError(
-            "spd_factorize needs a sparse matrix, got {}".format(
-                type(matrix).__name__
-            )
-        )
-    csc = matrix.tocsc()
-    if csc.shape[0] != csc.shape[1]:
-        raise ValueError("matrix must be square, got {}".format(csc.shape))
-    if HAVE_CHOLMOD:  # pragma: no cover - needs sksparse
-        return _factorize_cholmod(csc)
-    return _factorize_splu(csc)
+    return lu

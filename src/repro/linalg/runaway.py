@@ -178,7 +178,7 @@ def runaway_current_shift_invert(
         Callable ``solve(current, rhs) -> (G - current D)^{-1} rhs`` —
         typically ``SteadyStateSolver.solve_rhs``, so the iteration
         rides the engine's cached base factorization and per-current
-        condensed/Krylov machinery instead of building its own.
+        factors instead of building its own.
     g_matrix / d_matrix:
         The pencil, used only for Rayleigh quotients (mat-vecs).
     guess:

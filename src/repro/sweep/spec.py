@@ -59,6 +59,24 @@ TASKS = ("greedy", "table1", "optimize", "solve", "pareto", "transient",
 _DEPLOYED_TASKS = ("optimize", "solve", "pareto", "transient", "multipin")
 
 
+def _whole_number(value, name):
+    """``value`` as an ``int``, or ValueError unless it is a whole number.
+
+    ``"3"`` and ``4.0`` coerce; ``2.7``, ``True`` and non-numbers are
+    refused rather than truncated.
+    """
+    try:
+        number = int(value)
+        whole = not isinstance(value, bool) and number == float(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(
+            "{} must be a whole number, got {!r}".format(name, value)
+        )
+    return number
+
+
 @functools.lru_cache(maxsize=None)
 def _benchmark_num_tiles(name):
     from repro.experiments.benchmarks import BENCHMARKS
@@ -74,6 +92,11 @@ class Scenario:
     registered Table I name), an explicit ``rows x cols`` grid with a
     ``power_map`` (flat row-major W per tile, TEC-sized tiles), or a
     2.5D ``chiplets`` layout.
+
+    The integer fields — ``rows``, ``cols``, ``steps``, ``rom_dim``,
+    ``num_groups``, ``max_rounds`` and the four counts of each
+    ``chiplets`` entry — must be whole numbers: ``"3"`` and ``4.0``
+    coerce, while ``2.7`` and ``True`` are refused, never truncated.
 
     Attributes
     ----------
@@ -133,10 +156,9 @@ class Scenario:
     backend:
         Solver backend for the instance — one of
         :data:`~repro.thermal.solve.SOLVER_MODES` (``"direct"``,
-        ``"reuse"``, ``"krylov"``, ``"cholesky"``, ``"mg"``,
-        ``"auto"``), or
-        None for the problem default (``"reuse"``).  Lets one sweep
-        compare backends per scenario.
+        ``"reuse"``, ``"mg"``, ``"auto"``), or None for the problem
+        default (``"reuse"``).  Lets one sweep compare backends per
+        scenario.
     """
 
     name: str
@@ -165,27 +187,18 @@ class Scenario:
     backend: str = None
 
     def __post_init__(self):
-        if self.max_rounds is not None:
-            try:
-                rounds = int(self.max_rounds)
-                whole = (
-                    not isinstance(self.max_rounds, bool)
-                    and rounds == float(self.max_rounds)
+        for name in ("rows", "cols", "steps", "rom_dim", "num_groups",
+                     "max_rounds"):
+            if getattr(self, name) is not None:
+                object.__setattr__(
+                    self, name, _whole_number(getattr(self, name), name)
                 )
-            except (TypeError, ValueError, OverflowError):
-                whole = False
-            if not whole:
-                raise ValueError(
-                    "max_rounds must be None or a whole number, got "
-                    "{!r}".format(self.max_rounds)
+        if self.max_rounds is not None and self.max_rounds < 0:
+            raise ValueError(
+                "max_rounds must be None or >= 0, got {}".format(
+                    self.max_rounds
                 )
-            object.__setattr__(self, "max_rounds", rounds)
-            if self.max_rounds < 0:
-                raise ValueError(
-                    "max_rounds must be None or >= 0, got {}".format(
-                        self.max_rounds
-                    )
-                )
+            )
         if self.current_method not in CURRENT_METHODS:
             raise ValueError(
                 "current_method must be one of {}, got {!r}".format(
@@ -221,8 +234,13 @@ class Scenario:
                         "{!r}".format(self.name, entry)
                     )
                 rows, cols, row0, col0, power = entry
-                entry = (int(rows), int(cols), int(row0), int(col0),
-                         check_nonnegative(power, "chiplet power_w"))
+                entry = (
+                    _whole_number(rows, "chiplet rows"),
+                    _whole_number(cols, "chiplet cols"),
+                    _whole_number(row0, "chiplet row_offset"),
+                    _whole_number(col0, "chiplet col_offset"),
+                    check_nonnegative(power, "chiplet power_w"),
+                )
                 if min(entry[:2]) < 1 or min(entry[2:4]) < 0:
                     raise ValueError(
                         "chiplets entries of {!r} need rows, cols >= 1 and "
@@ -237,7 +255,8 @@ class Scenario:
                 )
             object.__setattr__(self, "chiplets", tuple(chiplets))
         if has_explicit:
-            if not self.rows or not self.cols or min(self.rows, self.cols) < 1:
+            if (self.rows is None or self.cols is None
+                    or min(self.rows, self.cols) < 1):
                 raise ValueError(
                     "explicit scenario {!r} needs rows and cols >= 1".format(
                         self.name
@@ -282,7 +301,6 @@ class Scenario:
         if self.dt is not None:
             object.__setattr__(self, "dt", check_positive(self.dt, "dt"))
         if self.steps is not None:
-            object.__setattr__(self, "steps", int(self.steps))
             if self.steps < 1:
                 raise ValueError(
                     "steps must be None or >= 1, got {}".format(self.steps)
@@ -297,7 +315,6 @@ class Scenario:
                     )
                 )
         if self.rom_dim is not None:
-            object.__setattr__(self, "rom_dim", int(self.rom_dim))
             if self.rom_dim < 1:
                 raise ValueError(
                     "rom_dim must be None or >= 1, got {}".format(self.rom_dim)
@@ -307,7 +324,6 @@ class Scenario:
                 self, "rom_tol", check_positive(self.rom_tol, "rom_tol")
             )
         if self.num_groups is not None:
-            object.__setattr__(self, "num_groups", int(self.num_groups))
             if not 1 <= self.num_groups <= len(self.tec_tiles or ()):
                 raise ValueError(
                     "num_groups of {!r} must be in [1, num tec_tiles], "
@@ -494,7 +510,7 @@ class SweepSpec:
         The general many-scenario workload of the ROADMAP: every
         combination becomes one ``solve`` scenario.  ``backends``
         defaults to the single problem-default backend; pass e.g.
-        ``("reuse", "krylov")`` to compare solver backends scenario by
+        ``("reuse", "direct")`` to compare solver backends scenario by
         scenario in one sweep.
         """
         backends = tuple(backends)

@@ -149,9 +149,9 @@ class PackageThermalModel:
         Engine knobs forwarded to
         :class:`~repro.thermal.solve.SteadyStateSolver` — any of
         :data:`~repro.thermal.solve.SOLVER_MODES` (``"direct"``,
-        ``"reuse"``, ``"krylov"``, ``"cholesky"``, ``"mg"``,
-        ``"auto"``; ``auto`` resolves per system to reuse, krylov or
-        mg, see :func:`~repro.thermal.solve.select_backend`).
+        ``"reuse"``, ``"mg"``, ``"auto"``; ``auto`` resolves per
+        system to reuse, direct or mg, see
+        :func:`~repro.thermal.solve.select_backend`).
     solver_stats:
         Optional shared :class:`~repro.thermal.solve.SolverStats` that
         build and solve instrumentation is reported into.

@@ -11,13 +11,15 @@ backward-Euler transient systems) and ``D_x`` a Peltier diagonal —
 either the shared-current form ``i D`` of Equation (4) or an arbitrary
 per-device diagonal (the multi-pin generalization).  A
 :class:`SolveSession` owns one assembled system together with the
-solver mode, the Krylov knobs and the :class:`SolverStats`
-instrumentation, and hands out one :class:`SessionView` per distinct
-diagonal shift ``S``.  Each view carries the full factorization
-machinery of the engine:
+solver mode and the :class:`SolverStats` instrumentation, and hands
+out one :class:`SessionView` per distinct diagonal shift ``S``.  Each
+view carries the full factorization machinery of the engine:
 
-* a true-LRU cache of sparse LU factors keyed on *(shift, current)* —
-  the shift selects the view, the exact float current the entry;
+* the ``direct`` backend: a true-LRU cache of sparse SPD factors
+  (:func:`repro.linalg.cholesky.spd_factorize`) keyed on
+  *(shift, current)* — the shift selects the view, the exact float
+  current the entry; a non-positive pivot refuses a current at or
+  beyond ``lambda_m`` with :class:`SingularSystemError`;
 * the condensed ``reuse`` backend: one sparse LU of ``S + G`` per view
   with the Peltier support ordered last, whose trailing block is the
   support's Schur complement ``C_S`` (:mod:`repro.linalg.condensed`),
@@ -25,8 +27,8 @@ machinery of the engine:
   ``(diag(d_S), C_S)``; each current then costs two ``m x m``
   products and one sparse lift solve, and a current at or beyond
   ``lambda_m`` is refused with :class:`SingularSystemError`;
-* the ``(S + G)``-preconditioned Krylov backend with automatic direct
-  fallback;
+* the multigrid-preconditioned CG backend ``mg`` with an exact SPD
+  factorization as its fallback;
 * per-view solution caches and the arbitrary-diagonal solves of
   :meth:`SessionView.solve_diagonal`.
 
@@ -60,36 +62,34 @@ from scipy.sparse.linalg import LinearOperator, splu
 
 from repro.linalg.cholesky import NotPositiveDefiniteError, spd_factorize
 from repro.linalg.condensed import condensed_pencil, factor_support_last
-from repro.linalg.krylov import KRYLOV_METHODS, krylov_solve
+from repro.linalg.krylov import DEFAULT_RTOL, krylov_solve
 from repro.linalg.spd import cholesky_is_spd
 
 #: Engine modes accepted by :class:`SolveSession` (and by
-#: :class:`~repro.thermal.solve.SteadyStateSolver`).  ``reuse`` is the
+#: :class:`~repro.thermal.solve.SteadyStateSolver`).  ``direct`` factors
+#: the SPD matrix once per distinct current (LRU-cached) with
+#: :func:`repro.linalg.cholesky.spd_factorize`.  ``reuse`` is the
 #: condensed engine: one support-last factorization of ``S + G`` and
 #: one ``m x m`` pencil eigendecomposition per view, then two
 #: ``m x m`` products and one lift solve per current (see the module
-#: docstring).  ``cholesky``
-#: behaves exactly like ``direct`` (one factorization per current,
-#: LRU-cached) but factors the SPD matrix with
-#: :func:`repro.linalg.cholesky.spd_factorize` — CHOLMOD when
-#: scikit-sparse is installed, a symmetric-mode SuperLU otherwise.
-#: ``mg`` runs multigrid-preconditioned CG: one geometric hierarchy is
-#: built per view from the current-independent base ``S + G`` (see
-#: :mod:`repro.linalg.multigrid`) and the Peltier term ``- i D`` is
-#: applied as a matrix-free diagonal correction on the fine level, so
-#: every current, round and scenario reuses the same hierarchy.
-SOLVER_MODES = ("direct", "reuse", "krylov", "cholesky", "mg", "auto")
+#: docstring).  ``mg`` runs multigrid-preconditioned CG: one geometric
+#: hierarchy is built per view from the current-independent base
+#: ``S + G`` (see :mod:`repro.linalg.multigrid`) and the Peltier term
+#: ``- i D`` is applied as a matrix-free diagonal correction on the
+#: fine level, so every current, round and scenario reuses the same
+#: hierarchy.
+SOLVER_MODES = ("direct", "reuse", "mg", "auto")
 
 #: ``auto`` keeps the condensed ``reuse`` backend up to this support
 #: size regardless of the node count (the dense ``m x m`` Schur
 #: complement is trivial below it).
 AUTO_SUPPORT_FLOOR = 64
 
-#: ``auto`` switches to ``krylov`` once the Peltier support exceeds
+#: ``auto`` switches to ``direct`` once the Peltier support exceeds
 #: ``AUTO_SUPPORT_COEFF * sqrt(num_nodes)``: past that point the dense
 #: trailing ``m x m`` block of the support-last factorization (and its
-#: ``O(m^3)`` eigendecomposition) outweighs the ~constant iteration
-#: count of the preconditioned Krylov solve.
+#: ``O(m^3)`` eigendecomposition) outweighs one sparse SPD
+#: factorization per current.
 AUTO_SUPPORT_COEFF = 4.0
 
 #: ``auto`` switches to the geometric-multigrid backend once the
@@ -99,25 +99,30 @@ AUTO_SUPPORT_COEFF = 4.0
 #: stays on the factorized backends, 256x256 (~262k nodes) goes mg.
 MG_NODE_CROSSOVER = 150_000
 
+#: The ``mg`` backend's CG: relative true-residual target and
+#: iteration budget per right-hand side.  A miss falls back to an exact
+#: SPD factorization.
+MG_RTOL = DEFAULT_RTOL
+MG_MAXITER = 200
+
 
 def select_backend(num_nodes, support_size):
-    """The ``auto`` heuristic: ``"reuse"``, ``"krylov"`` or ``"mg"``.
+    """The ``auto`` heuristic: ``"reuse"``, ``"direct"`` or ``"mg"``.
 
     Chooses the condensed ``reuse`` backend while the Peltier support
     (two nodes per deployed TEC) is small — at most
     ``max(AUTO_SUPPORT_FLOOR, AUTO_SUPPORT_COEFF * sqrt(n))`` — and
-    the G-preconditioned ``krylov`` backend beyond, where the dense
-    ``support x support`` Schur complement in the factorization and
-    its eigendecomposition would dominate.
+    the per-current SPD factorization of ``direct`` beyond, where the
+    dense ``support x support`` Schur complement in the factorization
+    and its eigendecomposition would dominate.
     From :data:`MG_NODE_CROSSOVER` nodes on, every assembled
-    factorization (including the krylov backend's base LU
-    preconditioner) is superlinear in fill, so the choice flips to the
+    factorization is superlinear in fill, so the choice flips to the
     matrix-free ``mg`` backend independent of support.
     """
     if num_nodes >= MG_NODE_CROSSOVER:
         return "mg"
     limit = max(AUTO_SUPPORT_FLOOR, AUTO_SUPPORT_COEFF * math.sqrt(num_nodes))
-    return "reuse" if support_size <= limit else "krylov"
+    return "reuse" if support_size <= limit else "direct"
 
 
 class SingularSystemError(RuntimeError):
@@ -139,7 +144,8 @@ class SolverStats:
     Attributes
     ----------
     factorizations:
-        Sparse LU factorizations performed (``splu`` calls).
+        Sparse factorizations performed (SPD factors and the reuse
+        backend's support-last ``splu`` calls).
     condensed_factorizations:
         Dense ``m x m`` factorizations of the reuse backend: one
         eigendecomposition of the pencil ``(diag(d_S), C_S)`` per view
@@ -156,12 +162,6 @@ class SolverStats:
     solution_hits:
         ``solve`` calls answered from the per-current solution cache
         without any triangular solve.
-    krylov_solves / krylov_iterations:
-        Iterative (krylov-backend) solve calls and their total matrix
-        applications.
-    krylov_fallbacks:
-        Krylov solves whose residual missed the target and fell back
-        to a direct per-current LU.
     mg_hierarchies:
         Multigrid hierarchies built (``mg`` backend; one per view and
         process — the acceptance tests assert a multi-current solve
@@ -171,7 +171,7 @@ class SolverStats:
         spent (one V-cycle per preconditioned CG iteration).
     mg_fallbacks:
         ``mg`` solves whose residual missed the target and fell back
-        to a direct per-current LU.
+        to an exact per-current SPD factorization.
     factor_time_s / solve_time_s:
         Cumulative wall time in factorization and in solves.
     full_builds / incremental_builds:
@@ -189,9 +189,6 @@ class SolverStats:
     solves: int = 0
     rhs_columns: int = 0
     solution_hits: int = 0
-    krylov_solves: int = 0
-    krylov_iterations: int = 0
-    krylov_fallbacks: int = 0
     mg_hierarchies: int = 0
     mg_solves: int = 0
     mg_cycles: int = 0
@@ -247,10 +244,6 @@ class SolverStats:
                 self.incremental_builds,
             )
         )
-        if self.krylov_solves:
-            line += ", krylov {} solves / {} iters / {} fallbacks".format(
-                self.krylov_solves, self.krylov_iterations, self.krylov_fallbacks
-            )
         if self.mg_solves or self.mg_hierarchies:
             line += ", mg {} hierarchies / {} solves / {} cycles / {} fallbacks".format(
                 self.mg_hierarchies, self.mg_solves, self.mg_cycles,
@@ -337,10 +330,10 @@ class SessionView:
         Additive diagonal ``S`` as a dense length-``n`` vector, or
         None for the unshifted steady-state system.
     cache_size:
-        Number of per-current cache entries kept (true LRU): LU
-        factorizations in ``direct``/``cholesky`` mode and solved
-        temperature vectors in every mode.  Keys are exact float
-        currents — see the module docstring.  ``reuse`` needs no
+        Number of per-current cache entries kept (true LRU): SPD
+        factorizations in ``direct`` mode and solved temperature
+        vectors in every mode.  Keys are exact float currents — see
+        the module docstring.  ``reuse`` needs no
         per-current factor (the pencil's spectrum serves every
         current) and keeps only its most recent per-device Cholesky
         factor for :meth:`solve_diagonal`.
@@ -366,8 +359,8 @@ class SessionView:
         self._cache_size = cache_size
         self._lu_cache = OrderedDict()
         self._solution_cache = OrderedDict()
-        # Reuse/krylov shared state, built lazily on first solve: the
-        # base factorization, the condensed pencil (reuse) and the most
+        # Shared state, built lazily on first solve: the base
+        # factorization, the condensed pencil (reuse) and the most
         # recent per-device m x m factor as a (key, inverse) pair.
         self._base_lu = None
         self._support = None
@@ -390,10 +383,6 @@ class SessionView:
         # diagonal correction.  The integer aggregation plan is pushed
         # up to the session so sibling views skip re-aggregation.
         self._mg = None
-        self._krylov_method = session.krylov_method
-        self._krylov_rtol = session.krylov_rtol
-        self._krylov_maxiter = session.krylov_maxiter
-        self._krylov_restart = session.krylov_restart
 
     def __getstate__(self):
         """Pickle support: drop live factorization handles.
@@ -405,9 +394,9 @@ class SessionView:
         derived from a factorization — LU caches, the condensed pencil,
         solution caches, shifted-matrix scratch — is
         dropped here and rebuilt lazily on first solve in the new
-        process.  Plain state (shift vector, cache capacity, Krylov
-        knobs, the shared stats object) survives the round trip, so an
-        unpickled view answers bit-identical solves; pinned by
+        process.  Plain state (shift vector, cache capacity, the shared
+        stats object) survives the round trip, so an unpickled view
+        answers bit-identical solves; pinned by
         ``tests/thermal/test_session.py::TestForkSafety``.
         """
         state = self.__dict__.copy()
@@ -441,7 +430,7 @@ class SessionView:
         """The backend actually answering solves.
 
         Equal to :attr:`mode` except under ``"auto"``, where the
-        choice between ``"reuse"``, ``"krylov"`` and ``"mg"`` is made
+        choice between ``"reuse"``, ``"direct"`` and ``"mg"`` is made
         once per assembled system by :func:`select_backend` (support
         size vs node count) and shared by every view of the session.
         """
@@ -502,31 +491,32 @@ class SessionView:
         cache[key] = entry
 
     # ------------------------------------------------------------------
-    # Direct mode: one sparse LU per current
+    # Direct mode: one sparse SPD factorization per current
     # ------------------------------------------------------------------
 
     def _splu(self, matrix, label, **options):
-        """Factor a sparse system matrix through the mode's kernel.
+        """Factor a sparse system matrix.
 
         The single factorization seam of the engine: per-current
         matrices, the shared base matrix and arbitrary-diagonal
-        matrices all pass through here.  ``options`` go to ``splu``
-        (the reuse backend's support-last factorization asks for the
-        symmetric pivot-free kernel).  ``cholesky`` mode swaps the
-        general sparse LU for the SPD factorization of
-        :func:`repro.linalg.cholesky.spd_factorize`; an indefinite
-        matrix (current at/beyond ``lambda_m``) surfaces as the same
-        :class:`SingularSystemError` the other backends raise.
+        matrices all pass through here.  The reuse backend's
+        support-last factorization passes its own ordering and
+        symmetric pivot-free ``options`` to ``splu``; every other
+        matrix is SPD below ``lambda_m`` and goes through
+        :func:`repro.linalg.cholesky.spd_factorize`, whose positive
+        pivots certify it.  A singular or indefinite matrix (a current
+        at/beyond ``lambda_m``) raises :class:`SingularSystemError`.
         """
         start = time.perf_counter()
         try:
-            if self.effective_mode == "cholesky":
-                lu = spd_factorize(matrix.tocsc())
-            else:
+            if options:
                 lu = splu(matrix.tocsc(), **options)
+            else:
+                lu = spd_factorize(matrix)
         except (RuntimeError, NotPositiveDefiniteError) as error:
             raise SingularSystemError(
-                "system matrix singular at {} (at/beyond runaway)".format(label)
+                "system matrix not positive definite at {} (at/beyond the "
+                "runaway limit lambda_m)".format(label)
             ) from error
         finally:
             self.stats.factor_time_s += time.perf_counter() - start
@@ -534,8 +524,8 @@ class SessionView:
         return lu
 
     def _factorization(self, current):
-        """The per-current LU, LRU-cached on the exact float ``current``
-        (no quantization — see the module docstring)."""
+        """The per-current SPD factor, LRU-cached on the exact float
+        ``current`` (no quantization — see the module docstring)."""
         current = float(current)
         lu = self._cache_get(self._lu_cache, current)
         if lu is None:
@@ -565,8 +555,8 @@ class SessionView:
 
     def _base_factorization(self):
         """The shared factorization of ``S + G``: support-last under
-        ``reuse``, the general sparse LU otherwise (krylov's
-        preconditioner, zero-diagonal solves)."""
+        ``reuse``, the SPD factor otherwise (zero-current and
+        zero-diagonal solves, the mg fallback)."""
         if self._base_lu is None:
             support = np.flatnonzero(self.system.d_diagonal)
             if self.effective_mode == "reuse":
@@ -586,9 +576,8 @@ class SessionView:
     def base_factorization(self):
         """The base factorization of ``S + G`` (public accessor).
 
-        Builds it on first call (reuse/krylov machinery).  The returned
-        object answers ``.solve(rhs)`` for 1-D or ``(n, k)`` right-hand
-        sides.
+        Builds it on first call.  The returned object answers
+        ``.solve(rhs)`` for 1-D or ``(n, k)`` right-hand sides.
         """
         return self._base_factorization()
 
@@ -655,38 +644,6 @@ class SessionView:
         return self._current_correct(current, x)
 
     # ------------------------------------------------------------------
-    # Krylov mode: (S+G)-preconditioned GMRES/BiCGSTAB per current
-    # ------------------------------------------------------------------
-
-    def _apply_krylov(self, current, rhs):
-        lu = self._base_factorization()
-        if current == 0.0 or self._support.size == 0:
-            return self._timed_lu_solve(lu, rhs)
-        matrix = self._matrix(current)
-        start = time.perf_counter()
-        x, report = krylov_solve(
-            matrix,
-            rhs,
-            preconditioner=lu,
-            method=self._krylov_method,
-            rtol=self._krylov_rtol,
-            maxiter=self._krylov_maxiter,
-            restart=self._krylov_restart,
-        )
-        self.stats.solve_time_s += time.perf_counter() - start
-        self.stats.krylov_solves += 1
-        self.stats.krylov_iterations += report.iterations
-        if not report.converged:
-            # Residual missed the target (stagnation, near-runaway
-            # ill-conditioning, or an exhausted iteration budget):
-            # fall back to an exact per-current factorization so the
-            # iterative backend never degrades accuracy.
-            self.stats.krylov_fallbacks += 1
-            return self._apply_direct(current, rhs)
-        self.stats.rhs_columns += 1 if rhs.ndim == 1 else rhs.shape[1]
-        return x
-
-    # ------------------------------------------------------------------
     # Multigrid mode: hierarchy-preconditioned CG, matrix-free operator
     # ------------------------------------------------------------------
 
@@ -704,13 +661,11 @@ class SessionView:
         if self._mg is None:
             from repro.linalg.multigrid import MultigridHierarchy
 
-            options = dict(self.session.mg_options or {})
             start = time.perf_counter()
             self._mg = MultigridHierarchy(
                 self._base_matrix(),
                 geometry=getattr(self.system, "lattice", None),
                 plan=self.session._mg_plan,
-                **options,
             )
             self.stats.factor_time_s += time.perf_counter() - start
             self.stats.mg_hierarchies += 1
@@ -750,18 +705,16 @@ class SessionView:
             operator,
             rhs,
             preconditioner=hierarchy.precondition,
-            method="cg",
-            rtol=self._krylov_rtol,
-            maxiter=self._krylov_maxiter,
+            rtol=MG_RTOL,
+            maxiter=MG_MAXITER,
         )
         self.stats.solve_time_s += time.perf_counter() - start
         self.stats.mg_solves += 1
         self.stats.mg_cycles += hierarchy.cycles - cycles_before
         if not report.converged:
-            # Same contract as the krylov backend: accuracy never
-            # degrades — stagnation (e.g. at/beyond runaway, where the
-            # operator loses definiteness and CG loses its footing)
-            # falls back to an exact per-current factorization.
+            # Accuracy never degrades: stagnation (an exhausted
+            # budget, or near-runaway ill-conditioning) falls back to
+            # an exact per-current factorization.
             self.stats.mg_fallbacks += 1
             return fallback()
         self.stats.rhs_columns += 1 if rhs.ndim == 1 else rhs.shape[1]
@@ -799,13 +752,11 @@ class SessionView:
         sides sharing one factorization / preconditioner).
         """
         mode = self.effective_mode
-        if mode in ("direct", "cholesky"):
-            return self._apply_direct(current, rhs)
         if mode == "reuse":
             return self._apply_reuse(current, rhs)
         if mode == "mg":
             return self._apply_mg(current, rhs)
-        return self._apply_krylov(current, rhs)
+        return self._apply_direct(current, rhs)
 
     # ------------------------------------------------------------------
     # Public solves
@@ -1051,8 +1002,6 @@ class SessionView:
             return self._timed_lu_solve(self._base_factorization(), rhs)
         if mode == "reuse":
             return self._diag_reuse(d, rhs)
-        if mode == "krylov":
-            return self._diag_krylov(d, rhs)
         return self._diag_direct(d, rhs)
 
     def _diag_direct(self, d, rhs):
@@ -1090,28 +1039,6 @@ class SessionView:
             self._last_factor = (key, inverse)
         x = self._timed_lu_solve(lu, rhs)
         return self.condensed().solve(self._last_factor[1], d_support, x)
-
-    def _diag_krylov(self, d, rhs):
-        lu = self._base_factorization()
-        matrix = self._diagonal_matrix(d)
-        start = time.perf_counter()
-        x, report = krylov_solve(
-            matrix,
-            rhs,
-            preconditioner=lu,
-            method=self._krylov_method,
-            rtol=self._krylov_rtol,
-            maxiter=self._krylov_maxiter,
-            restart=self._krylov_restart,
-        )
-        self.stats.solve_time_s += time.perf_counter() - start
-        self.stats.krylov_solves += 1
-        self.stats.krylov_iterations += report.iterations
-        if not report.converged:
-            self.stats.krylov_fallbacks += 1
-            return self._diag_direct(d, rhs)
-        self.stats.rhs_columns += 1 if rhs.ndim == 1 else rhs.shape[1]
-        return x
 
     def influence_rows(self, current, node_indices):
         """Rows of ``H = (S + G - i D)^{-1}`` for the given nodes.
@@ -1164,10 +1091,9 @@ class SessionView:
 def _factor_bytes(factor):
     """12 bytes per stored factor nonzero (value + compressed index).
 
-    Both factor kinds the engine produces expose their fill: SuperLU
-    handles via ``.nnz`` (L + U nonzeros) and
-    :class:`~repro.linalg.cholesky.CholeskyFactor` via its ``nnz``
-    slot.  A solve object without ``nnz`` counts zero.
+    The engine's factors expose their fill as ``.nnz`` (``L + U``
+    nonzeros of the SuperLU handle).  A solve object without ``nnz``
+    counts zero.
     """
     nnz = getattr(factor, "nnz", None)
     return int(nnz) * 12 if nnz is not None else 0
@@ -1176,9 +1102,9 @@ def _factor_bytes(factor):
 class SolveSession:
     """Shared solve engine over one assembled system.
 
-    Owns the assembled system, the solver-mode resolution, the Krylov
-    knobs and the (optionally shared) :class:`SolverStats`, and hands
-    out :class:`SessionView` objects per diagonal shift.  Views are
+    Owns the assembled system, the solver-mode resolution and the
+    (optionally shared) :class:`SolverStats`, and hands out
+    :class:`SessionView` objects per diagonal shift.  Views are
     cached on the exact bytes of the shift vector, so every consumer
     asking for the same ``C / dt`` diagonal shares one set of
     factorizations — the transient integrator and the closed control
@@ -1190,60 +1116,26 @@ class SolveSession:
         An :class:`~repro.thermal.assembly.AssembledSystem`.
     mode:
         One of :data:`SOLVER_MODES` — ``"direct"``, ``"reuse"``,
-        ``"krylov"``, ``"cholesky"``, ``"mg"``, or ``"auto"``
-        (resolved once per session by :func:`select_backend`; see
-        :attr:`effective_mode`).
+        ``"mg"``, or ``"auto"`` (resolved once per session by
+        :func:`select_backend`; see :attr:`effective_mode`).
     cache_size:
         Default per-view LRU capacity (see :class:`SessionView`).
     stats:
         Optional shared :class:`SolverStats`; a private one is created
         when omitted.
-    krylov_method / krylov_rtol / krylov_maxiter / krylov_restart:
-        Knobs of the iterative backend.  The ``mg`` backend shares
-        ``krylov_rtol`` / ``krylov_maxiter`` for its preconditioned CG
-        outer iteration (``krylov_method`` / ``krylov_restart`` do not
-        apply — mg always runs CG).
-    mg_options:
-        Optional dict of :class:`~repro.linalg.multigrid.MultigridHierarchy`
-        build knobs (``coarse_size``, ``smoother``, ``sweeps``,
-        ``cycle_kind``, ...) forwarded verbatim when the ``mg`` backend
-        builds a view's hierarchy; ignored by the other modes.
     """
 
-    def __init__(
-        self,
-        system,
-        *,
-        mode="direct",
-        cache_size=8,
-        stats=None,
-        krylov_method="gmres",
-        krylov_rtol=1.0e-10,
-        krylov_maxiter=200,
-        krylov_restart=40,
-        mg_options=None,
-    ):
+    def __init__(self, system, *, mode="direct", cache_size=8, stats=None):
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1, got {}".format(cache_size))
         if mode not in SOLVER_MODES:
             raise ValueError(
                 "mode must be one of {}, got {!r}".format(SOLVER_MODES, mode)
             )
-        if krylov_method not in KRYLOV_METHODS:
-            raise ValueError(
-                "krylov_method must be one of {}, got {!r}".format(
-                    KRYLOV_METHODS, krylov_method
-                )
-            )
         self.system = system
         self.mode = mode
         self.stats = stats if stats is not None else SolverStats()
         self.cache_size = cache_size
-        self.krylov_method = krylov_method
-        self.krylov_rtol = float(krylov_rtol)
-        self.krylov_maxiter = int(krylov_maxiter)
-        self.krylov_restart = int(krylov_restart)
-        self.mg_options = dict(mg_options) if mg_options else None
         self._resolved_mode = None
         self._views = {}
         # Aggregation plan shared across this session's hierarchies
@@ -1326,8 +1218,8 @@ class SolveSession:
     def cache_info(self):
         """Aggregate cache occupancy across every view (plain data).
 
-        Counts live entries, not capacity: sparse LU factors
-        (``direct`` mode and the per-view base factorization), the
+        Counts live entries, not capacity: sparse factors (``direct``
+        mode and the per-view base factorization), the
         per-device ``m x m`` factor a reuse view holds, cached solution
         vectors, and arbitrary-diagonal entries.  Serve-pool eviction
         decisions and the ``/stats`` endpoint read this snapshot.

@@ -1,13 +1,19 @@
 """Steady-state nodal analysis (Section IV.C) on the solve-session core.
 
 Solves ``(G - i D) theta = p(i)`` through the pluggable backend layer
-of :mod:`repro.thermal.session`.  Six modes are accepted by
+of :mod:`repro.thermal.session`.  Four modes are accepted by
 :class:`SteadyStateSolver` (and by everything that forwards to it —
 ``CoolingSystemProblem``, sweep scenarios, the CLI ``--backend`` flag):
 
 ``mode="direct"``
-    One sparse LU per distinct current, kept in a true-LRU cache.  The
-    seed behaviour; cost ``O(LU(n))`` per *distinct* current.
+    One sparse SPD factorization per distinct current, kept in a
+    true-LRU cache.  Below the runaway current ``G - i D`` is
+    symmetric positive definite (Lemma 1, Theorem 1), so
+    :func:`repro.linalg.cholesky.spd_factorize` factors it pivot-free
+    in symmetric mode on the MMD ordering of ``A + A'`` — roughly half
+    the fill of a general LU — and checks every pivot is positive.  A
+    non-positive pivot certifies ``i >= lambda_m`` and raises
+    :class:`SingularSystemError`.
 
 ``mode="reuse"``
     The condensed engine (:mod:`repro.linalg.condensed`).  ``D`` is
@@ -33,30 +39,6 @@ of :mod:`repro.thermal.session`.  Six modes are accepted by
     the dense trailing block grows quadratically (its
     eigendecomposition cubically) as deployments densify.
 
-``mode="krylov"``
-    G-preconditioned iterative solves
-    (:func:`repro.linalg.krylov.krylov_solve`).  The cached base-``G``
-    sparse LU preconditions GMRES (or BiCGSTAB) on ``G - i D``; the
-    preconditioned operator is ``I - i G^{-1} D``, whose spectrum
-    clusters at 1 with a spread shrinking in the runaway margin, so a
-    handful of iterations suffice per current *independent of the
-    deployment density*.  Per current: ``k`` triangular solves plus
-    ``k`` sparse mat-vecs (``k`` ~ 5-30), no dense support block at
-    all.  A residual above the target triggers an automatic fallback
-    to the direct per-current LU (counted in
-    ``SolverStats.krylov_fallbacks``), so krylov never silently
-    degrades accuracy.
-
-``mode="cholesky"``
-    Like ``direct`` — one factorization per distinct current, kept in
-    the same LRU cache — but the SPD matrix ``G - i D`` is factored
-    through :func:`repro.linalg.cholesky.spd_factorize`: CHOLMOD's
-    supernodal sparse Cholesky when scikit-sparse is importable, a
-    symmetric-mode pivot-free SuperLU with a positive-pivot check
-    otherwise.  Half the flops/fill of a general LU on large grids;
-    an indefinite matrix (current at/beyond ``lambda_m``) raises the
-    same :class:`SingularSystemError`.
-
 ``mode="mg"``
     Geometric-multigrid preconditioned CG
     (:mod:`repro.linalg.multigrid`).  One aggregation hierarchy is
@@ -69,15 +51,15 @@ of :mod:`repro.thermal.session`.  Six modes are accepted by
     round and scenario shares one hierarchy (``SolverStats.mg_*``
     counts builds, solves, cycles and fallbacks).  O(n) work *and*
     memory: no assembled factorization above the coarsest level, which
-    is what makes >= 256x256 chiplet-scale grids tractable.  Same
-    never-degrade contract as ``krylov`` — a missed residual target
-    falls back to an exact per-current factorization.
+    is what makes >= 256x256 chiplet-scale grids tractable.  CG
+    checks the true residual; a missed target falls back to an exact
+    per-current SPD factorization, so mg never degrades accuracy.
 
 ``mode="auto"``
-    Pick ``reuse``, ``krylov`` or ``mg`` per assembled system
+    Pick ``reuse``, ``direct`` or ``mg`` per assembled system
     (:func:`select_backend`): small supports keep the condensed
-    engine, dense deployments on fine grids switch to the iterative
-    backend, and grids at/past ``MG_NODE_CROSSOVER`` nodes go
+    engine, dense deployments switch to the per-current SPD
+    factorization, and grids at/past ``MG_NODE_CROSSOVER`` nodes go
     multigrid regardless of support.
 
 Per-current caches key on the **exact float value** of the current
@@ -148,53 +130,23 @@ class SteadyStateSolver(SessionView):
     system:
         An :class:`~repro.thermal.assembly.AssembledSystem`.
     cache_size:
-        Number of per-current cache entries kept (true LRU): LU
-        factorizations in ``direct``/``cholesky`` mode and solved
-        temperature vectors in every mode.  Keys are exact float
-        currents — see the module docstring.
+        Number of per-current cache entries kept (true LRU): SPD
+        factorizations in ``direct`` mode and solved temperature
+        vectors in every mode.  Keys are exact float currents — see the
+        module docstring.
     mode:
         One of :data:`SOLVER_MODES` — ``"direct"``, ``"reuse"``,
-        ``"krylov"``, ``"cholesky"``, ``"mg"``, or ``"auto"``
-        (resolved per system by :func:`select_backend`; see
+        ``"mg"``, or ``"auto"`` (resolved per system by
+        :func:`select_backend`; see
         :attr:`~repro.thermal.session.SessionView.effective_mode`).
     stats:
         Optional shared :class:`SolverStats`; a private one is created
         when omitted.
-    krylov_method / krylov_rtol / krylov_maxiter / krylov_restart:
-        Knobs of the iterative backend (ignored by the other modes):
-        method (``"gmres"`` or ``"bicgstab"``), relative residual
-        target, outer-iteration budget per right-hand side, and GMRES
-        restart length.  The ``mg`` backend shares the residual target
-        and iteration budget for its preconditioned CG.
-    mg_options:
-        Optional dict of multigrid build knobs forwarded to
-        :class:`~repro.linalg.multigrid.MultigridHierarchy` by the
-        ``mg`` backend (ignored by the other modes).
     """
 
-    def __init__(
-        self,
-        system,
-        cache_size=8,
-        *,
-        mode="direct",
-        stats=None,
-        krylov_method="gmres",
-        krylov_rtol=1.0e-10,
-        krylov_maxiter=200,
-        krylov_restart=40,
-        mg_options=None,
-    ):
+    def __init__(self, system, cache_size=8, *, mode="direct", stats=None):
         session = SolveSession(
-            system,
-            mode=mode,
-            cache_size=cache_size,
-            stats=stats,
-            krylov_method=krylov_method,
-            krylov_rtol=krylov_rtol,
-            krylov_maxiter=krylov_maxiter,
-            krylov_restart=krylov_restart,
-            mg_options=mg_options,
+            system, mode=mode, cache_size=cache_size, stats=stats
         )
         super().__init__(session, None, cache_size)
         session._views[None] = self

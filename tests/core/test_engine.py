@@ -176,18 +176,18 @@ class TestDifferential:
         assert loop.current == loop.iterations[-1].current
         assert loop.deploy_stats.polish_evaluations == 0
 
-    def test_warm_round_keeps_the_cholesky_backend(self):
+    def test_warm_round_keeps_the_mg_backend(self):
         """Only ``reuse`` swaps to ``direct`` in a warm round; every
         other backend solves the warm round itself."""
 
         def factory():
             problem = _dense_problem()
-            problem.configure_solver(mode="cholesky")
+            problem.configure_solver(mode="mg")
             return problem
 
         cold, loop = _race(factory)
         assert _warm_rounds(loop) == [1]
-        assert loop.model.solver.effective_mode == "cholesky"
+        assert loop.model.solver.effective_mode == "mg"
         _assert_same_run(cold, loop)
 
     def test_forced_rescue_counts_the_exact_eigensolve(self, monkeypatch):

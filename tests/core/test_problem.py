@@ -79,7 +79,7 @@ class TestSolverBackendSelection:
         with pytest.raises(ValueError, match="solver_mode"):
             CoolingSystemProblem(small_grid, small_power, solver_mode="jacobi")
 
-    @pytest.mark.parametrize("mode", ["direct", "reuse", "krylov", "auto"])
+    @pytest.mark.parametrize("mode", ["direct", "reuse", "mg", "auto"])
     def test_ctor_accepts_every_backend(self, small_grid, small_power, mode):
         problem = CoolingSystemProblem(small_grid, small_power, solver_mode=mode)
         assert problem.solver_mode == mode
@@ -87,14 +87,14 @@ class TestSolverBackendSelection:
 
     def test_from_floorplan_forwards_solver_mode(self):
         problem = CoolingSystemProblem.from_floorplan(
-            alpha_floorplan(), solver_mode="krylov"
+            alpha_floorplan(), solver_mode="direct"
         )
-        assert problem.solver_mode == "krylov"
+        assert problem.solver_mode == "direct"
 
     def test_with_solver_mode_copies_configuration(self, small_problem):
         small_problem.model((1,))  # record the blueprint
-        sibling = small_problem.with_solver_mode("krylov")
-        assert sibling.solver_mode == "krylov"
+        sibling = small_problem.with_solver_mode("mg")
+        assert sibling.solver_mode == "mg"
         assert sibling.max_temperature_c == small_problem.max_temperature_c
         assert sibling.grid is small_problem.grid
         assert sibling._blueprint is small_problem._blueprint
@@ -102,7 +102,7 @@ class TestSolverBackendSelection:
 
     def test_backends_solve_to_same_peak(self, small_problem):
         reference = small_problem.model((1, 2)).solve(0.3).peak_silicon_c
-        for mode in ("direct", "krylov", "auto"):
+        for mode in ("direct", "mg", "auto"):
             sibling = small_problem.with_solver_mode(mode)
             peak = sibling.model((1, 2)).solve(0.3).peak_silicon_c
             assert peak == pytest.approx(reference, abs=1e-6)

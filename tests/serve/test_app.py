@@ -91,6 +91,11 @@ BAD_SOLVE_BODIES = [
     ({"power_map": [-0.1] + [0.08] * 15}, "power_map"),
     ({"seebeck_factor": 0}, "seebeck_factor"),
     ({"limit_c": 10}, "limit_c"),
+    ({"rows": 2.5, "cols": 4, "power_map": [0.08] * 10, "tec_tiles": [0]},
+     "rows"),
+    ({"rows": True, "cols": 16}, "rows"),
+    ({"backend": "krylov"}, "backend"),
+    ({"backend": "cholesky"}, "backend"),
 ]
 
 
@@ -132,6 +137,17 @@ class TestBadInput:
         status, body = with_app(scenario)
         assert status == 400
         assert "tec_tiles entry 16" in body["error"]
+
+    def test_transient_rejects_fractional_steps(self):
+        async def scenario(app):
+            return await asgi_request(
+                app, "POST", "/transient",
+                small_solve_body(dt=1e-3, steps=2.7),
+            )
+
+        status, body = with_app(scenario)
+        assert status == 400
+        assert "steps" in body["error"]
 
 
 class TestWarmPoolSharing:
@@ -270,15 +286,17 @@ class TestBeyondRunaway:
     422 and a message — never a 500 or a non-physical state."""
 
     def test_solve_is_a_422(self):
-        async def scenario(app):
-            return await asgi_request(
-                app, "POST", "/solve", small_solve_body(current_a=1.0e6)
-            )
+        for overrides in ({}, {"backend": "direct"}):
+            async def scenario(app):
+                return await asgi_request(
+                    app, "POST", "/solve",
+                    small_solve_body(current_a=1.0e6, **overrides),
+                )
 
-        status, body = with_app(scenario)
-        assert status == 422
-        assert body["error_type"] == "SingularSystemError"
-        assert "runaway" in body["error"]
+            status, body = with_app(scenario)
+            assert status == 422, overrides
+            assert body["error_type"] == "SingularSystemError"
+            assert "runaway" in body["error"]
 
     def test_transient_is_a_422(self):
         async def scenario(app):
@@ -448,7 +466,7 @@ class TestDefaultBackend:
     """``ServeConfig.default_backend`` fills unset request backends.
 
     The default participates in the warm-pool blueprint key (a request
-    answered by a krylov session must never share a pool entry with a
+    answered by a direct session must never share a pool entry with a
     reuse one), and an explicit per-request ``backend`` always wins
     over the server default.
     """
@@ -467,12 +485,19 @@ class TestDefaultBackend:
         with pytest.raises(ValueError, match="default_backend"):
             ServeConfig(default_backend="jacobi")
 
+    @pytest.mark.parametrize("backend", ["krylov", "cholesky"])
+    def test_removed_default_backend_rejected(self, backend):
+        from repro.serve import ServeConfig
+
+        with pytest.raises(ValueError, match="default_backend"):
+            ServeConfig(default_backend=backend)
+
     def test_stats_expose_the_default(self):
         async def scenario(app):
             return await asgi_request(app, "GET", "/stats")
 
-        _, stats = with_app(scenario, default_backend="cholesky")
-        assert stats["config"]["default_backend"] == "cholesky"
+        _, stats = with_app(scenario, default_backend="direct")
+        assert stats["config"]["default_backend"] == "direct"
 
     def test_default_backend_enters_the_pool_key(self):
         body = small_solve_body()
@@ -480,9 +505,9 @@ class TestDefaultBackend:
         async def scenario(app):
             return await asgi_request(app, "POST", "/solve", body)
 
-        _, defaulted = with_app(scenario, default_backend="krylov")
+        _, defaulted = with_app(scenario, default_backend="direct")
         _, explicit = with_app(
-            scenario_with(body, backend="krylov"), default_backend=None
+            scenario_with(body, backend="direct"), default_backend=None
         )
         _, plain = with_app(scenario, default_backend=None)
         assert defaulted["pool_key"] == explicit["pool_key"]
@@ -494,7 +519,7 @@ class TestDefaultBackend:
                 app, "POST", "/solve", small_solve_body(backend="reuse")
             )
 
-        _, explicit = with_app(scenario, default_backend="krylov")
+        _, explicit = with_app(scenario, default_backend="direct")
         _, plain_reuse = with_app(scenario, default_backend=None)
         assert explicit["pool_key"] == plain_reuse["pool_key"]
 
@@ -506,10 +531,10 @@ class TestDefaultBackend:
 
         async def explicit(app):
             return await asgi_request(
-                app, "POST", "/solve", small_solve_body(backend="cholesky")
+                app, "POST", "/solve", small_solve_body(backend="direct")
             )
 
-        _, a = with_app(defaulted, default_backend="cholesky")
+        _, a = with_app(defaulted, default_backend="direct")
         _, b = with_app(explicit)
         assert a["results"][0]["values"] == b["results"][0]["values"]
 

@@ -199,6 +199,16 @@ class TestParseSweep:
         with pytest.raises(SchemaError, match=fragment):
             parse_sweep({"scenarios": [entry]})
 
+    @pytest.mark.parametrize("overrides, fragment", [
+        ({"rom_dim": True}, "rom_dim"),
+        ({"backend": "krylov"}, "backend"),
+        ({"backend": "cholesky"}, "backend"),
+    ])
+    def test_bad_scenario_fields_rejected(self, overrides, fragment):
+        entry = dict(small_solve_body(**overrides), name="s", task="solve")
+        with pytest.raises(SchemaError, match=fragment):
+            parse_sweep({"scenarios": [entry]})
+
 
 class TestBlueprintKey:
     def _scenario(self, **overrides):
@@ -217,7 +227,7 @@ class TestBlueprintKey:
     @pytest.mark.parametrize("overrides", [
         {"power_scale": 1.1},
         {"seebeck_factor": 0.5},
-        {"backend": "krylov"},
+        {"backend": "direct"},
         {"limit_c": 80.0},
         {"benchmark": "hc01"},
     ])

@@ -156,13 +156,18 @@ class TestBeyondRunaway:
             Scenario(name="beyond", task="solve", rows=4, cols=4,
                      power_map=_HOTSPOT, tec_tiles=(5, 6, 9, 10),
                      current_a=1.0e6),
+            Scenario(name="beyond-direct", task="solve", rows=4, cols=4,
+                     power_map=_HOTSPOT, tec_tiles=(5, 6, 9, 10),
+                     current_a=1.0e6, backend="direct"),
         ))
         report = SweepRunner().run(spec)
         assert [result.name for result in report.results] == ["ok"]
-        (error,) = report.errors
-        assert error.name == "beyond"
-        assert error.error_type == "SingularSystemError"
-        assert "runaway" in error.message
+        assert [error.name for error in report.errors] == [
+            "beyond", "beyond-direct",
+        ]
+        for error in report.errors:
+            assert error.error_type == "SingularSystemError"
+            assert "runaway limit" in error.message
 
 
 class TestFaultTolerance:
@@ -527,27 +532,27 @@ class TestScenarioSolverBackends:
         sweep_worker.clear_caches()
         scenario = Scenario(
             name="k", task="solve", rows=4, cols=4, power_map=_HOTSPOT,
-            tec_tiles=(5, 6, 9, 10), current_a=0.4, backend="krylov",
+            tec_tiles=(5, 6, 9, 10), current_a=0.4, backend="mg",
         )
         problem = sweep_worker.problem_for(scenario)
-        assert problem.solver_mode == "krylov"
+        assert problem.solver_mode == "mg"
 
     def test_backends_never_share_problems(self):
         """Two scenarios differing only in backend must get distinct
-        problem instances — a warm cache must not answer a krylov
+        problem instances — a warm cache must not answer a direct
         scenario with a reuse solver."""
         sweep_worker.clear_caches()
         base = dict(task="solve", rows=4, cols=4, power_map=_HOTSPOT,
                     tec_tiles=(5, 6, 9, 10), current_a=0.4)
         reuse = sweep_worker.problem_for(Scenario(name="r", backend="reuse", **base))
         reuse.model((5, 6))  # record the geometry's network blueprint
-        krylov = sweep_worker.problem_for(Scenario(name="k", backend="krylov", **base))
-        assert reuse is not krylov
+        direct = sweep_worker.problem_for(Scenario(name="d", backend="direct", **base))
+        assert reuse is not direct
         assert reuse.solver_mode == "reuse"
-        assert krylov.solver_mode == "krylov"
+        assert direct.solver_mode == "direct"
         # ... while still sharing the recorded network blueprint
-        assert krylov._blueprint is not None
-        assert krylov._blueprint is reuse._blueprint
+        assert direct._blueprint is not None
+        assert direct._blueprint is reuse._blueprint
 
     def test_backends_agree_in_a_sweep(self):
         sweep_worker.clear_caches()
@@ -557,7 +562,7 @@ class TestScenarioSolverBackends:
                 task="solve", rows=4, cols=4, power_map=_HOTSPOT,
                 tec_tiles=(5, 6, 9, 10), current_a=0.4, backend=backend,
             )
-            for backend in (None, "direct", "reuse", "krylov", "auto")
+            for backend in (None, "direct", "reuse", "mg", "auto")
         ]
         report = run_sweep(SweepSpec(scenarios=scenarios, name="backends"))
         assert report.ok

@@ -13,6 +13,18 @@ BAD_DEPLOY_SETTINGS = [
     ({"max_rounds": True}, "max_rounds"),
 ]
 
+#: Integer fields given a value that is not a whole number, with the
+#: field the refusal names; each was truncated or crashed a worker.
+NOT_WHOLE_NUMBERS = [
+    ({"steps": 2.7}, "steps"),
+    ({"rom_dim": True}, "rom_dim"),
+    ({"num_groups": 2.9, "tec_tiles": (0, 1, 2)}, "num_groups"),
+    ({"rows": 2.5}, "rows"),
+    ({"rows": True}, "rows"),
+    ({"power_map": None, "rows": None, "cols": None,
+      "chiplets": ((2.7, 3, 0, 0, 1.0),)}, "chiplet rows"),
+]
+
 
 def _explicit(name="s", task="greedy", **overrides):
     kwargs = dict(
@@ -72,9 +84,23 @@ class TestScenarioValidation:
     def test_backend_defaults_to_none(self):
         assert _explicit().backend is None
 
-    @pytest.mark.parametrize("backend", ["direct", "reuse", "krylov", "auto"])
+    @pytest.mark.parametrize("backend", ["direct", "reuse", "mg", "auto"])
     def test_valid_backends_accepted(self, backend):
         assert _explicit(backend=backend).backend == backend
+
+    @pytest.mark.parametrize("backend", ["krylov", "cholesky"])
+    def test_removed_backends_rejected(self, backend):
+        with pytest.raises(ValueError, match="backend"):
+            _explicit(backend=backend)
+
+    @pytest.mark.parametrize("overrides, fragment", NOT_WHOLE_NUMBERS)
+    def test_integer_fields_need_whole_numbers(self, overrides, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            _explicit(**overrides)
+
+    def test_whole_number_strings_and_floats_coerce(self):
+        scenario = _explicit(rows="2", cols=2.0, steps="3")
+        assert (scenario.rows, scenario.cols, scenario.steps) == (2, 2, 3)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
@@ -366,17 +392,17 @@ class TestBuilders:
     def test_solve_grid_backends_axis(self):
         spec = SweepSpec.solve_grid(
             ["alpha"], [("a", (0,))], [0.5],
-            backends=("reuse", "krylov"),
+            backends=("reuse", "direct"),
         )
         assert len(spec) == 2
-        assert [s.backend for s in spec] == ["reuse", "krylov"]
+        assert [s.backend for s in spec] == ["reuse", "direct"]
         # backend names must keep scenario names unique
         assert len({s.name for s in spec}) == 2
 
     def test_with_backend_pins_every_scenario(self):
         spec = SweepSpec.power_scaling("alpha", factors=(0.9, 1.1))
-        pinned = spec.with_backend("krylov")
-        assert all(s.backend == "krylov" for s in pinned)
+        pinned = spec.with_backend("mg")
+        assert all(s.backend == "mg" for s in pinned)
         assert all(s.backend is None for s in spec)  # original untouched
 
     def test_with_backend_validates(self):

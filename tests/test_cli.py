@@ -80,12 +80,12 @@ class TestSolve:
 
 class TestSolveBackend:
     @pytest.mark.parametrize("flag", ["--backend", "--solver-mode"])
-    def test_krylov_backend_accepted(self, capsys, flag):
-        assert main(["solve", "--benchmark", "hc08", flag, "krylov",
+    def test_direct_backend_accepted(self, capsys, flag):
+        assert main(["solve", "--benchmark", "hc08", flag, "direct",
                      "--solver-stats"]) == 0
         out = capsys.readouterr().out
         assert "feasible:     True" in out
-        assert "krylov backend" in out
+        assert "direct backend" in out
 
     def test_auto_backend_accepted(self, capsys):
         assert main(["solve", "--benchmark", "hc08", "--backend", "auto"]) == 0
@@ -130,9 +130,10 @@ class TestTransient:
                   "--current", "0.5", "--dt", "0"])
 
     def test_current_beyond_runaway_exits_with_a_message(self, capsys):
-        with pytest.raises(SystemExit, match="runaway"):
-            main(["transient", "--benchmark", "hc08", "--tiles", "5",
-                  "--current", "1e6", "--steps", "2"])
+        for backend in ([], ["--backend", "direct"]):
+            with pytest.raises(SystemExit, match="runaway"):
+                main(["transient", "--benchmark", "hc08", "--tiles", "5",
+                      "--current", "1e6", "--steps", "2"] + backend)
 
     def test_steps_validated(self, capsys):
         with pytest.raises(SystemExit, match="--steps"):
@@ -365,7 +366,7 @@ class TestSweepBackend:
         report_path = tmp_path / "report.json"
         code = main([
             "sweep", "--benchmark", "hc08", "--power-scales", "1.0",
-            "--backend", "krylov", "--sweep-report", str(report_path),
+            "--backend", "direct", "--sweep-report", str(report_path),
         ])
         assert code == 0
         from repro.io.results import sweep_report_from_json
@@ -408,9 +409,19 @@ class TestBackendValidation:
         assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(_COMMANDS))
-    @pytest.mark.parametrize(
-        "backend", ["direct", "reuse", "krylov", "cholesky", "auto"]
-    )
+    @pytest.mark.parametrize("backend", ["krylov", "cholesky"])
+    def test_removed_backend_rejected_at_parse_time(
+        self, capsys, command, backend
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                [command, "--backend", backend] + self._COMMANDS[command]
+            )
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @pytest.mark.parametrize("backend", ["direct", "reuse", "mg", "auto"])
     def test_every_solver_mode_parses(self, command, backend):
         argv = [command, "--backend", backend] + self._COMMANDS[command]
         args = build_parser().parse_args(argv)

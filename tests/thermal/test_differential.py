@@ -1,11 +1,10 @@
 """Differential tests of the independent solve paths.
 
-Four implementations answer ``(G - i D) theta = p(i)`` for a package
-model: the per-current sparse-LU engine (``mode="direct"``), the
-condensed factorization-reuse engine (``mode="reuse"``), the
-G-preconditioned iterative backend (``mode="krylov"``, with ``auto``
-dispatching between the last two), and a dense ``numpy.linalg.solve``
-on the assembled matrices.  They share no code past assembly, so
+Three implementations answer ``(G - i D) theta = p(i)`` for a package
+model: the per-current sparse SPD engine (``mode="direct"``), the
+condensed factorization-reuse engine (``mode="reuse"``, with ``auto``
+dispatching between the two), and a dense ``numpy.linalg.solve`` on
+the assembled matrices.  They share no code past assembly, so
 agreement on randomized floorplans and deployments is strong evidence
 against a defect in any one path.
 
@@ -95,28 +94,23 @@ class TestSolverModesAgree:
                 theta_direct, theta_dense, atol=_ATOL_K, rtol=0.0
             )
 
-    @given(_instances())
-    @_settings
-    def test_krylov_and_auto_vs_dense(self, instance):
-        """The iterative backend (and ``auto`` dispatch) must agree
-        with the dense reference on random floorplans too."""
-        rows, cols, power, deployment = instance
-        grid = TileGrid(rows, cols)
-        krylov = PackageThermalModel(
-            grid, power, tec_tiles=deployment, solver_mode="krylov"
-        )
+    def test_auto_vs_dense(self):
+        """``auto`` resolves a dense deployment — every tile of a 6x6
+        grid, support 72 past the 64 floor — to ``direct``, and must
+        agree with the dense reference.  (On the small random instances
+        it resolves to ``reuse``, covered above.)"""
+        grid = TileGrid(6, 6)
+        power = np.linspace(0.1, 0.6, grid.num_tiles)
         auto = PackageThermalModel(
-            grid, power, tec_tiles=deployment, solver_mode="auto"
+            grid, power, tec_tiles=tuple(range(grid.num_tiles)),
+            solver_mode="auto",
         )
-        for current in _currents(krylov):
-            system = krylov.system
+        assert auto.solver.effective_mode == "direct"
+        for current in _currents(auto):
+            system = auto.system
             theta_dense = np.linalg.solve(
                 system.system_matrix(current).toarray(),
                 system.power_vector(current),
-            )
-            np.testing.assert_allclose(
-                krylov.solve(current).theta_k, theta_dense,
-                atol=_ATOL_K, rtol=0.0,
             )
             np.testing.assert_allclose(
                 auto.solve(current).theta_k, theta_dense,
@@ -125,11 +119,11 @@ class TestSolverModesAgree:
 
     @given(_instances())
     @_settings
-    def test_krylov_multi_rhs_matches_dense(self, instance):
+    def test_direct_multi_rhs_matches_dense(self, instance):
         rows, cols, power, deployment = instance
         grid = TileGrid(rows, cols)
         model = PackageThermalModel(
-            grid, power, tec_tiles=deployment, solver_mode="krylov"
+            grid, power, tec_tiles=deployment, solver_mode="direct"
         )
         current = 0.5 * model.runaway_current().value
         rhs = np.eye(model.num_nodes)[:, :3]

@@ -20,6 +20,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.thermal import session
 from repro.thermal.model import PackageThermalModel
 from repro.thermal.solve import SteadyStateSolver
 
@@ -39,6 +40,13 @@ def make_model(small_grid, small_power):
     return build
 
 
+@pytest.fixture
+def tight_cg(monkeypatch):
+    """CG residual target 1e-12 for the 1e-9 K differential (the
+    backend's own 1e-10 serves the 1e-6 K cross-backend checks)."""
+    monkeypatch.setattr(session, "MG_RTOL", 1e-12)
+
+
 def _probe_currents(model):
     lam = model.runaway_current().value
     return [0.0, 0.3 * lam, 0.6 * lam, 0.8 * lam, 0.9 * lam]
@@ -54,13 +62,13 @@ def _differential_tolerance(reference):
 
 
 class TestMgDifferential:
-    def test_matches_direct_to_1e9_kelvin(self, make_model):
-        """mg-CG at rtol 1e-12 agrees with the per-current LU to 1e-9 K
-        (relative to the peak past 1000 K) on every probe current up to
-        90% of the runaway limit — and genuinely through the multigrid
-        path (zero fallbacks)."""
+    def test_matches_direct_to_1e9_kelvin(self, make_model, tight_cg):
+        """mg-CG at rtol 1e-12 agrees with the per-current SPD factor to
+        1e-9 K (relative to the peak past 1000 K) on every probe current
+        up to 90% of the runaway limit — and genuinely through the
+        multigrid path (zero fallbacks)."""
         direct = make_model("direct")
-        mg = SteadyStateSolver(direct.system, mode="mg", krylov_rtol=1e-12)
+        mg = SteadyStateSolver(direct.system, mode="mg")
         for current in _probe_currents(direct):
             reference = direct.solver.solve(current)
             theta = mg.solve(current)
@@ -72,7 +80,7 @@ class TestMgDifferential:
 
     @pytest.mark.parametrize("ulps", range(-20, 21))
     def test_criterion_holds_within_20_ulps_of_lambda_m(
-        self, make_model, ulps
+        self, make_model, tight_cg, ulps
     ):
         """The probes scale with ``lambda_m``; moving it by up to 20
         ulps either way (a reordered factorization or reduction does
@@ -82,7 +90,7 @@ class TestMgDifferential:
         step = np.inf if ulps > 0 else -np.inf
         for _ in range(abs(ulps)):
             lam = float(np.nextafter(lam, step))
-        mg = SteadyStateSolver(direct.system, mode="mg", krylov_rtol=1e-12)
+        mg = SteadyStateSolver(direct.system, mode="mg")
         for current in (0.3 * lam, 0.6 * lam, 0.8 * lam, 0.9 * lam):
             reference = direct.solver.solve(current)
             theta = mg.solve(current)
@@ -91,14 +99,16 @@ class TestMgDifferential:
             )
         assert mg.stats.mg_fallbacks == 0
 
-    def test_near_runaway_matches_to_machine_relative(self, make_model):
+    def test_near_runaway_matches_to_machine_relative(
+        self, make_model, tight_cg
+    ):
         """At 95% of ``lambda_m`` the solution norm is ~1e5 K (the
         system is nearly singular), so the criterion switches to
         relative: both backends carry the same near-runaway solution
         to ~100x machine epsilon."""
         direct = make_model("direct")
         current = 0.95 * direct.runaway_current().value
-        mg = SteadyStateSolver(direct.system, mode="mg", krylov_rtol=1e-12)
+        mg = SteadyStateSolver(direct.system, mode="mg")
         reference = direct.solver.solve(current)
         theta = mg.solve(current)
         scale = np.max(np.abs(reference))

@@ -85,7 +85,7 @@ class TestSessionPath:
         reuse_model.solve(0.5 * result.value)
         assert reuse_model.solver.stats.factorizations == 1
 
-    @pytest.mark.parametrize("mode", ["direct", "krylov", "cholesky", "mg"])
+    @pytest.mark.parametrize("mode", ["direct", "mg"])
     def test_other_backends_keep_the_standalone_lu(
         self, small_grid, small_power, mode
     ):

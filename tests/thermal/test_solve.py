@@ -8,6 +8,7 @@ from repro.thermal.network import NodeRole, ThermalNetwork
 from repro.thermal.solve import (
     AUTO_SUPPORT_FLOOR,
     SingularSystemError,
+    SolveSession,
     SteadyStateSolver,
     select_backend,
 )
@@ -187,75 +188,26 @@ class TestReuseMode:
             SteadyStateSolver(tec_system, mode="iterative")
 
 
-class TestKrylovMode:
-    def test_matches_direct_mode(self, tec_system):
-        direct = SteadyStateSolver(tec_system, mode="direct")
-        krylov = SteadyStateSolver(tec_system, mode="krylov")
-        for current in (0.0, 0.5, 1.0, 2.0):
-            assert np.allclose(
-                krylov.solve(current), direct.solve(current),
-                rtol=1e-8, atol=1e-8,
-            )
+class TestRemovedBackends:
+    """The ``krylov`` and ``cholesky`` backends and their knobs are gone:
+    naming one fails loudly instead of silently picking another."""
 
-    def test_solve_rhs_matches_direct(self, tec_system):
-        direct = SteadyStateSolver(tec_system, mode="direct")
-        krylov = SteadyStateSolver(tec_system, mode="krylov")
-        rhs = np.column_stack([
-            tec_system.p_base,
-            np.arange(1.0, tec_system.num_nodes + 1.0),
-        ])
-        assert np.allclose(
-            krylov.solve_rhs(1.5, rhs), direct.solve_rhs(1.5, rhs),
-            rtol=1e-8, atol=1e-8,
-        )
+    @pytest.mark.parametrize("mode", ["krylov", "cholesky"])
+    def test_removed_mode_is_refused(self, tec_system, mode):
+        with pytest.raises(ValueError, match="mode"):
+            SolveSession(tec_system, mode=mode)
+        with pytest.raises(ValueError, match="mode"):
+            SteadyStateSolver(tec_system, mode=mode)
 
-    def test_influence_rows_match_direct(self, tec_system):
-        direct = SteadyStateSolver(tec_system, mode="direct")
-        krylov = SteadyStateSolver(tec_system, mode="krylov")
-        nodes = range(tec_system.num_nodes)
-        assert np.allclose(
-            krylov.influence_rows(1.0, nodes),
-            direct.influence_rows(1.0, nodes),
-            rtol=1e-8, atol=1e-8,
-        )
-
-    def test_iteration_counters(self, tec_system):
-        solver = SteadyStateSolver(tec_system, mode="krylov")
-        solver.solve(0.7)
-        assert solver.stats.krylov_solves == 1
-        assert solver.stats.krylov_iterations >= 1
-        assert solver.stats.krylov_fallbacks == 0
-        # a single base-G factorization backs the preconditioner
-        assert solver.stats.factorizations == 1
-
-    def test_zero_current_skips_iteration(self, tec_system):
-        solver = SteadyStateSolver(tec_system, mode="krylov")
-        solver.solve(0.0)
-        assert solver.stats.krylov_solves == 0
-
-    def test_fallback_on_exhausted_budget(self, tec_system):
-        """An exhausted iteration budget falls back to the exact
-        per-current LU — same answer, fallback counted."""
-        direct = SteadyStateSolver(tec_system, mode="direct")
-        starved = SteadyStateSolver(
-            tec_system, mode="krylov", krylov_maxiter=1, krylov_restart=1
-        )
-        theta = starved.solve(2.0)
-        assert starved.stats.krylov_fallbacks >= 1
-        assert np.allclose(theta, direct.solve(2.0), rtol=1e-10, atol=1e-10)
-
-    def test_bicgstab_matches_direct(self, tec_system):
-        direct = SteadyStateSolver(tec_system, mode="direct")
-        solver = SteadyStateSolver(
-            tec_system, mode="krylov", krylov_method="bicgstab"
-        )
-        assert np.allclose(
-            solver.solve(1.0), direct.solve(1.0), rtol=1e-8, atol=1e-8
-        )
-
-    def test_krylov_method_validation(self, tec_system):
-        with pytest.raises(ValueError, match="krylov_method"):
-            SteadyStateSolver(tec_system, mode="krylov", krylov_method="jacobi")
+    @pytest.mark.parametrize("knob", [
+        "krylov_method", "krylov_rtol", "krylov_maxiter", "krylov_restart",
+        "mg_options",
+    ])
+    def test_removed_knob_is_refused(self, tec_system, knob):
+        with pytest.raises(TypeError, match=knob):
+            SteadyStateSolver(tec_system, **{knob: None})
+        with pytest.raises(TypeError, match=knob):
+            SolveSession(tec_system, **{knob: None})
 
 
 class TestAutoMode:
@@ -263,12 +215,12 @@ class TestAutoMode:
         assert select_backend(100, 10) == "reuse"
 
     def test_select_backend_dense_support(self):
-        assert select_backend(10000, 2000) == "krylov"
+        assert select_backend(10000, 2000) == "direct"
 
     def test_select_backend_floor_boundary(self):
         # the floor dominates sqrt(n) on small systems
         assert select_backend(16, AUTO_SUPPORT_FLOOR) == "reuse"
-        assert select_backend(16, AUTO_SUPPORT_FLOOR + 1) == "krylov"
+        assert select_backend(16, AUTO_SUPPORT_FLOOR + 1) == "direct"
 
     def test_auto_resolves_per_system(self, tec_system):
         solver = SteadyStateSolver(tec_system, mode="auto")
@@ -286,7 +238,7 @@ class TestAutoMode:
             )
 
     def test_non_auto_effective_mode_is_identity(self, tec_system):
-        for mode in ("direct", "reuse", "krylov"):
+        for mode in ("direct", "reuse", "mg"):
             assert SteadyStateSolver(tec_system, mode=mode).effective_mode == mode
 
 
@@ -337,7 +289,7 @@ class TestExactFloatCacheKey:
 
 class TestSingularHandling:
     """SingularSystemError at/beyond the runaway current ``lambda_m``
-    for the reuse and krylov backends (direct is covered above)."""
+    for the reuse and direct backends."""
 
     @staticmethod
     def _runaway(tec_system):
@@ -372,21 +324,13 @@ class TestSingularHandling:
         with pytest.raises(SingularSystemError):
             solver.solve(1.5 * self._runaway(tec_system), check_definite=True)
 
-    def test_krylov_check_definite_beyond_runaway(self, tec_system):
-        solver = SteadyStateSolver(tec_system, mode="krylov")
-        with pytest.raises(SingularSystemError):
-            solver.solve(1.5 * self._runaway(tec_system), check_definite=True)
-
-    def test_krylov_near_runaway_stays_accurate(self, tec_system):
-        """Close to runaway the preconditioned spectrum degrades; the
-        residual check must either converge or fall back — never return
-        an inaccurate answer silently."""
-        direct = SteadyStateSolver(tec_system, mode="direct")
-        krylov = SteadyStateSolver(tec_system, mode="krylov")
-        current = 0.999 * self._runaway(tec_system)
-        assert np.allclose(
-            krylov.solve(current), direct.solve(current), rtol=1e-6
-        )
+    def test_direct_refuses_beyond_runaway(self, tec_system):
+        """The SPD factorization's pivot check refuses an indefinite
+        ``G - i D`` instead of returning temperatures below absolute
+        zero, as a general LU of the nonsingular system would."""
+        solver = SteadyStateSolver(tec_system, mode="direct")
+        with pytest.raises(SingularSystemError, match="runaway"):
+            solver.solve(1.5 * self._runaway(tec_system))
 
 
 class TestBatchedRhs:
@@ -425,8 +369,7 @@ class TestSolverStats:
         assert set(data) == {
             "factorizations", "condensed_factorizations", "cache_hits",
             "cache_misses", "evictions", "solves", "rhs_columns",
-            "solution_hits", "krylov_solves", "krylov_iterations",
-            "krylov_fallbacks", "mg_hierarchies", "mg_solves",
+            "solution_hits", "mg_hierarchies", "mg_solves",
             "mg_cycles", "mg_fallbacks",
             "factor_time_s", "solve_time_s",
             "full_builds", "incremental_builds", "assembly_time_s",
