@@ -11,7 +11,6 @@ Run:  pytest benchmarks/bench_ablation_robustness.py --benchmark-only -s
 
 import pytest
 
-from repro.core.deploy import greedy_deploy
 from repro.core.sensitivity import (
     monte_carlo_feasibility,
     parameter_sensitivities,

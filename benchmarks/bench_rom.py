@@ -14,10 +14,12 @@ acceptance criteria:
   full loop's one-solve-per-step.
 
 Measurements land in ``BENCH_rom.json`` at the repo root (schema:
-:func:`repro.io.results.bench_report_to_json`).  ``BENCH_ROM_GRIDS``
-(comma-separated side lengths) and ``BENCH_ROM_STEPS`` select a fast
-subset for CI; the 10x assertion skips itself when no 128x128 grid is
-in the list.
+:func:`repro.io.results.bench_report_to_json`), tagged
+``"run": "full"``.  ``BENCH_ROM_GRIDS`` (comma-separated side lengths)
+and ``BENCH_ROM_STEPS`` select a fast subset for CI; the 10x assertion
+skips itself when no 128x128 grid is in the list.  A run with any
+``BENCH_ROM_*`` override writes ``BENCH_rom-fast.json`` instead, so a
+fast run never overwrites the checked-in full-run numbers.
 
 Run:  pytest benchmarks/bench_rom.py -s
       python benchmarks/bench_rom.py
@@ -38,6 +40,10 @@ from repro.io.results import bench_report_to_json
 from repro.linalg.mor import DEFAULT_ROM_TOL_K
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
+_FULL_RUN = not any(name.startswith("BENCH_ROM_") for name in os.environ)
+_BENCH_JSON = _REPO_ROOT / (
+    "BENCH_rom.json" if _FULL_RUN else "BENCH_rom-fast.json"
+)
 _DEFAULT_GRIDS = "64,128"
 _DEFAULT_STEPS = 400
 
@@ -145,6 +151,7 @@ def run_workload(sides=None, steps=None):
         "dt_s": _DT_S,
         "control_period_s": _CONTROL_PERIOD_S,
         "rom_tol_k": DEFAULT_ROM_TOL_K,
+        "run": "full" if _FULL_RUN else "fast",
         "cpu_count": os.cpu_count(),
     }
     return entries, metadata
@@ -216,14 +223,12 @@ def test_rom_10x_speedup_on_128(workload):
 
 def test_writes_bench_json(workload):
     entries, metadata = workload
-    path = _REPO_ROOT / "BENCH_rom.json"
-    bench_report_to_json("rom", entries, path, metadata=metadata)
-    assert path.exists()
+    bench_report_to_json("rom", entries, _BENCH_JSON, metadata=metadata)
+    assert _BENCH_JSON.exists()
 
 
 if __name__ == "__main__":
     measured, run_metadata = run_workload()
     _print_entries(measured)
-    out = _REPO_ROOT / "BENCH_rom.json"
-    bench_report_to_json("rom", measured, out, metadata=run_metadata)
-    print("written to {}".format(out))
+    bench_report_to_json("rom", measured, _BENCH_JSON, metadata=run_metadata)
+    print("written to {}".format(_BENCH_JSON))

@@ -10,7 +10,6 @@ runtime the paper bounds at three minutes.
 Run:  pytest benchmarks/bench_table1.py --benchmark-only -s
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments.benchmarks import BENCHMARKS

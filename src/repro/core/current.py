@@ -50,8 +50,6 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.utils.validate import check_in_range, check_positive
 
 #: Golden ratio constant for the section search.

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.power.floorplan import Floorplan, FunctionalUnit
-from repro.thermal.geometry import TileGrid
 
 
 @dataclass(frozen=True)

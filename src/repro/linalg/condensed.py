@@ -16,6 +16,11 @@ last (geometric nested dissection over the tile lattice, then the
 off-lattice nodes, then ``S``).  A pivot-free symmetric LU is
 ``L diag(u) L'``, so ``C_S = U_22' diag(U_22)^{-1} U_22`` from the
 trailing block of ``U`` alone — no influence column is ever solved.
+
+Every ``m x m`` dense kernel here runs under
+:func:`repro.linalg.blas.one_thread`: called between sparse solves, a
+kernel of order below ``ONE_THREAD_MAX_ORDER`` waits on BLAS threads
+longer than they save it.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
+
+from repro.linalg.blas import one_thread
 
 #: A shared current counts as at/beyond runaway once its smallest
 #: spectral factor ``1 - i mu_max`` falls to this fraction of the
@@ -110,7 +117,8 @@ class SupportLastFactor:
         self._upper_nnz = upper.nnz
         n = upper.shape[0]
         block = upper[:, n - size:][n - size:].toarray()
-        schur = block.T @ (block / np.diag(block)[:, None])
+        with one_thread(size):
+            schur = block.T @ (block / np.diag(block)[:, None])
         return 0.5 * (schur + schur.T)
 
 
@@ -160,9 +168,10 @@ class CondensedPencil:
     def spectrum(self):
         """``(mu, V)`` of the pencil ``(diag(d_S), C_S)``, ascending."""
         if self._spectrum is None:
-            self._spectrum = scipy.linalg.eigh(
-                np.diag(self.d_support), self.schur, check_finite=False
-            )
+            with one_thread(self.support.size):
+                self._spectrum = scipy.linalg.eigh(
+                    np.diag(self.d_support), self.schur, check_finite=False
+                )
         return self._spectrum
 
     def top_eigenpair(self):
@@ -178,15 +187,22 @@ class CondensedPencil:
             scale.min() <= CONDENSED_RCOND * scale.max()
         ):
             return None
-        return lambda rhs: vectors @ ((vectors.T @ rhs).T / scale).T
+
+        def inverse(rhs):
+            with one_thread(mu.size):
+                return vectors @ ((vectors.T @ rhs).T / scale).T
+
+        return inverse
 
     def diagonal_inverse(self, diagonal):
         """``(C_S - diag(diagonal))^{-1}`` by Cholesky, for per-device
         diagonals; None when not positive definite."""
+        size = diagonal.size
         try:
-            factor = scipy.linalg.cho_factor(
-                self.schur - np.diag(diagonal), check_finite=False
-            )
+            with one_thread(size):
+                factor = scipy.linalg.cho_factor(
+                    self.schur - np.diag(diagonal), check_finite=False
+                )
         except np.linalg.LinAlgError:
             return None
         pivots = np.diag(factor[0]) ** 2
@@ -194,7 +210,12 @@ class CondensedPencil:
             pivots.min() <= CONDENSED_RCOND * pivots.max()
         ):
             return None
-        return lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+        def inverse(rhs):
+            with one_thread(size):
+                return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+        return inverse
 
     def solve(self, inverse, diagonal, x):
         """``(A - I_S diag(e) I_S')^{-1} b`` from ``x = A^{-1} b``, with
@@ -221,10 +242,13 @@ def condensed_pencil(base, support, d_support, solve, num_nodes):
         rhs = np.zeros((num_nodes, size))
         rhs[support, np.arange(size)] = 1.0
         z_block = solve(rhs)[support]
-        schur = scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(0.5 * (z_block + z_block.T), check_finite=False),
-            np.eye(size), check_finite=False,
-        )
+        with one_thread(size):
+            schur = scipy.linalg.cho_solve(
+                scipy.linalg.cho_factor(
+                    0.5 * (z_block + z_block.T), check_finite=False
+                ),
+                np.eye(size), check_finite=False,
+            )
         schur = 0.5 * (schur + schur.T)
     return CondensedPencil(support, d_support, schur, solve, num_nodes)
 

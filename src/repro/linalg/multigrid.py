@@ -50,7 +50,7 @@ and rebuilt lazily, like every factorization in the session core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

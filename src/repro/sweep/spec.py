@@ -287,9 +287,8 @@ class Scenario:
                 raise ValueError(
                     "{} scenario {!r} needs tec_tiles".format(self.task, self.name)
                 )
-            object.__setattr__(
-                self, "tec_tiles", tuple(sorted({int(t) for t in self.tec_tiles}))
-            )
+            tiles = {_whole_number(t, "tec_tiles entry") for t in self.tec_tiles}
+            object.__setattr__(self, "tec_tiles", tuple(sorted(tiles)))
         if self.task in ("solve", "transient") and self.current_a is None:
             raise ValueError(
                 "{} scenario {!r} needs current_a".format(self.task, self.name)

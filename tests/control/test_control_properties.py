@@ -1,6 +1,5 @@
 """Property tests for the control stack."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.baselines import full_cover, no_tec_peak_c, swing_loss_c
-from repro.core.deploy import greedy_deploy
 
 
 class TestNoTec:

@@ -9,7 +9,6 @@ from repro.core.convexity import (
     eta_zeta,
     numerical_convexity_check,
 )
-from repro.utils.units import CELSIUS_OFFSET
 
 
 class TestEtaZeta:

@@ -1,6 +1,5 @@
 """GreedyDeploy (Figure 5) semantics."""
 
-import numpy as np
 import pytest
 
 from repro.core.deploy import greedy_deploy

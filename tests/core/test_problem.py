@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.problem import CoolingSystemProblem
 from repro.power.alpha import alpha_floorplan
-from repro.thermal.geometry import TileGrid
 
 
 class TestConstruction:

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from repro.io.flp import (
-    FlpRect,
     _unit_rectangles,
     floorplan_from_flp,
     read_flp,
     write_flp,
 )
 from repro.power.alpha import alpha_floorplan
-from repro.power.floorplan import Floorplan, FunctionalUnit
+from repro.power.floorplan import FunctionalUnit
 from repro.power.hypothetical import hypothetical_chip
 from repro.thermal.geometry import TileGrid
 

@@ -96,6 +96,7 @@ BAD_SOLVE_BODIES = [
     ({"rows": True, "cols": 16}, "rows"),
     ({"backend": "krylov"}, "backend"),
     ({"backend": "cholesky"}, "backend"),
+    ({"tec_tiles": [5.7, True, 6, 9, 10]}, "tec_tiles"),
 ]
 
 

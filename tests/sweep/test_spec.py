@@ -23,6 +23,8 @@ NOT_WHOLE_NUMBERS = [
     ({"rows": True}, "rows"),
     ({"power_map": None, "rows": None, "cols": None,
       "chiplets": ((2.7, 3, 0, 0, 1.0),)}, "chiplet rows"),
+    ({"task": "solve", "tec_tiles": (1.7, True), "current_a": 0.5},
+     "tec_tiles"),
 ]
 
 
@@ -101,6 +103,8 @@ class TestScenarioValidation:
     def test_whole_number_strings_and_floats_coerce(self):
         scenario = _explicit(rows="2", cols=2.0, steps="3")
         assert (scenario.rows, scenario.cols, scenario.steps) == (2, 2, 3)
+        deployed = _explicit(task="solve", tec_tiles=("3", 1.0, 1), current_a=0.5)
+        assert deployed.tec_tiles == (1, 3)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
