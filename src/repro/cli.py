@@ -97,6 +97,16 @@ def _rom_parent_parser():
     return parent
 
 
+def _int_value(text):
+    """``int(text)``, or argparse's own "invalid int value" refusal."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: {!r}".format(text)
+        )
+
+
 def _workers_count(text):
     """argparse type for ``--workers``: a positive integer.
 
@@ -104,12 +114,7 @@ def _workers_count(text):
     library (imported lazily — argparse types only run at parse time),
     so the CLI and ``SweepRunner`` enforce the identical contract.
     """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "invalid int value: {!r}".format(text)
-        )
+    value = _int_value(text)
     from repro.sweep.runner import validate_workers
 
     try:
@@ -120,6 +125,30 @@ def _workers_count(text):
         )
 
 
+def _benchmark_name(text):
+    """argparse type for ``--benchmark`` / ``--benchmarks``: a
+    registered Table I name (the registry is imported lazily)."""
+    from repro.experiments.benchmarks import BENCHMARKS
+
+    if text not in BENCHMARKS:
+        raise argparse.ArgumentTypeError(
+            "unknown benchmark {!r} (choose from {})".format(
+                text, ", ".join(sorted(BENCHMARKS))
+            )
+        )
+    return text
+
+
+def _port_number(text):
+    """argparse type for ``--port``: a TCP port in [0, 65535]."""
+    value = _int_value(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            "--port must be in [0, 65535], got {}".format(value)
+        )
+    return value
+
+
 def _rounds_count(text):
     """argparse type for ``--max-rounds``: a positive integer.
 
@@ -127,12 +156,7 @@ def _rounds_count(text):
     deploying anything — surprising from a CLI, so it is rejected up
     front (the library accepts 0 for programmatic use).
     """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "invalid int value: {!r}".format(text)
-        )
+    value = _int_value(text)
     if value < 1:
         raise argparse.ArgumentTypeError(
             "--max-rounds must be a positive integer, got {}".format(value)
@@ -170,7 +194,7 @@ def _add_table1(subparsers):
         "table1", help="reproduce Table I (all or selected benchmarks)"
     )
     parser.add_argument(
-        "--benchmarks", nargs="+", default=None,
+        "--benchmarks", nargs="+", type=_benchmark_name, default=None,
         help="benchmark names (default: every Table I row)",
     )
     parser.add_argument("--markdown", action="store_true", help="markdown output")
@@ -215,10 +239,6 @@ def _cmd_table1(args):
         )
     )
     if args.round_stats:
-        if comparison.sweep_report is None:
-            raise SystemExit(
-                "repro table1: error: no per-round stats available for this run"
-            )
         print()
         for result in comparison.sweep_report.results:
             rounds = result.values.get("round_stats", [])
@@ -228,10 +248,6 @@ def _cmd_table1(args):
         rows_to_json(comparison.rows, args.json, metadata={"tool": "repro " + __version__})
         print("rows written to {}".format(args.json))
     if args.sweep_report:
-        if comparison.sweep_report is None:
-            raise SystemExit(
-                "repro table1: error: no sweep report available for this run"
-            )
         sweep_report_to_json(
             comparison.sweep_report, args.sweep_report,
             metadata={"tool": "repro " + __version__},
@@ -246,7 +262,10 @@ def _add_sweep(subparsers):
         help="run a many-scenario sweep (power scaling or Pareto budgets) "
              "over the parallel sweep engine",
     )
-    parser.add_argument("--benchmark", default="alpha", help="base benchmark")
+    parser.add_argument(
+        "--benchmark", type=_benchmark_name, default="alpha",
+        help="base benchmark",
+    )
     kind = parser.add_mutually_exclusive_group()
     kind.add_argument(
         "--power-scales", nargs="+", type=float, default=None,
@@ -292,12 +311,9 @@ def _cmd_sweep(args):
         )
     else:
         factors = args.power_scales or (0.9, 1.0, 1.1, 1.2, 1.3)
-        try:
-            spec = SweepSpec.power_scaling(
-                args.benchmark, factors=factors, limit_c=args.limit
-            )
-        except ValueError as error:
-            raise SystemExit("repro sweep: error: {}".format(error))
+        spec = SweepSpec.power_scaling(
+            args.benchmark, factors=factors, limit_c=args.limit
+        )
     if args.backend is not None:
         spec = spec.with_backend(args.backend)
     report = SweepRunner(args.workers).run(spec)
@@ -329,7 +345,9 @@ def _add_solve(subparsers):
         "solve", help="run GreedyDeploy on a benchmark or a custom .flp chip"
     )
     source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--benchmark", help="registered benchmark name")
+    source.add_argument(
+        "--benchmark", type=_benchmark_name, help="registered benchmark name"
+    )
     source.add_argument("--flp", metavar="PATH", help="HotSpot floorplan file")
     parser.add_argument(
         "--powers", metavar="PATH",
@@ -350,7 +368,7 @@ def _add_solve(subparsers):
         "--full-cover", action="store_true",
         help="also run the Full-Cover baseline and report SwingLoss",
     )
-    _add_solver_options(parser, "solve")
+    _add_solver_options(parser)
     parser.add_argument(
         "--max-rounds", type=_rounds_count, default=None, metavar="N",
         help="greedy-round budget, N >= 1 (default: run to natural "
@@ -371,15 +389,12 @@ def _cmd_solve(args):
     from repro.io.results import deployment_to_dict
 
     problem = _load_problem(args)
-    try:
-        if args.limit is not None:
-            problem = problem.with_limit(args.limit)
-        if args.solver_mode is not None or args.solver_cache_size is not None:
-            problem.configure_solver(
-                mode=args.solver_mode, cache_size=args.solver_cache_size
-            )
-    except ValueError as error:
-        raise SystemExit("repro solve: error: {}".format(error))
+    if args.limit is not None:
+        problem = problem.with_limit(args.limit)
+    if args.solver_mode is not None or args.solver_cache_size is not None:
+        problem.configure_solver(
+            mode=args.solver_mode, cache_size=args.solver_cache_size
+        )
 
     result = greedy_deploy(problem, max_rounds=args.max_rounds)
     print("problem: {} (limit {:.1f} C)".format(problem.name, problem.max_temperature_c))
@@ -426,7 +441,7 @@ def _load_problem(args):
     return CoolingSystemProblem.from_floorplan(floorplan, name=args.flp)
 
 
-def _add_solver_options(parser, command):
+def _add_solver_options(parser):
     """The shared solver-backend flags (``solve``/``transient``/``control``)."""
     add_backend_argument(
         parser,
@@ -446,7 +461,6 @@ def _add_solver_options(parser, command):
         "--solver-stats", action="store_true",
         help="print solve-engine instrumentation after the run",
     )
-    parser.set_defaults(_solver_command=command)
 
 
 def _deployed_model(args):
@@ -460,22 +474,12 @@ def _deployed_model(args):
 
     problem = load_benchmark(args.benchmark)
     if args.solver_mode is not None or args.solver_cache_size is not None:
-        try:
-            problem.configure_solver(
-                mode=args.solver_mode, cache_size=args.solver_cache_size
-            )
-        except ValueError as error:
-            raise SystemExit(
-                "repro {}: error: {}".format(args._solver_command, error)
-            )
+        problem.configure_solver(
+            mode=args.solver_mode, cache_size=args.solver_cache_size
+        )
     greedy = None
     if args.tiles:
-        try:
-            tiles = check_tile_indices(args.tiles, problem.grid.num_tiles, "--tiles")
-        except ValueError as error:
-            raise SystemExit(
-                "repro {}: error: {}".format(args._solver_command, error)
-            )
+        tiles = check_tile_indices(args.tiles, problem.grid.num_tiles, "--tiles")
     else:
         from repro.core.deploy import greedy_deploy
 
@@ -487,12 +491,7 @@ def _deployed_model(args):
 def _check_current(args):
     """Reject a negative or non-finite ``--current`` before any build."""
     if args.current is not None:
-        try:
-            check_nonnegative(args.current, "--current")
-        except ValueError as error:
-            raise SystemExit(
-                "repro {}: error: {}".format(args._solver_command, error)
-            )
+        check_nonnegative(args.current, "--current")
 
 
 def _default_current(model, greedy):
@@ -517,7 +516,10 @@ def _add_transient(subparsers):
              "(shared solve-session with the steady solver)",
         parents=[_rom_parent_parser()],
     )
-    parser.add_argument("--benchmark", default="alpha", help="registered benchmark")
+    parser.add_argument(
+        "--benchmark", type=_benchmark_name, default="alpha",
+        help="registered benchmark",
+    )
     parser.add_argument(
         "--tiles", nargs="+", type=int, default=None, metavar="TILE",
         help="deployed TEC tiles (default: the benchmark's greedy solution)",
@@ -535,14 +537,14 @@ def _add_transient(subparsers):
         help="integration steps (default 200)",
     )
     parser.add_argument("--json", metavar="PATH", help="write the result as JSON")
-    _add_solver_options(parser, "transient")
+    _add_solver_options(parser)
     parser.set_defaults(func=_cmd_transient)
 
 
 def _cmd_transient(args):
     from repro.thermal.transient import TransientSimulator
 
-    if args.dt <= 0.0:
+    if not args.dt > 0.0:
         raise SystemExit("repro transient: error: --dt must be positive")
     if args.steps < 1:
         raise SystemExit("repro transient: error: --steps must be >= 1")
@@ -609,7 +611,10 @@ def _add_control(subparsers):
              "shared solve-session)",
         parents=[_rom_parent_parser()],
     )
-    parser.add_argument("--benchmark", default="alpha", help="registered benchmark")
+    parser.add_argument(
+        "--benchmark", type=_benchmark_name, default="alpha",
+        help="registered benchmark",
+    )
     parser.add_argument(
         "--tiles", nargs="+", type=int, default=None, metavar="TILE",
         help="deployed TEC tiles (default: the benchmark's greedy solution)",
@@ -645,7 +650,7 @@ def _add_control(subparsers):
              "(default 0.05 A)",
     )
     parser.add_argument("--json", metavar="PATH", help="write the result as JSON")
-    _add_solver_options(parser, "control")
+    _add_solver_options(parser)
     parser.set_defaults(func=_cmd_control)
 
 
@@ -681,15 +686,12 @@ def _cmd_control(args):
     sensor_tiles = {int(stamp.tile) for stamp in model.stamps}
     sensor_tiles.add(int(model.solve(0.0).peak_tile))
     sensors = SensorArray(sensor_tiles, noise_std_c=0.0, quantization_c=0.0, seed=0)
-    try:
-        simulator = ClosedLoopSimulator(
-            model, controller, sensors,
-            dt=args.dt, control_period=args.control_period,
-            current_quantum=args.quantum,
-            rom=args.rom, rom_dim=args.rom_dim, rom_tol=args.rom_tol,
-        )
-    except ValueError as error:
-        raise SystemExit("repro control: error: {}".format(error))
+    simulator = ClosedLoopSimulator(
+        model, controller, sensors,
+        dt=args.dt, control_period=args.control_period,
+        current_quantum=args.quantum,
+        rom=args.rom, rom_dim=args.rom_dim, rom_tol=args.rom_tol,
+    )
     result = simulator.run(args.steps)
     final_peak = float(result.true_peak_c[-1])
     print("problem: {} (limit {:.1f} C)".format(problem.name, problem.max_temperature_c))
@@ -767,7 +769,7 @@ def _add_runaway(subparsers):
     parser = subparsers.add_parser(
         "runaway", help="runaway current and blow-up curve of a deployment"
     )
-    parser.add_argument("--benchmark", default="alpha")
+    parser.add_argument("--benchmark", type=_benchmark_name, default="alpha")
     parser.set_defaults(func=_cmd_runaway)
 
 
@@ -818,7 +820,7 @@ def _add_report(subparsers):
     )
     parser.add_argument("--out", metavar="PATH", help="write the report here")
     parser.add_argument(
-        "--benchmarks", nargs="+", default=None,
+        "--benchmarks", nargs="+", type=_benchmark_name, default=None,
         help="Table I rows to include (default: all)",
     )
     parser.add_argument("--conjecture-matrices", type=int, default=100)
@@ -946,7 +948,7 @@ def _add_chiplet(subparsers):
              "(pin groups) and report the gain over the shared pin",
     )
     parser.add_argument("--json", metavar="PATH", help="write the result as JSON")
-    _add_solver_options(parser, "chiplet")
+    _add_solver_options(parser)
     parser.set_defaults(func=_cmd_chiplet)
 
 
@@ -966,32 +968,29 @@ def _cmd_chiplet(args):
         interposer = InterposerSpec(board_resistance=args.board_resistance)
     else:
         interposer = True
-    try:
-        if args.chiplets:
-            layout = layout_from_plain(args.chiplets, interposer=interposer)
-        else:
-            layout = demo_two_chiplet_layout(
-                rows=args.rows, cols=args.cols, gap=args.gap,
-                power_w=args.power,
-                interposer=(
-                    None if interposer is True
-                    else (interposer if interposer is not False else
-                          InterposerSpec())
-                ),
-            )
-            if args.no_interposer:
-                from dataclasses import replace as _replace
-
-                layout = _replace(layout, interposer=None)
-        problem = CoolingSystemProblem.from_chiplet_layout(
-            layout, max_temperature_c=args.limit, name="chiplet",
+    if args.chiplets:
+        layout = layout_from_plain(args.chiplets, interposer=interposer)
+    else:
+        layout = demo_two_chiplet_layout(
+            rows=args.rows, cols=args.cols, gap=args.gap,
+            power_w=args.power,
+            interposer=(
+                None if interposer is True
+                else (interposer if interposer is not False else
+                      InterposerSpec())
+            ),
         )
-        if args.solver_mode is not None or args.solver_cache_size is not None:
-            problem.configure_solver(
-                mode=args.solver_mode, cache_size=args.solver_cache_size
-            )
-    except ValueError as error:
-        raise SystemExit("repro chiplet: error: {}".format(error))
+        if args.no_interposer:
+            from dataclasses import replace as _replace
+
+            layout = _replace(layout, interposer=None)
+    problem = CoolingSystemProblem.from_chiplet_layout(
+        layout, max_temperature_c=args.limit, name="chiplet",
+    )
+    if args.solver_mode is not None or args.solver_cache_size is not None:
+        problem.configure_solver(
+            mode=args.solver_mode, cache_size=args.solver_cache_size
+        )
 
     grid = layout.composite_grid()
     print("package: {} chiplet(s), {} tiles on a {}x{} lattice, {:.1f} W".format(
@@ -1105,7 +1104,8 @@ def _add_serve(subparsers):
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
     )
     parser.add_argument(
-        "--port", type=int, default=8080, help="TCP port (default 8080; 0 = ephemeral)"
+        "--port", type=_port_number, default=8080,
+        help="TCP port (default 8080; 0 = ephemeral)",
     )
     parser.add_argument(
         "--pool-size", type=int, default=None, metavar="N",
@@ -1145,13 +1145,10 @@ def _cmd_serve(args):
         "workers": args.workers,
         "default_backend": args.backend,
     }
-    try:
-        config = ServeConfig(**{
-            key: value for key, value in overrides.items() if value is not None
-        })
-        app = create_app(config)
-    except ValueError as error:
-        raise SystemExit("repro serve: error: {}".format(error))
+    config = ServeConfig(**{
+        key: value for key, value in overrides.items() if value is not None
+    })
+    app = create_app(config)
     print("repro serve: listening on http://{}:{} "
           "(pool {}, batch max {})".format(
               args.host, args.port, config.pool_size, config.batch_max))
@@ -1187,9 +1184,12 @@ def build_parser():
 def main(argv=None):
     """CLI entry point; returns the process exit code.
 
-    A current at or beyond a deployment's runaway limit (e.g.
-    ``transient --current`` past ``lambda_m``) exits with the solver's
-    message instead of a traceback.
+    Flags argparse can check alone (names, counts, ports) fail at parse
+    time with exit code 2.  A value refused later — a ``ValueError``
+    from the library, or a current at or beyond a deployment's runaway
+    limit (e.g. ``transient --current`` past ``lambda_m``) — exits with
+    code 1 and ``repro <command>: error: <message>``, never a
+    traceback.
     """
     from repro.thermal.session import SingularSystemError
 
@@ -1197,7 +1197,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SingularSystemError as error:
+    except (SingularSystemError, ValueError) as error:
         raise SystemExit("repro {}: error: {}".format(args.command, error))
 
 

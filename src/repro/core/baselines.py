@@ -50,13 +50,11 @@ class FullCoverResult:
     current_result: object = None
 
 
-def full_cover(problem, *, current_method="golden", current_tolerance=1.0e-4):
+def full_cover(problem, *, current_tolerance=1.0e-4):
     """Run the Full-Cover baseline on a problem instance."""
     start = time.perf_counter()
     model = problem.model(range(problem.grid.num_tiles))
-    optimum = minimize_peak_temperature(
-        model, method=current_method, tolerance=current_tolerance
-    )
+    optimum = minimize_peak_temperature(model, tolerance=current_tolerance)
     state = model.solve(optimum.current)
     return FullCoverResult(
         min_peak_c=state.peak_silicon_c,

@@ -12,29 +12,28 @@ temperatures diverge (Theorem 2).  Under Conjecture 1 every
 ``theta_k(i)`` is convex on ``[0, lambda_m)`` (Theorem 3 + the Lemma 4
 certificate), so the max is convex and any local minimum is global.
 
-Four solvers are provided (:data:`CURRENT_METHODS`):
+Three solvers are provided (:data:`CURRENT_METHODS`):
 
 * ``method="golden"`` (default): bracket the minimum by doubling from
   zero, then golden-section — derivative-free, robust, and optimal for
-  a 1-D convex objective;
-* ``method="gradient"``: the paper's projected gradient descent with
-  backtracking line search, using the exact derivative
-  ``theta'(i) = H (D theta + 2 i j)`` obtained from
-  ``H' = H D H`` and ``p'(i) = 2 i j``;
-* ``method="brent"``: bounded Brent (scipy) — superlinear on the
-  convex objective;
+  a 1-D convex objective; every cold GreedyDeploy round and every
+  Full-Cover baseline runs it;
 * ``method="newton"``: safeguarded secant (Illinois) root-find on the
   exact slope ``theta'(i)`` — each evaluation reuses the current's
   factorized system for the derivative solve, so a warm-started round
   converges in ~6-8 factorizations; the workhorse of GreedyDeploy's
-  warm rounds (:func:`repro.core.engine.warm_round`).
+  warm rounds (:func:`repro.core.engine.warm_round`);
+* ``method="gradient"``: the paper's projected gradient descent with
+  backtracking line search, using the exact derivative
+  ``theta'(i) = H (D theta + 2 i j)`` obtained from
+  ``H' = H D H`` and ``p'(i) = 2 i j`` — the Section V.C.3 reference
+  the tests check golden section against.
 
 Warm starts: callers that already know ``lambda_m`` (a warm round's
 shift-inverted estimate) pass it via ``lambda_m=`` to skip
-the per-round dense eigensolve, and seed the search with ``bounds=``
-— a sub-interval of ``[0, upper]`` around the previous round's
-optimum, validated by interior-vs-edge probes and expanded when the
-minimum moved outside it.
+the per-round dense eigensolve, and seed the ``"newton"`` search with
+``bounds=`` — a sub-interval of ``[0, upper]`` around the previous
+round's optimum, from which the slope-sign bracket discovery starts.
 
 :func:`polish_current` refines any approximate minimizer by one
 deterministic parabolic fit through three fixed-spacing samples —
@@ -56,7 +55,7 @@ from repro.utils.validate import check_in_range, check_positive
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Problem 2 search methods accepted by :func:`minimize_peak_temperature`.
-CURRENT_METHODS = ("golden", "gradient", "brent", "newton")
+CURRENT_METHODS = ("golden", "gradient", "newton")
 
 
 @dataclass
@@ -90,7 +89,7 @@ class CurrentOptimizationResult:
         Wall-clock split: computing ``lambda_m`` (zero when injected
         by the caller) vs the 1-D search itself.
     warm_started:
-        True when the search ran inside caller-provided ``bounds``.
+        True when the search started from caller-provided ``bounds``.
     """
 
     current: float
@@ -155,9 +154,8 @@ def minimize_peak_temperature(
         least one TEC deployed.  (With none, the result is trivially
         ``i = 0``.)
     method:
-        ``"golden"`` (default), ``"gradient"`` (the paper's descent),
-        ``"brent"`` (bounded Brent via scipy) or ``"newton"``
-        (safeguarded secant on the exact slope).
+        ``"golden"`` (default), ``"gradient"`` (the paper's descent)
+        or ``"newton"`` (safeguarded secant on the exact slope).
     tolerance:
         Absolute current tolerance on the final bracket / step (A).
     safety_fraction:
@@ -179,13 +177,11 @@ def minimize_peak_temperature(
     bounds:
         Optional ``(lo, hi)`` warm-start interval (A) believed to
         contain the minimizer — typically the previous greedy round's
-        optimum scaled by the ``lambda_m`` ratio.  Clipped to
-        ``[0, upper]``, validated by an interior-vs-edge probe and
-        expanded (up to the full interval) when the minimum moved
-        outside; used by ``"golden"`` and ``"brent"``.  ``"newton"``
-        instead seeds its slope-sign bracket discovery from the
-        interval — no validation probes, a drifted minimum just costs
-        extra doubling steps.
+        optimum scaled by the ``lambda_m`` ratio.  ``"newton"`` only
+        (any other method raises ``ValueError``): clipped to
+        ``[0, upper]``, it seeds the slope-sign bracket discovery — no
+        validation probes, a drifted minimum just costs extra
+        doubling steps.
 
     Returns
     -------
@@ -198,6 +194,10 @@ def minimize_peak_temperature(
             "unknown method {!r}; use one of {}".format(
                 method, ", ".join(CURRENT_METHODS)
             )
+        )
+    if bounds is not None and method != "newton":
+        raise ValueError(
+            "bounds seed only the 'newton' search, not {!r}".format(method)
         )
     objective = _PeakObjective(model, record_history=record_history)
     stats_before = model.solver.stats.copy()
@@ -236,25 +236,12 @@ def minimize_peak_temperature(
         raise ValueError("deployment has TECs but no runaway current; D is degenerate")
     upper = safety_fraction * lambda_m
 
-    warm_interval = None
-    if bounds is not None and method in ("golden", "brent"):
-        warm_interval = _validated_bounds(objective, bounds, upper)
-
     if method == "golden":
-        if warm_interval is not None:
-            result = _section_on_interval(
-                objective, warm_interval, tolerance, max_iterations
-            )
-        else:
-            result = _golden_section(objective, upper, tolerance, max_iterations)
+        result = _golden_section(objective, upper, tolerance, max_iterations)
     elif method == "gradient":
         result = _gradient_descent(objective, upper, tolerance, max_iterations)
-    elif method == "brent":
-        interval = warm_interval if warm_interval is not None else (0.0, upper)
-        result = _brent_bounded(objective, interval, tolerance, max_iterations)
     else:  # "newton"
         result = _newton_on_slope(objective, bounds, upper, tolerance, max_iterations)
-        warm_interval = bounds
     current, peak, converged = result
     return CurrentOptimizationResult(
         current=current,
@@ -267,87 +254,8 @@ def minimize_peak_temperature(
         stats=model.solver.stats.diff(stats_before),
         runaway_s=runaway_s,
         search_s=time.perf_counter() - search_start,
-        warm_started=warm_interval is not None,
+        warm_started=bounds is not None,
     )
-
-
-def _validated_bounds(objective, bounds, upper):
-    """Clip, probe and (if needed) expand a warm-start interval.
-
-    Returns ``(lo, hi)`` certified (for a convex objective) to contain
-    the minimizer — ``f(mid) <= min(f(lo), f(hi))`` — or ``None`` when
-    expansion hit the full ``[0, upper]`` interval, telling the caller
-    to fall back to the cold search.  Costs 3 evaluations when the
-    warm guess is good, up to ~6 more when the minimum drifted.
-    """
-    lo, hi = float(bounds[0]), float(bounds[1])
-    lo = min(max(lo, 0.0), upper)
-    hi = min(max(hi, lo), upper)
-    if hi - lo <= 0.0:
-        return None
-    f_lo = objective(lo)
-    f_hi = objective(hi)
-    f_mid = objective(0.5 * (lo + hi))
-    for _ in range(6):
-        if f_mid <= min(f_lo, f_hi):
-            return lo, hi
-        width = hi - lo
-        if f_lo <= f_hi:
-            lo = max(0.0, lo - 2.0 * width)
-            f_lo = objective(lo)
-        else:
-            hi = min(upper, hi + 2.0 * width)
-            f_hi = objective(hi)
-        f_mid = objective(0.5 * (lo + hi))
-    return None
-
-
-def _section_on_interval(objective, interval, tolerance, max_iterations):
-    """Golden-section restricted to a validated bracket."""
-    lo, hi = interval
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    edge_lo, edge_hi = lo, hi
-    f_edge_lo, f_edge_hi = objective(lo), objective(hi)
-    iterations = 0
-    while hi - lo > tolerance and iterations < max_iterations:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = objective(x2)
-        iterations += 1
-    candidates = [
-        (f1, x1), (f2, x2), (f_edge_lo, edge_lo), (f_edge_hi, edge_hi)
-    ]
-    peak, current = min(candidates)
-    return float(current), float(peak), iterations < max_iterations
-
-
-def _brent_bounded(objective, interval, tolerance, max_iterations):
-    """Bounded Brent via scipy — superlinear on the convex objective."""
-    from scipy.optimize import minimize_scalar
-
-    lo, hi = interval
-    outcome = minimize_scalar(
-        lambda i: objective(float(i)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": tolerance, "maxiter": max_iterations},
-    )
-    current = float(outcome.x)
-    peak = float(outcome.fun)
-    # fminbound never samples the exact endpoints; a minimum pinned at
-    # zero (cooling never helps) must still be reported as i = 0.
-    if lo == 0.0:
-        f_zero = objective(0.0)
-        if f_zero <= peak:
-            current, peak = 0.0, f_zero
-    return current, peak, bool(outcome.success)
 
 
 def _newton_on_slope(objective, bounds, upper, tolerance, max_iterations):

@@ -128,13 +128,12 @@ class DeploymentResult:
         return {name: tuple(tiles) for name, tiles in grouped.items()}
 
 
-def greedy_deploy(problem, *, current_method="golden", current_tolerance=1.0e-4,
-                  max_rounds=None):
+def greedy_deploy(problem, *, current_tolerance=1.0e-4, max_rounds=None):
     """Run GreedyDeploy (Figure 5) on a :class:`CoolingSystemProblem`.
 
     Every round runs cold — build the deployment's model, solve
-    Problem 2 over the whole capped interval with ``current_method``,
-    solve the steady state — except a round that is not the first and
+    Problem 2 over the whole capped interval by golden section, solve
+    the steady state — except a round that is not the first and
     whose Peltier support ``2 |S_TEC|`` reaches
     :data:`repro.core.engine._DIRECT_MIN_SUPPORT`.  Such a round runs
     :func:`~repro.core.engine.warm_round`: a shift-inverted runaway
@@ -148,10 +147,9 @@ def greedy_deploy(problem, *, current_method="golden", current_tolerance=1.0e-4,
     ----------
     problem:
         The :class:`~repro.core.problem.CoolingSystemProblem`.
-    current_method / current_tolerance:
+    current_tolerance:
         Passed to :func:`~repro.core.current.minimize_peak_temperature`
-        for the per-iteration Problem 2 solves (the cold rounds, and a
-        warm round's rescue).
+        for the per-iteration Problem 2 solves.
     max_rounds:
         Safety cap on iterations; defaults to the tile count (the loop
         provably terminates within that many rounds since the
@@ -197,7 +195,6 @@ def greedy_deploy(problem, *, current_method="golden", current_tolerance=1.0e-4,
             round_stats = RoundStats(index=round_index)
             model, optimum, state, vector = engine.warm_round(
                 problem, deployment, previous, round_stats, deploy_stats,
-                current_method=current_method,
                 current_tolerance=current_tolerance,
             )
         else:
@@ -206,7 +203,7 @@ def greedy_deploy(problem, *, current_method="golden", current_tolerance=1.0e-4,
             model = problem.model(deployment)
             round_stats.assembly_s = time.perf_counter() - phase_start
             optimum = minimize_peak_temperature(
-                model, method=current_method, tolerance=current_tolerance
+                model, tolerance=current_tolerance
             )
             phase_start = time.perf_counter()
             state = model.solve(optimum.current)

@@ -250,15 +250,17 @@ def _runaway_estimate(model, previous_model, previous_lambda, vector, stats):
 
 
 def warm_round(problem, deployment, previous, round_stats, stats, *,
-               current_method, current_tolerance):
+               current_tolerance):
     """Run one warm GreedyDeploy round on ``deployment``.
 
     ``previous`` is ``(model, optimum, vector)`` of the round before:
     its model, its :class:`~repro.core.current.CurrentOptimizationResult`
     and its runaway eigenvector, None after a cold round (the vector is
-    then read off that round's eigenproblem here).  ``current_method``
-    drives the rescue's cold-bracket search.  Fills ``round_stats`` and
-    ``stats``; returns ``(model, optimum, state, vector)``.
+    then read off that round's eigenproblem here).  The slope
+    root-find runs inside the previous optimum's bracket; without one,
+    and in the rescue, the search is the cold golden section.  Fills
+    ``round_stats`` and ``stats``; returns ``(model, optimum, state,
+    vector)``.
     """
     previous_model, previous_optimum, vector = previous
     previous_lambda = previous_optimum.lambda_m
@@ -299,7 +301,7 @@ def warm_round(problem, deployment, previous, round_stats, stats, *,
     try:
         optimum = minimize_peak_temperature(
             model,
-            method="newton" if bounds is not None else current_method,
+            method="newton" if bounds is not None else "golden",
             tolerance=current_tolerance,
             lambda_m=lam,
             bounds=bounds,
@@ -315,10 +317,7 @@ def warm_round(problem, deployment, previous, round_stats, stats, *,
         round_stats.runaway_method = runaway_method + "+rescue"
         round_stats.lambda_m = lam
         optimum = minimize_peak_temperature(
-            model,
-            method=current_method,
-            tolerance=current_tolerance,
-            lambda_m=lam,
+            model, tolerance=current_tolerance, lambda_m=lam
         )
         phase_start = time.perf_counter()
         state = model.solve(optimum.current)

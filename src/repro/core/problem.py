@@ -279,8 +279,7 @@ class CoolingSystemProblem:
 
         Convenience front-end for
         :func:`~repro.core.deploy.greedy_deploy`; keyword arguments
-        (``current_method``, ``current_tolerance``, ``max_rounds``) pass
-        through unchanged.
+        (``current_tolerance``, ``max_rounds``) pass through unchanged.
         """
         from repro.core.deploy import greedy_deploy
 

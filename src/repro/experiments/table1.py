@@ -26,13 +26,14 @@ from repro.experiments.benchmarks import BENCHMARKS, benchmark_names
 
 @dataclass
 class Table1Comparison:
-    """Measured rows plus paper-vs-measured summary."""
+    """Measured rows plus paper-vs-measured summary, with the
+    :class:`~repro.sweep.report.SweepReport` the rows came from."""
 
     rows: list
     paper_rows: dict
     avg_p_tec_w: float
     avg_swing_loss_c: float
-    sweep_report: object = None
+    sweep_report: object
 
     def render(self, markdown=False):
         """The measured table in the paper's layout."""
@@ -54,14 +55,13 @@ class Table1Comparison:
         return out
 
 
-def run_benchmark_row(name, *, stack=None, device=None, current_method="golden",
-                      max_rounds=None):
-    """Run one Table I row; returns ``(BenchmarkRow, greedy, fullcover)``."""
+def run_benchmark_row(name, *, max_rounds=None):
+    """Run one Table I row in this process; returns ``(BenchmarkRow,
+    greedy, fullcover)``."""
     spec = BENCHMARKS[name]
-    problem = spec.problem(stack=stack, device=device)
-    greedy = greedy_deploy(problem, current_method=current_method,
-                           max_rounds=max_rounds)
-    baseline = full_cover(problem, current_method=current_method)
+    problem = spec.problem()
+    greedy = greedy_deploy(problem, max_rounds=max_rounds)
+    baseline = full_cover(problem)
     row = BenchmarkRow.from_results(spec.name, spec.limit_c, greedy, baseline)
     return row, greedy, baseline
 
@@ -90,61 +90,39 @@ def row_from_scenario_result(result):
     )
 
 
-def run_table1(names=None, *, stack=None, device=None, current_method="golden",
-               workers=None, max_rounds=None):
-    """Run all (or selected) Table I rows.
+def run_table1(names=None, *, workers=None, max_rounds=None):
+    """Run all (or selected) Table I rows as one sweep.
 
     Parameters
     ----------
     names:
         Benchmark keys to run (default: every Table I row).
-    stack / device:
-        Package/device overrides.  When given, rows run serially in
-        this process (overriding objects are not part of the
-        plain-data scenario vocabulary); otherwise every row is a
-        sweep scenario.
     workers:
-        Fan the rows out over a process pool of this size (requires
-        default stack/device).  ``None`` runs the serial sweep backend.
+        Fan the rows out over a process pool of this size.  ``None``
+        runs the serial sweep backend.
     max_rounds:
         Greedy-round budget per row; None runs every row to natural
         termination.  Rows that exhaust the budget report
         ``feasible=False`` with the rounds taken so far.
 
-    Returns a :class:`Table1Comparison`; with the sweep path the
-    underlying :class:`~repro.sweep.report.SweepReport` is attached as
+    Returns a :class:`Table1Comparison`; the underlying
+    :class:`~repro.sweep.report.SweepReport` is attached as
     ``comparison.sweep_report``.
     """
-    names = list(names) if names is not None else benchmark_names()
-    report = None
-    if stack is None and device is None:
-        from repro.sweep import SweepRunner, SweepSpec
+    from repro.sweep import SweepRunner, SweepSpec
 
-        spec = SweepSpec.table1(names, current_method=current_method,
-                                max_rounds=max_rounds)
-        report = SweepRunner(workers).run(spec)
-        if report.errors:
-            first = report.errors[0]
-            raise RuntimeError(
-                "Table I row {!r} failed: {}: {}\n{}".format(
-                    first.name, first.error_type, first.message, first.traceback
-                )
+    names = list(names) if names is not None else benchmark_names()
+    spec = SweepSpec.table1(names, max_rounds=max_rounds)
+    report = SweepRunner(workers).run(spec)
+    if report.errors:
+        first = report.errors[0]
+        raise RuntimeError(
+            "Table I row {!r} failed: {}: {}\n{}".format(
+                first.name, first.error_type, first.message, first.traceback
             )
-        by_name = {result.name: result for result in report.results}
-        rows = [row_from_scenario_result(by_name[name]) for name in names]
-    else:
-        if workers is not None and workers != 1:
-            raise ValueError(
-                "workers requires the default stack/device (scenarios are "
-                "plain data); run serially or drop the overrides"
-            )
-        rows = []
-        for name in names:
-            row, _, _ = run_benchmark_row(
-                name, stack=stack, device=device, current_method=current_method,
-                max_rounds=max_rounds,
-            )
-            rows.append(row)
+        )
+    by_name = {result.name: result for result in report.results}
+    rows = [row_from_scenario_result(by_name[name]) for name in names]
     return Table1Comparison(
         rows=rows,
         paper_rows={name: BENCHMARKS[name] for name in names},

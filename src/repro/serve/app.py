@@ -43,7 +43,7 @@ import dataclasses
 import json
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 from repro.serve import schemas
 from repro.serve.batcher import DEFAULT_MAX_BATCH, RequestBatcher
@@ -70,8 +70,9 @@ class ServeConfig:
 
     ``pool_size=0`` disables the warm pool (every request builds cold —
     the benchmark baseline).  ``batch_max`` caps the scenarios of one
-    coalesced ``/solve`` batch.  ``workers=None`` sizes the process
-    pool to the machine.  ``default_backend`` is applied to every
+    coalesced ``/solve`` batch.  ``threads`` (at least 1) sizes the
+    solve-thread tier; ``workers=None`` sizes the process pool to the
+    machine.  ``default_backend`` is applied to every
     request scenario that leaves ``backend`` unset (one of
     :data:`~repro.thermal.session.SOLVER_MODES`; None keeps the
     problem default, ``"reuse"``) — it participates in the warm-pool
@@ -86,6 +87,10 @@ class ServeConfig:
     default_backend: str = None
 
     def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError(
+                "threads must be >= 1, got {}".format(self.threads)
+            )
         if (
             self.default_backend is not None
             and self.default_backend not in SOLVER_MODES
@@ -95,16 +100,6 @@ class ServeConfig:
                     SOLVER_MODES, self.default_backend
                 )
             )
-
-    @classmethod
-    def from_dict(cls, payload):
-        allowed = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - allowed)
-        if unknown:
-            raise ValueError("unknown config field(s): {}".format(
-                ", ".join(unknown)
-            ))
-        return cls(**payload)
 
 
 class _HttpError(Exception):

@@ -57,7 +57,6 @@ SCENARIO_FIELDS = GEOMETRY_FIELDS + (
     "dt",
     "steps",
     "num_groups",
-    "current_method",
     "current_tolerance",
     "max_rounds",
     "rom",
@@ -187,19 +186,18 @@ def parse_deploy(payload):
     """``POST /deploy`` body -> one ``greedy`` (or ``table1``) scenario.
 
     ``full_cover: true`` requests the Full-Cover baseline too (the
-    ``table1`` task); ``max_rounds``, ``current_method`` and
-    ``current_tolerance`` forward to GreedyDeploy.
+    ``table1`` task); ``max_rounds`` and ``current_tolerance`` forward
+    to GreedyDeploy.
     """
     payload = _require_mapping(payload, "/deploy body")
     _reject_unknown(
         payload,
-        GEOMETRY_FIELDS + ("max_rounds", "full_cover",
-                           "current_method", "current_tolerance"),
+        GEOMETRY_FIELDS + ("max_rounds", "full_cover", "current_tolerance"),
         "/deploy body",
     )
     task = "table1" if payload.get("full_cover") else "greedy"
     fields = _geometry_fields(payload)
-    for key in ("max_rounds", "current_method", "current_tolerance"):
+    for key in ("max_rounds", "current_tolerance"):
         if payload.get(key) is not None:
             fields[key] = payload[key]
     fields.update(name="deploy", task=task)

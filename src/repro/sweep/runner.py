@@ -87,7 +87,7 @@ def _estimate_cost(scenario):
     return tiles * _TASK_WEIGHTS.get(scenario.task, 10)
 
 
-def _execute_chunk(items, shared=None):
+def _execute_chunk(items):
     """Run a contiguous chunk of scenarios inside one worker task.
 
     ``items`` is a list of ``(index, scenario)`` pairs; the worker
@@ -101,7 +101,7 @@ def _execute_chunk(items, shared=None):
     ``repro.sweep.runner.execute`` still intercepts chunked dispatch
     under a fork start method.
     """
-    return [execute(index, scenario, shared) for index, scenario in items]
+    return [execute(index, scenario) for index, scenario in items]
 
 
 def validate_workers(workers):
@@ -163,16 +163,9 @@ class SweepRunner:
         A *forced* process backend is never degraded at run time; an
         inferred one (``workers > 1`` with ``backend=None``) may
         degrade to serial per sweep — see :meth:`run`.
-    share_blueprints:
-        Process backend only: broadcast each multi-scenario geometry's
-        assembled problem to the workers through one
-        ``multiprocessing.shared_memory`` segment
-        (:mod:`repro.sweep.shm`) instead of letting every worker pay
-        the full first build.  Results are bit-identical either way;
-        set False to force per-worker builds.
     """
 
-    def __init__(self, workers=None, *, backend=None, share_blueprints=True):
+    def __init__(self, workers=None, *, backend=None):
         workers = validate_workers(workers)
         self._forced_backend = backend is not None
         if backend is None:
@@ -185,7 +178,6 @@ class SweepRunner:
             workers = os.cpu_count() or 1
         self.backend = backend
         self.workers = workers if backend == "process" else 1
-        self.share_blueprints = bool(share_blueprints)
 
     def _resolve_backend(self, spec):
         """The backend this sweep will actually run, with the reason.
@@ -261,39 +253,7 @@ class SweepRunner:
             metadata=metadata,
         )
 
-    def _publish_blueprints(self, scenarios):
-        """Broadcast multi-scenario geometries over shared memory.
-
-        Builds (or reuses) the parent-side problem of every geometry
-        that at least two scenarios share, forces its blueprint
-        recording, and publishes it into one segment.  Publishing is
-        strictly an optimization: any failure simply leaves the
-        geometry out of the handle map and the workers rebuild from
-        the scenario payload as before.
-        """
-        from repro.sweep import shm, worker
-
-        counts = {}
-        first = {}
-        for _, scenario in scenarios:
-            key = scenario.geometry_key()
-            counts[key] = counts.get(key, 0) + 1
-            first.setdefault(key, scenario)
-        handles = {}
-        for key, count in counts.items():
-            if count < 2:
-                continue
-            try:
-                problem = worker.problem_for(first[key])
-                problem.model(())  # records the blueprint if not yet done
-                handles[key] = shm.publish(problem)
-            except Exception:  # noqa: BLE001 — sharing must never fail a sweep
-                continue
-        return handles
-
     def _run_process_pool(self, spec, chunk_size=1):
-        from repro.sweep import shm
-
         scenarios = list(enumerate(spec))
         chunks = [
             scenarios[start:start + chunk_size]
@@ -301,43 +261,31 @@ class SweepRunner:
         ]
         outcomes = {}
         submit_error = None
-        handles = (
-            self._publish_blueprints(scenarios) if self.share_blueprints else {}
-        )
-        try:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                futures = {}
-                for position, chunk in enumerate(chunks):
-                    try:
-                        futures[position] = pool.submit(
-                            _execute_chunk, chunk, handles or None
-                        )
-                    except BrokenExecutor as error:
-                        # The pool broke mid-submission; stop submitting but
-                        # keep draining what is already in flight below.
+        with ProcessPoolExecutor(max_workers=self.workers) as pool:
+            futures = {}
+            for position, chunk in enumerate(chunks):
+                try:
+                    futures[position] = pool.submit(_execute_chunk, chunk)
+                except BrokenExecutor as error:
+                    # The pool broke mid-submission; stop submitting but
+                    # keep draining what is already in flight below.
+                    submit_error = error
+                    break
+            for position, future in futures.items():
+                chunk = chunks[position]
+                try:
+                    for (index, _), outcome in zip(chunk, future.result()):
+                        outcomes[index] = outcome
+                except Exception as error:  # pool crash / transport failure
+                    # The whole chunk travelled (and died) together:
+                    # every scenario of it gets the pool fault.
+                    for index, scenario in chunk:
+                        if index not in outcomes:
+                            outcomes[index] = pool_fault(
+                                index, scenario, error
+                            )
+                    if isinstance(error, BrokenExecutor):
                         submit_error = error
-                        break
-                for position, future in futures.items():
-                    chunk = chunks[position]
-                    try:
-                        for (index, _), outcome in zip(chunk, future.result()):
-                            outcomes[index] = outcome
-                    except Exception as error:  # pool crash / transport failure
-                        # The whole chunk travelled (and died) together:
-                        # every scenario of it gets the pool fault.
-                        for index, scenario in chunk:
-                            if index not in outcomes:
-                                outcomes[index] = pool_fault(
-                                    index, scenario, error
-                                )
-                        if isinstance(error, BrokenExecutor):
-                            submit_error = error
-        finally:
-            # Covers every exit — clean completion, BrokenExecutor,
-            # KeyboardInterrupt — so no /dev/shm segment outlives the
-            # sweep even when workers crashed mid-flight.
-            for handle in handles.values():
-                shm.release(handle)
         if len(outcomes) < len(scenarios):
             # Scenarios that were never submitted because the pool broke:
             # fault them explicitly so the report stays complete.

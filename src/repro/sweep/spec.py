@@ -45,7 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-from repro.core.current import CURRENT_METHODS
+from repro.thermal.geometry import TileGrid
 from repro.thermal.solve import SOLVER_MODES
 from repro.thermal.stack import PackageStack
 from repro.utils import check_nonnegative, check_positive
@@ -144,11 +144,9 @@ class Scenario:
     num_groups:
         Pin-group count for ``multipin`` tasks; None gives every
         deployed device its own pin.
-    current_method / current_tolerance:
-        Problem 2 solver knobs forwarded to
-        :func:`~repro.core.current.minimize_peak_temperature`;
-        ``current_method`` is one of
-        :data:`~repro.core.current.CURRENT_METHODS`.
+    current_tolerance:
+        Absolute current tolerance (A) of every Problem 2 search the
+        task runs (:func:`~repro.core.current.minimize_peak_temperature`).
     max_rounds:
         Greedy-round budget for ``greedy`` / ``table1`` tasks, a whole
         number >= 0 (not a bool); None runs to the natural termination
@@ -181,7 +179,6 @@ class Scenario:
     rom_dim: int = None
     rom_tol: float = None
     num_groups: int = None
-    current_method: str = "golden"
     current_tolerance: float = 1.0e-4
     max_rounds: int = None
     backend: str = None
@@ -197,12 +194,6 @@ class Scenario:
             raise ValueError(
                 "max_rounds must be None or >= 0, got {}".format(
                     self.max_rounds
-                )
-            )
-        if self.current_method not in CURRENT_METHODS:
-            raise ValueError(
-                "current_method must be one of {}, got {!r}".format(
-                    CURRENT_METHODS, self.current_method
                 )
             )
         if self.backend is not None and self.backend not in SOLVER_MODES:
@@ -342,13 +333,25 @@ class Scenario:
     def check_chip(self):
         """Check the fields that must fit the package (ValueError).
 
+        The chip must be one the worker can build: ``chiplets`` must
+        form a layout (:func:`~repro.thermal.chiplet.layout_from_plain`
+        refuses overlapping footprints) and an explicit grid must fit
+        under the default package's spreader
+        (:meth:`~repro.thermal.stack.PackageStack.validate_for_die`).
         ``tec_tiles`` must index the geometry's :attr:`num_tiles` tiles
         and ``limit_c`` must be a finite temperature above the package
         ambient.  The single-chip HTTP endpoints run this before any
         build and answer 400; a sweep and the serve process tier leave
-        both to the worker, where a bad value fails only its own
+        all of it to the worker, where a bad value fails only its own
         scenario (captured in its report or answered 422).
         """
+        if self.chiplets is not None:
+            from repro.thermal.chiplet import layout_from_plain
+
+            layout_from_plain(self.chiplets)
+        elif self.power_map is not None:
+            grid = TileGrid(self.rows, self.cols)
+            PackageStack().validate_for_die(max(grid.width, grid.height))
         if self.tec_tiles is not None:
             check_tile_indices(self.tec_tiles, self.num_tiles)
         if self.limit_c is not None:
@@ -422,7 +425,7 @@ class SweepSpec:
     # ------------------------------------------------------------------
 
     @classmethod
-    def table1(cls, names=None, *, current_method="golden", max_rounds=None):
+    def table1(cls, names=None, *, max_rounds=None):
         """One ``table1`` scenario per Table I benchmark row."""
         from repro.experiments.benchmarks import benchmark_names
 
@@ -430,7 +433,6 @@ class SweepSpec:
         return cls(
             scenarios=[
                 Scenario(name=name, task="table1", benchmark=name,
-                         current_method=current_method,
                          max_rounds=max_rounds)
                 for name in names
             ],
@@ -458,8 +460,7 @@ class SweepSpec:
     @classmethod
     def device_grid(cls, benchmark, tec_tiles, *,
                     seebeck_factors=(0.5, 1.0, 1.5),
-                    resistance_factors=(0.5, 1.0, 2.0),
-                    current_method="golden"):
+                    resistance_factors=(0.5, 1.0, 2.0)):
         """Problem 2 re-optimization across a device-parameter grid.
 
         The deployment is held fixed (normally the base device's greedy
@@ -474,7 +475,6 @@ class SweepSpec:
                 seebeck_factor=float(sf),
                 resistance_factor=float(rf),
                 tec_tiles=tuple(tec_tiles),
-                current_method=current_method,
             )
             for sf, rf in itertools.product(seebeck_factors, resistance_factors)
         ]

@@ -23,14 +23,12 @@ bit-identical reports.
 
 from __future__ import annotations
 
-import pickle
 import time
 import traceback
 from collections import OrderedDict
 
 import numpy as np
 
-from repro.sweep import shm
 from repro.sweep.report import ScenarioError, ScenarioResult
 
 #: Per-process caches (worker lifetime).  Keyed so that results are
@@ -40,15 +38,8 @@ from repro.sweep.report import ScenarioError, ScenarioResult
 #: worker would answer one backend's scenario with the other's solver.
 _GEOMETRY = {}   # geometry_key -> first CoolingSystemProblem built for it
 _PROBLEMS = {}   # (geometry_key, limit_c, backend) -> CoolingSystemProblem
-_OPTIMA = {}     # (geometry_key, limit_c, backend, tiles, method, tol)
+_OPTIMA = {}     # (geometry_key, limit_c, backend, tiles, tol)
                  #   -> (optimum, p_at_opt)
-
-#: Shared-memory problem broadcast (zero-copy dispatch): geometry_key
-#: -> :class:`~repro.sweep.shm.SharedProblemHandle` published by the
-#: runner.  Consulted on a ``_GEOMETRY`` miss before building from the
-#: scenario payload; results are bit-identical either way (blueprint
-#: replay), the broadcast only removes the per-worker full build.
-_SHARED_HANDLES = {}
 
 
 def clear_caches():
@@ -56,19 +47,6 @@ def clear_caches():
     _GEOMETRY.clear()
     _PROBLEMS.clear()
     _OPTIMA.clear()
-    _SHARED_HANDLES.clear()
-    shm.clear_worker_cache()
-
-
-def install_shared_handles(handles):
-    """Adopt the runner's published segment handles (worker side).
-
-    ``handles`` maps geometry keys to
-    :class:`~repro.sweep.shm.SharedProblemHandle` records; later
-    installs overwrite earlier ones key-by-key.
-    """
-    if handles:
-        _SHARED_HANDLES.update(handles)
 
 
 def _limit_for(scenario):
@@ -152,10 +130,6 @@ def problem_for(scenario):
     if problem is None:
         base = _GEOMETRY.get(key)
         if base is None:
-            base = _shared_problem(key)
-            if base is not None:
-                _GEOMETRY[key] = base
-        if base is None:
             problem = _build_problem(scenario, limit)
             _GEOMETRY[key] = problem
         else:
@@ -164,22 +138,6 @@ def problem_for(scenario):
                 problem = problem.with_solver_mode(backend)
         _PROBLEMS[(key, limit, backend)] = problem
     return problem
-
-
-def _shared_problem(key):
-    """The broadcast problem for a geometry key, or None.
-
-    A missing/vanished segment (the runner released it, or publishing
-    failed) is treated as a plain cache miss: the worker rebuilds from
-    the scenario payload, so sharing is strictly an optimization.
-    """
-    handle = _SHARED_HANDLES.get(key)
-    if handle is None:
-        return None
-    try:
-        return shm.load(handle)
-    except (FileNotFoundError, pickle.UnpicklingError, OSError):
-        return None
 
 
 def _optimum_for(scenario, model):
@@ -196,15 +154,12 @@ def _optimum_for(scenario, model):
         _limit_for(scenario),
         _backend_for(scenario),
         scenario.tec_tiles,
-        scenario.current_method,
         scenario.current_tolerance,
     )
     cached = _OPTIMA.get(key)
     if cached is None:
         optimum = minimize_peak_temperature(
-            model,
-            method=scenario.current_method,
-            tolerance=scenario.current_tolerance,
+            model, tolerance=scenario.current_tolerance
         )
         p_at_opt = model.solve(optimum.current).tec_input_power_w()
         cached = (optimum, p_at_opt)
@@ -221,7 +176,6 @@ def _greedy_values(scenario, problem):
 
     result = greedy_deploy(
         problem,
-        current_method=scenario.current_method,
         current_tolerance=scenario.current_tolerance,
         max_rounds=scenario.max_rounds,
     )
@@ -258,11 +212,7 @@ def _task_table1(scenario, problem):
     from repro.core.baselines import full_cover
 
     greedy, values = _greedy_values(scenario, problem)
-    baseline = full_cover(
-        problem,
-        current_method=scenario.current_method,
-        current_tolerance=scenario.current_tolerance,
-    )
+    baseline = full_cover(problem, current_tolerance=scenario.current_tolerance)
     values.update(
         {
             "fullcover_min_peak_c": float(baseline.min_peak_c),
@@ -524,18 +474,13 @@ def run_scenario(index, scenario):
     )
 
 
-def execute(index, scenario, shared=None):
+def execute(index, scenario):
     """Fault-tolerant entry point used by the runner backends.
 
     Returns a :class:`ScenarioResult` on success or a
     :class:`ScenarioError` capturing the exception — never raises.
-    ``shared`` optionally carries the runner's published
-    shared-memory handles (geometry key ->
-    :class:`~repro.sweep.shm.SharedProblemHandle`); they are installed
-    into the per-process registry before the scenario runs.
     """
     try:
-        install_shared_handles(shared)
         return run_scenario(index, scenario)
     except Exception as error:  # noqa: BLE001 — captured by design
         return ScenarioError(

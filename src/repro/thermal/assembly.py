@@ -214,9 +214,8 @@ class NetworkBlueprint:
     deployment and every scale, so the assembled matrices of sibling
     models are exactly what a build of that deployment produces.  A
     blueprint is immutable once marked and recorded: it is shared by
-    sibling models, by :meth:`CoolingSystemProblem.with_limit` /
-    ``with_solver_mode`` siblings, and pickled for the sweep workers'
-    shared-memory broadcast.
+    sibling models and by :meth:`CoolingSystemProblem.with_limit` /
+    ``with_solver_mode`` siblings.
     """
 
     def __init__(self):

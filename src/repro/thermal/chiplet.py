@@ -207,10 +207,6 @@ class ChipletLayout:
         spec = self.chiplets[0]
         return spec.row_offset == 0 and spec.col_offset == 0
 
-    def with_stack(self, stack):
-        """Copy of the layout on a different package stack."""
-        return replace(self, stack=stack)
-
     def chiplet_tiles(self, chiplet):
         """Global flat tile indices of one chiplet (by index or name)."""
         if isinstance(chiplet, str):

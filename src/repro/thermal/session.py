@@ -1206,15 +1206,6 @@ class SolveSession:
         """Distinct shifts this session has handed out views for."""
         return len(self._views)
 
-    def stats_snapshot(self):
-        """Plain-dict copy of the session's counters.
-
-        Safe to hand across threads and serialize as-is — the serve
-        layer's ``/stats`` endpoint and the session pool report these
-        without touching the live (mutable) :class:`SolverStats`.
-        """
-        return self.stats.as_dict()
-
     def cache_info(self):
         """Aggregate cache occupancy across every view (plain data).
 

@@ -65,6 +65,16 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="unknown method"):
             minimize_peak_temperature(small_deployed, method="simplex")
 
+    def test_removed_brent_names_the_remaining_methods(self, small_deployed):
+        with pytest.raises(ValueError, match="golden, gradient, newton"):
+            minimize_peak_temperature(small_deployed, method="brent")
+
+    @pytest.mark.parametrize("method", ["golden", "gradient"])
+    def test_bounds_only_seed_newton(self, small_deployed, method):
+        with pytest.raises(ValueError, match="newton"):
+            minimize_peak_temperature(
+                small_deployed, method=method, bounds=(0.5, 1.5))
+
     def test_tolerance_validated(self, small_deployed):
         with pytest.raises(ValueError):
             minimize_peak_temperature(small_deployed, tolerance=0.0)

@@ -97,6 +97,11 @@ BAD_SOLVE_BODIES = [
     ({"backend": "krylov"}, "backend"),
     ({"backend": "cholesky"}, "backend"),
     ({"tec_tiles": [5.7, True, 6, 9, 10]}, "tec_tiles"),
+    # Chips the package cannot hold: a die wider than the default
+    # spreader, and two chiplets on the same tiles.
+    ({"rows": 40, "cols": 40, "power_map": [0.08] * 1600}, "spreader"),
+    ({"rows": None, "cols": None, "power_map": None,
+      "chiplets": [[4, 4, 0, 0, 5.0], [4, 4, 0, 2, 5.0]]}, "overlap"),
 ]
 
 
@@ -116,7 +121,11 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "overrides, fragment",
-        BAD_DEPLOY_SETTINGS + [({"engine": "cold"}, "unknown field(s)")],
+        BAD_DEPLOY_SETTINGS + [
+            ({"engine": "cold"}, "unknown field(s)"),
+            ({"current_method": "golden"},
+             "unknown field(s) in /deploy body: current_method"),
+        ],
     )
     def test_deploy_rejects_bad_settings_with_400(self, overrides, fragment):
         async def scenario(app):
@@ -138,6 +147,20 @@ class TestBadInput:
         status, body = with_app(scenario)
         assert status == 400
         assert "tec_tiles entry 16" in body["error"]
+
+    def test_transient_rejects_a_die_wider_than_the_spreader(self):
+        async def scenario(app):
+            status, body = await asgi_request(
+                app, "POST", "/transient",
+                small_solve_body(rows=40, cols=40, power_map=[0.08] * 1600,
+                                 dt=1e-3, steps=2),
+            )
+            return status, body, len(app.pool)
+
+        status, body, pooled = with_app(scenario)
+        assert status == 400
+        assert "spreader" in body["error"]
+        assert pooled == 0
 
     def test_transient_rejects_fractional_steps(self):
         async def scenario(app):
@@ -475,8 +498,15 @@ class TestDefaultBackend:
     def test_removed_batch_window_field_is_refused(self):
         from repro.serve import ServeConfig
 
-        with pytest.raises(ValueError, match="unknown config field"):
-            ServeConfig.from_dict({"batch_window_s": 0.005})
+        with pytest.raises(TypeError, match="batch_window_s"):
+            ServeConfig(batch_window_s=0.005)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_nonpositive_threads_rejected(self, threads):
+        from repro.serve import ServeConfig
+
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            ServeConfig(threads=threads)
 
     def test_invalid_default_backend_rejected(self):
         import pytest

@@ -141,10 +141,9 @@ class TestParseDeploy:
 
     def test_deploy_settings_forwarded(self):
         scenario = parse_deploy(small_deploy_body(
-            max_rounds=2, current_method="brent", current_tolerance=1e-5,
+            max_rounds=2, current_tolerance=1e-5,
         ))
         assert scenario.max_rounds == 2
-        assert scenario.current_method == "brent"
         assert scenario.current_tolerance == 1e-5
 
     @pytest.mark.parametrize("overrides, fragment", BAD_DEPLOY_SETTINGS)
@@ -191,6 +190,13 @@ class TestParseSweep:
         entry = {"name": "e", "task": "greedy", "benchmark": "alpha",
                  "engine": "cold"}
         with pytest.raises(SchemaError, match=r"unknown field\(s\).*engine"):
+            parse_sweep({"scenarios": [entry]})
+
+    def test_current_method_field_rejected(self):
+        entry = {"name": "c", "task": "greedy", "benchmark": "alpha",
+                 "current_method": "golden"}
+        with pytest.raises(SchemaError,
+                           match=r"unknown field\(s\).*current_method"):
             parse_sweep({"scenarios": [entry]})
 
     @pytest.mark.parametrize("overrides, fragment", BAD_DEPLOY_SETTINGS)

@@ -447,7 +447,7 @@ class TestOrdering:
         assert isinstance(report.results[0], ScenarioResult)
 
 
-def _crashing_execute(index, scenario, shared=None):
+def _crashing_execute(index, scenario):
     """Pool-crash stand-in for ``worker.execute``: hard-kills the worker
     process on the marked scenario (bypassing the worker's exception
     capture) and delegates everything else."""
@@ -455,7 +455,7 @@ def _crashing_execute(index, scenario, shared=None):
         import os as worker_os
 
         worker_os._exit(17)
-    return sweep_worker.execute(index, scenario, shared)
+    return sweep_worker.execute(index, scenario)
 
 
 class TestPoolCrashPreservesResults:

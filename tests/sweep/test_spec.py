@@ -7,8 +7,10 @@ from repro.sweep import TASKS, Scenario, SweepSpec
 
 #: GreedyDeploy settings a scenario must refuse, with the field the
 #: message names (the serve tests send the same inputs over HTTP).
+#: ``current_method`` is no longer a field, so even its old default is
+#: refused (a TypeError naming it).
 BAD_DEPLOY_SETTINGS = [
-    ({"current_method": "warp"}, "current_method"),
+    ({"current_method": "golden"}, "current_method"),
     ({"max_rounds": 2.7}, "max_rounds"),
     ({"max_rounds": True}, "max_rounds"),
 ]
@@ -127,7 +129,7 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("overrides, fragment", BAD_DEPLOY_SETTINGS)
     def test_bad_deploy_settings_rejected(self, overrides, fragment):
-        with pytest.raises(ValueError, match=fragment):
+        with pytest.raises((TypeError, ValueError), match=fragment):
             _explicit(**overrides)
 
     def test_solve_needs_current(self):

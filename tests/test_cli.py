@@ -361,6 +361,45 @@ class TestRoundsAndEngine:
         assert "round 0:" in out
 
 
+#: Bad inputs that once escaped as tracebacks, with the fragment the
+#: refusal names.  What argparse can check alone (benchmark names, the
+#: port) exits 2 at parse time; a value the library refuses later
+#: exits 1 with ``repro <command>: error: <message>``.
+BAD_ARGUMENTS = [
+    (["solve", "--benchmark", "nope"], "nope"),
+    (["runaway", "--benchmark", "nope"], "nope"),
+    (["transient", "--benchmark", "nope"], "nope"),
+    (["table1", "--benchmarks", "nope"], "nope"),
+    (["sweep", "--budgets", "-1"], "-1"),
+    (["transient", "--dt", "nan"], "--dt"),
+    (["transient", "--rom", "always", "--rom-dim", "0"], "dim must be >= 1"),
+    (["chiplet", "--board-resistance", "-1"], "board_resistance"),
+    (["validate", "--refine", "0"], "refine"),
+    (["conjecture", "--min-size", "5", "--max-size", "2"], "(5, 2)"),
+    (["serve", "--threads", "0"], "threads"),
+    (["serve", "--port", "-1"], "--port"),
+]
+
+
+class TestBadInputBoundary:
+    @pytest.mark.parametrize(
+        "argv, fragment", BAD_ARGUMENTS,
+        ids=[" ".join(argv) for argv, _ in BAD_ARGUMENTS],
+    )
+    def test_refused_with_a_message_not_a_traceback(self, capsys, argv,
+                                                     fragment):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        code = excinfo.value.code
+        captured = capsys.readouterr()
+        # argparse prints its message and exits 2; main() carries the
+        # message in the SystemExit itself (exit code 1 when raised).
+        message = code if isinstance(code, str) else captured.err
+        assert code not in (0, None)
+        assert fragment in message
+        assert "Traceback" not in captured.out + captured.err + message
+
+
 class TestSweepBackend:
     def test_backend_flag_pins_scenarios(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
