@@ -55,7 +55,7 @@ from repro.core.problem import CoolingSystemProblem
 from repro.io.results import bench_report_to_json
 from repro.linalg.spd import cholesky_is_spd
 from repro.thermal.geometry import TileGrid
-from repro.thermal.solve import SteadyStateSolver
+from repro.thermal.session import SolveSession
 from repro.thermal.stack import PackageStack
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -156,7 +156,7 @@ def _safe_currents(system):
 
 
 def _time_backend(system, backend, currents):
-    solver = SteadyStateSolver(system, mode=backend)
+    solver = SolveSession(system, mode=backend).view(None)
     # The previous backend's session (large LU factors) dies through
     # cycle collection; sweep it now so the decay doesn't land inside
     # this backend's measurement.

@@ -108,8 +108,7 @@ def _run_loop(backend, tiles):
     A fresh problem per call so the two backends never share solver
     caches or stats.
     """
-    problem = load_benchmark("alpha")
-    problem.configure_solver(mode=backend)
+    problem = load_benchmark("alpha").with_solver_mode(backend)
     model = problem.model(tiles)
     controller = PiController(_LOOP_SETPOINT_C, kp=1.0, ki=0.5, i_max=8.0)
     sensors = SensorArray(tiles, noise_std_c=0.0, quantization_c=0.0, seed=0)

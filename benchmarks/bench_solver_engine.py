@@ -24,10 +24,21 @@ from pathlib import Path
 import pytest
 
 from repro.core.deploy import greedy_deploy
-from repro.experiments.benchmarks import load_benchmark
+from repro.core.problem import CoolingSystemProblem
+from repro.experiments.benchmarks import BENCHMARKS, load_benchmark
 from repro.io.results import bench_report_to_json
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _legacy_problem():
+    """Alpha on the pre-engine configuration: one direct factorization
+    per current and a from-scratch build of every model."""
+    spec = BENCHMARKS["alpha"]
+    return CoolingSystemProblem.from_floorplan(
+        spec.floorplan(), max_temperature_c=spec.limit_c, name=spec.name,
+        solver_mode="direct", incremental_assembly=False,
+    )
 
 
 def _timed_greedy(problem):
@@ -44,10 +55,7 @@ def engine_run():
 
 @pytest.fixture(scope="module")
 def legacy_run():
-    problem = load_benchmark("alpha").configure_solver(
-        mode="direct", incremental=False
-    )
-    return _timed_greedy(problem)
+    return _timed_greedy(_legacy_problem())
 
 
 @pytest.fixture(scope="module")
@@ -118,10 +126,7 @@ def test_greedy_deploy_solve_engine_timing(benchmark):
 @pytest.mark.benchmark(group="solver-engine")
 def test_greedy_deploy_legacy_timing(benchmark):
     def run():
-        problem = load_benchmark("alpha").configure_solver(
-            mode="direct", incremental=False
-        )
-        return greedy_deploy(problem)
+        return greedy_deploy(_legacy_problem())
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.feasible

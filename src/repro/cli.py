@@ -42,8 +42,8 @@ import sys
 from repro import __version__
 from repro.utils.validate import check_nonnegative, check_tile_indices
 
-#: Solver backends exposed by ``--backend`` / ``--solver-mode``.
-#: Mirrors :data:`repro.thermal.solve.SOLVER_MODES` without importing
+#: Solver backends exposed by ``--backend``.
+#: Mirrors :data:`repro.thermal.session.SOLVER_MODES` without importing
 #: the scientific stack at parser-build time; unknown backends fail at
 #: parse time with this list, uniformly across every subcommand
 #: (``tests/test_cli.py::TestBackendValidation``).
@@ -55,18 +55,17 @@ _BACKENDS = ("direct", "reuse", "mg", "auto")
 _ROM_MODES = ("auto", "always", "off")
 
 
-def add_backend_argument(parser, *, flags=("--backend",), dest="backend", help=None):
+def add_backend_argument(parser, *, help=None):
     """Register the shared ``--backend`` choice on a (sub)parser.
 
     Every subcommand that selects a solver backend (``sweep``,
-    ``solve``, ``transient``, ``control``, ``serve``) goes through this
-    helper, so the choice list exists in exactly one place and an
-    unknown backend fails identically everywhere.  ``flags``/``dest``
-    accommodate the ``--solver-mode`` alias, ``help`` the per-command
-    phrasing.
+    ``solve``, ``transient``, ``control``, ``chiplet``, ``serve``) goes
+    through this helper, so the choice list exists in exactly one place
+    and an unknown backend fails identically everywhere; ``help``
+    carries the per-command phrasing.
     """
     parser.add_argument(
-        *flags, dest=dest, choices=list(_BACKENDS), default=None,
+        "--backend", choices=list(_BACKENDS), default=None,
         help=help or "solver backend (default: the problem default, 'reuse')",
     )
 
@@ -127,16 +126,14 @@ def _workers_count(text):
 
 def _benchmark_name(text):
     """argparse type for ``--benchmark`` / ``--benchmarks``: a
-    registered Table I name (the registry is imported lazily)."""
-    from repro.experiments.benchmarks import BENCHMARKS
+    registered Table I name, checked by the same rule as a sweep
+    scenario (the registry is imported lazily)."""
+    from repro.experiments.benchmarks import check_benchmark_name
 
-    if text not in BENCHMARKS:
-        raise argparse.ArgumentTypeError(
-            "unknown benchmark {!r} (choose from {})".format(
-                text, ", ".join(sorted(BENCHMARKS))
-            )
-        )
-    return text
+    try:
+        return check_benchmark_name(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error))
 
 
 def _port_number(text):
@@ -388,13 +385,9 @@ def _cmd_solve(args):
     from repro.core.deploy import greedy_deploy
     from repro.io.results import deployment_to_dict
 
-    problem = _load_problem(args)
+    problem = _with_backend(_load_problem(args), args)
     if args.limit is not None:
         problem = problem.with_limit(args.limit)
-    if args.solver_mode is not None or args.solver_cache_size is not None:
-        problem.configure_solver(
-            mode=args.solver_mode, cache_size=args.solver_cache_size
-        )
 
     result = greedy_deploy(problem, max_rounds=args.max_rounds)
     print("problem: {} (limit {:.1f} C)".format(problem.name, problem.max_temperature_c))
@@ -437,25 +430,31 @@ def _load_problem(args):
     with open(args.powers) as handle:
         unit_powers = json.load(handle)
     grid = TileGrid(args.rows, args.cols)
-    floorplan = floorplan_from_flp(args.flp, grid, unit_powers)
+    try:
+        floorplan = floorplan_from_flp(args.flp, grid, unit_powers)
+    except KeyError as error:
+        # A unit of the .flp without a power is bad input, not a bug.
+        raise ValueError(error.args[0]) from None
     return CoolingSystemProblem.from_floorplan(floorplan, name=args.flp)
 
 
+def _with_backend(problem, args):
+    """``problem`` on the ``--backend`` solver, when one is given."""
+    if args.backend is None:
+        return problem
+    return problem.with_solver_mode(args.backend)
+
+
 def _add_solver_options(parser):
-    """The shared solver-backend flags (``solve``/``transient``/``control``)."""
+    """The shared solver flags (``solve``/``transient``/``control``/
+    ``chiplet``)."""
     add_backend_argument(
         parser,
-        flags=("--backend", "--solver-mode"),
-        dest="solver_mode",
         help="steady-state solver backend: 'reuse' (condensed onto the "
              "TEC support, default), 'direct' (one sparse SPD "
              "factorization per distinct current), 'mg' "
              "(multigrid-preconditioned CG), or 'auto' (mg on large "
              "grids, else reuse vs direct by support size)",
-    )
-    parser.add_argument(
-        "--solver-cache-size", type=int, default=None,
-        help="per-current factorization/solution cache size (default 8)",
     )
     parser.add_argument(
         "--solver-stats", action="store_true",
@@ -472,11 +471,7 @@ def _deployed_model(args):
     """
     from repro.experiments.benchmarks import load_benchmark
 
-    problem = load_benchmark(args.benchmark)
-    if args.solver_mode is not None or args.solver_cache_size is not None:
-        problem.configure_solver(
-            mode=args.solver_mode, cache_size=args.solver_cache_size
-        )
+    problem = _with_backend(load_benchmark(args.benchmark), args)
     greedy = None
     if args.tiles:
         tiles = check_tile_indices(args.tiles, problem.grid.num_tiles, "--tiles")
@@ -984,13 +979,12 @@ def _cmd_chiplet(args):
             from dataclasses import replace as _replace
 
             layout = _replace(layout, interposer=None)
-    problem = CoolingSystemProblem.from_chiplet_layout(
-        layout, max_temperature_c=args.limit, name="chiplet",
+    problem = _with_backend(
+        CoolingSystemProblem.from_chiplet_layout(
+            layout, max_temperature_c=args.limit, name="chiplet",
+        ),
+        args,
     )
-    if args.solver_mode is not None or args.solver_cache_size is not None:
-        problem.configure_solver(
-            mode=args.solver_mode, cache_size=args.solver_cache_size
-        )
 
     grid = layout.composite_grid()
     print("package: {} chiplet(s), {} tiles on a {}x{} lattice, {:.1f} W".format(
@@ -1186,10 +1180,10 @@ def main(argv=None):
 
     Flags argparse can check alone (names, counts, ports) fail at parse
     time with exit code 2.  A value refused later — a ``ValueError``
-    from the library, or a current at or beyond a deployment's runaway
-    limit (e.g. ``transient --current`` past ``lambda_m``) — exits with
-    code 1 and ``repro <command>: error: <message>``, never a
-    traceback.
+    from the library, an input file that cannot be read (``OSError``),
+    or a current at or beyond a deployment's runaway limit (e.g.
+    ``transient --current`` past ``lambda_m``) — exits with code 1 and
+    ``repro <command>: error: <message>``, never a traceback.
     """
     from repro.thermal.session import SingularSystemError
 
@@ -1197,7 +1191,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SingularSystemError, ValueError) as error:
+    except (SingularSystemError, ValueError, OSError) as error:
         raise SystemExit("repro {}: error: {}".format(args.command, error))
 
 

@@ -83,7 +83,7 @@ class CurrentOptimizationResult:
     history:
         Optional list of ``(current, peak_c)`` pairs visited.
     stats:
-        :class:`~repro.thermal.solve.SolverStats` delta accumulated by
+        :class:`~repro.thermal.session.SolverStats` delta accumulated by
         the model's solve engine during this optimization.
     runaway_s / search_s:
         Wall-clock split: computing ``lambda_m`` (zero when injected

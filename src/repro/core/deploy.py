@@ -74,7 +74,7 @@ class DeploymentResult:
     problem / model:
         The problem instance and the final deployed model.
     solver_stats:
-        :class:`~repro.thermal.solve.SolverStats` delta accumulated by
+        :class:`~repro.thermal.session.SolverStats` delta accumulated by
         the problem's solve engine over the whole run (None when the
         problem does not expose shared stats).
     deploy_stats:
@@ -202,6 +202,7 @@ def greedy_deploy(problem, *, current_tolerance=1.0e-4, max_rounds=None):
             phase_start = time.perf_counter()
             model = problem.model(deployment)
             round_stats.assembly_s = time.perf_counter() - phase_start
+            solved = model.runaway_solved
             optimum = minimize_peak_temperature(
                 model, tolerance=current_tolerance
             )
@@ -212,7 +213,8 @@ def greedy_deploy(problem, *, current_tolerance=1.0e-4, max_rounds=None):
             round_stats.current_opt_s = optimum.search_s
             round_stats.evaluations = optimum.evaluations
             round_stats.lambda_m = optimum.lambda_m
-            deploy_stats.runaway_dense += 1
+            if not solved:
+                deploy_stats.runaway_dense += 1
             vector = None
         phase_start = time.perf_counter()
         offenders = problem.tiles_above_limit(state)

@@ -13,12 +13,13 @@ from the round before:
    node renumbering by stable node *names* — seeds a few shift-
    inverted inverse iterations through the round's own solves,
    replacing the dense eigensolve.  After a cold round the vector is
-   read off that round's eigenproblem (under ``reuse`` the condensed
-   pencil it already built, plus one lift solve).  The Rayleigh
-   quotient certifies an upper bound on ``lambda_m``; if it overshoots
-   past the safety margin, the resulting :class:`SingularSystemError`
-   is caught, the exact eigenvalue recomputed and the round's search
-   rerun on a cold bracket (``DeployStats.runaway_rescues``).
+   the one that round's exact eigensolve kept on its model
+   (``runaway_eigenpair()``), so no eigenproblem is solved twice.  The
+   Rayleigh quotient certifies an upper bound on ``lambda_m``; if it
+   overshoots past the safety margin, the resulting
+   :class:`SingularSystemError` is caught, the exact eigenvalue
+   recomputed and the round's search rerun on a cold bracket
+   (``DeployStats.runaway_rescues``).
 2. **Warm-started Problem 2**: the previous optimum, scaled by the
    ``lambda_m`` ratio, brackets the next one, and the slope root-find
    (``method="newton"``) converges in a handful of evaluations.
@@ -49,11 +50,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from repro.core.current import minimize_peak_temperature, polish_current
-from repro.linalg.runaway import (
-    runaway_current_eigen,
-    runaway_current_shift_invert,
-)
-from repro.thermal.solve import SingularSystemError
+from repro.linalg.runaway import runaway_current_shift_invert
+from repro.thermal.session import SingularSystemError
+
+# Not called here: every exact bound reads the model's kept pair
+# (``model.runaway_eigenpair()``).  perfbench's ``runaway.eigen``
+# layer still looks the name up on this module.
+from repro.linalg.runaway import runaway_current_eigen  # noqa: F401
 
 
 @dataclass
@@ -106,8 +109,10 @@ class DeployStats:
     """Whole-run instrumentation for GreedyDeploy.
 
     ``rounds`` holds one :class:`RoundStats` per greedy round; the
-    counters aggregate across the run: exact (``runaway_dense``) and
-    warm (``runaway_warm``) runaway bounds, warm seeds that fell back
+    counters aggregate across the run: exact runaway eigensolves
+    (``runaway_dense``; a model answers repeats from its kept pair, so
+    a model cached from an earlier run adds none) and warm
+    (``runaway_warm``) runaway bounds, warm seeds that fell back
     to the exact eigensolve, rescued warm searches, warm-bracket
     searches and the final polish's evaluations.
     """
@@ -203,22 +208,16 @@ def _map_vector(vector, names, model):
 
 
 def _exact_runaway(model, stats=None):
-    """Exact ``lambda_m`` + eigenvector, riding cached solver state.
-
-    In (effective) reuse mode the eigenproblem reads the solve
-    session's condensed pencil (:meth:`PackageThermalModel.runaway_condensed`)
-    — zero additional factorizations.  Other backends pay one
-    standalone sparse LU inside :func:`runaway_current_eigen`.
+    """Exact ``lambda_m`` + eigenvector: the model's kept
+    :meth:`~PackageThermalModel.runaway_eigenpair`, solved here only on
+    a model that has none (counted in ``stats.runaway_dense``).  Under
+    (effective) reuse it reads the session's condensed pencil — zero
+    additional factorizations; other backends pay one standalone
+    sparse factorization of ``G``.
     """
-    if stats is not None:
+    if stats is not None and not model.runaway_solved:
         stats.runaway_dense += 1
-    result, vector = runaway_current_eigen(
-        model.system.g_matrix,
-        model.system.d_diagonal,
-        return_vector=True,
-        condensed=model.runaway_condensed(),
-        lattice=model.system.lattice,
-    )
+    result, vector = model.runaway_eigenpair()
     return result.value, vector, "eigen", 0
 
 
@@ -256,7 +255,7 @@ def warm_round(problem, deployment, previous, round_stats, stats, *,
     ``previous`` is ``(model, optimum, vector)`` of the round before:
     its model, its :class:`~repro.core.current.CurrentOptimizationResult`
     and its runaway eigenvector, None after a cold round (the vector is
-    then read off that round's eigenproblem here).  The slope
+    then the one kept on that round's model).  The slope
     root-find runs inside the previous optimum's bracket; without one,
     and in the rescue, the search is the cold golden section.  Fills
     ``round_stats`` and ``stats``; returns ``(model, optimum, state,

@@ -15,9 +15,10 @@ import numpy as np
 from repro.power.floorplan import Floorplan
 from repro.tec.materials import chowdhury_thin_film_tec
 from repro.thermal.model import CompositeThermalModel, PackageThermalModel
-from repro.thermal.solve import SOLVER_MODES, SolverStats
+from repro.thermal.session import SOLVER_MODES, SolverStats
 from repro.thermal.stack import PackageStack
 from repro.utils import check_finite
+from repro.utils.validate import check_limit
 
 
 class CoolingSystemProblem:
@@ -32,7 +33,8 @@ class CoolingSystemProblem:
         Worst-case power per tile (W), flat row-major.
     max_temperature_c:
         The limit ``theta_max`` the peak tile temperature must not
-        exceed (85 C in most Table I rows).
+        exceed (85 C in most Table I rows); a finite temperature above
+        the package ambient.
     stack:
         :class:`~repro.thermal.stack.PackageStack` (defaults to the
         calibrated package).
@@ -43,17 +45,17 @@ class CoolingSystemProblem:
         Label used in reports.
     solver_mode:
         Steady-state solver backend for every model built by this
-        problem — one of :data:`~repro.thermal.solve.SOLVER_MODES`:
+        problem — one of :data:`~repro.thermal.session.SOLVER_MODES`:
         ``"reuse"`` (default — one sparse LU per deployment with the TEC
         support last, condensed ``m x m`` work across currents),
         ``"direct"`` (one sparse SPD factorization per distinct
         current; refuses currents at or beyond ``lambda_m``),
         ``"mg"`` (multigrid-preconditioned CG, one hierarchy per view)
         or ``"auto"`` (per assembled system: ``mg`` from
-        :data:`~repro.thermal.solve.MG_NODE_CROSSOVER` nodes on, else
-        reuse vs direct from the support size).
-    solver_cache_size:
-        Per-current cache size forwarded to the solver.
+        :data:`~repro.thermal.session.MG_NODE_CROSSOVER` nodes on, else
+        reuse vs direct from the support size).  Fixed once the
+        problem is built; :meth:`with_solver_mode` makes a sibling on
+        another backend.
     incremental_assembly:
         When True (default), the first model records a
         :class:`~repro.thermal.assembly.NetworkBlueprint` and every
@@ -61,7 +63,7 @@ class CoolingSystemProblem:
 
     All solver/build instrumentation aggregates in
     :attr:`solver_stats`, a shared
-    :class:`~repro.thermal.solve.SolverStats`.
+    :class:`~repro.thermal.session.SolverStats`.
     """
 
     def __init__(
@@ -74,7 +76,6 @@ class CoolingSystemProblem:
         device=None,
         name="unnamed",
         solver_mode="reuse",
-        solver_cache_size=8,
         incremental_assembly=True,
     ):
         self.grid = grid
@@ -87,16 +88,12 @@ class CoolingSystemProblem:
             )
         if np.any(self.power_map < 0.0):
             raise ValueError("power_map entries must be non-negative")
-        self.max_temperature_c = float(max_temperature_c)
         self.stack = stack if stack is not None else PackageStack()
+        self.max_temperature_c = check_limit(
+            max_temperature_c, self.stack.ambient_c, "max_temperature_c"
+        )
         self.device = device if device is not None else chowdhury_thin_film_tec()
         self.name = str(name)
-        if not self.max_temperature_c > self.stack.ambient_c:
-            raise ValueError(
-                "limit {} C not above ambient {} C — unachievable".format(
-                    self.max_temperature_c, self.stack.ambient_c
-                )
-            )
         if solver_mode not in SOLVER_MODES:
             raise ValueError(
                 "solver_mode must be one of {}, got {!r}".format(
@@ -104,7 +101,6 @@ class CoolingSystemProblem:
                 )
             )
         self.solver_mode = solver_mode
-        self.solver_cache_size = solver_cache_size
         self.incremental_assembly = bool(incremental_assembly)
         self.solver_stats = SolverStats()
         self._model_cache = {}
@@ -115,34 +111,6 @@ class CoolingSystemProblem:
         #: layouts, which take the exact single-die code path).
         self._layout = None
 
-    def configure_solver(self, *, mode=None, cache_size=None, incremental=None):
-        """Reconfigure the solve engine; drops cached models/blueprints.
-
-        Keyword-only knobs mirror the constructor's ``solver_mode``,
-        ``solver_cache_size`` and ``incremental_assembly``.  Counters in
-        :attr:`solver_stats` are reset so runs under different
-        configurations can be compared.  Returns ``self``.
-        """
-        if mode is not None:
-            if mode not in SOLVER_MODES:
-                raise ValueError(
-                    "mode must be one of {}, got {!r}".format(SOLVER_MODES, mode)
-                )
-            self.solver_mode = mode
-        if cache_size is not None:
-            cache_size = int(cache_size)
-            if cache_size < 1:
-                raise ValueError(
-                    "cache_size must be >= 1, got {}".format(cache_size)
-                )
-            self.solver_cache_size = cache_size
-        if incremental is not None:
-            self.incremental_assembly = bool(incremental)
-        self.solver_stats = SolverStats()
-        self._model_cache = {}
-        self._blueprint = None
-        return self
-
     @classmethod
     def from_floorplan(cls, floorplan, *, max_temperature_c=85.0, stack=None,
                        device=None, name=None, **solver_kwargs):
@@ -150,8 +118,7 @@ class CoolingSystemProblem:
 
         The floorplan's rasterized worst-case power map becomes the
         power profile.  Extra keyword arguments (``solver_mode``,
-        ``solver_cache_size``, ``incremental_assembly``) are forwarded
-        to the constructor.
+        ``incremental_assembly``) are forwarded to the constructor.
         """
         if not isinstance(floorplan, Floorplan):
             raise TypeError(
@@ -240,7 +207,6 @@ class CoolingSystemProblem:
                     device=self.device,
                     blueprint=self._blueprint,
                     solver_mode=self.solver_mode,
-                    solver_cache_size=self.solver_cache_size,
                     solver_stats=self.solver_stats,
                 )
             else:
@@ -252,7 +218,6 @@ class CoolingSystemProblem:
                     device=self.device,
                     blueprint=self._blueprint,
                     solver_mode=self.solver_mode,
-                    solver_cache_size=self.solver_cache_size,
                     solver_stats=self.solver_stats,
                 )
             if self.incremental_assembly and self._blueprint is None:
@@ -294,20 +259,7 @@ class CoolingSystemProblem:
         blueprint (temperature limits do not enter the matrices), but
         gets fresh stats and model caches.
         """
-        sibling = CoolingSystemProblem(
-            self.grid,
-            self.power_map,
-            max_temperature_c=max_temperature_c,
-            stack=self.stack,
-            device=self.device,
-            name=self.name,
-            solver_mode=self.solver_mode,
-            solver_cache_size=self.solver_cache_size,
-            incremental_assembly=self.incremental_assembly,
-        )
-        sibling._blueprint = self._blueprint
-        sibling._layout = self._layout
-        return sibling
+        return self._sibling(max_temperature_c=max_temperature_c)
 
     def with_solver_mode(self, solver_mode):
         """Copy of the problem running a different solver backend.
@@ -317,17 +269,21 @@ class CoolingSystemProblem:
         backend comparisons on the same floorplan skip the layer
         physics rebuild.
         """
-        sibling = CoolingSystemProblem(
-            self.grid,
-            self.power_map,
+        return self._sibling(solver_mode=solver_mode)
+
+    def _sibling(self, **changes):
+        """Copy of the problem with some constructor arguments changed,
+        sharing the recorded blueprint and the chiplet layout."""
+        settings = dict(
             max_temperature_c=self.max_temperature_c,
             stack=self.stack,
             device=self.device,
             name=self.name,
-            solver_mode=solver_mode,
-            solver_cache_size=self.solver_cache_size,
+            solver_mode=self.solver_mode,
             incremental_assembly=self.incremental_assembly,
         )
+        settings.update(changes)
+        sibling = CoolingSystemProblem(self.grid, self.power_map, **settings)
         sibling._blueprint = self._blueprint
         sibling._layout = self._layout
         return sibling

@@ -105,6 +105,22 @@ def benchmark_names():
     return list(BENCHMARKS)
 
 
+def check_benchmark_name(name):
+    """``name`` if it is a registered benchmark, else ValueError.
+
+    The one rule for benchmark names: the CLI's ``--benchmark`` flags,
+    :class:`~repro.sweep.spec.Scenario` and therefore every HTTP body
+    refuse an unknown name with this message.
+    """
+    if name not in BENCHMARKS:
+        raise ValueError(
+            "unknown benchmark {!r} (choose from {})".format(
+                name, ", ".join(sorted(BENCHMARKS))
+            )
+        )
+    return name
+
+
 def load_benchmark(name, *, stack=None, device=None):
     """Materialize a registered benchmark's problem by name."""
     try:

@@ -176,7 +176,7 @@ def runaway_current_shift_invert(
     ----------
     solve:
         Callable ``solve(current, rhs) -> (G - current D)^{-1} rhs`` —
-        typically ``SteadyStateSolver.solve_rhs``, so the iteration
+        typically a model's ``solver.solve_rhs``, so the iteration
         rides the engine's cached base factorization and per-current
         factors instead of building its own.
     g_matrix / d_matrix:

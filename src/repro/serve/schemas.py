@@ -26,6 +26,7 @@ HTTP 400 with the message in the body.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -48,21 +49,7 @@ GEOMETRY_FIELDS = (
 
 #: Full scenario vocabulary accepted inside ``/sweep`` bodies —
 #: exactly the :class:`~repro.sweep.spec.Scenario` fields.
-SCENARIO_FIELDS = GEOMETRY_FIELDS + (
-    "name",
-    "task",
-    "tec_tiles",
-    "current_a",
-    "budget_w",
-    "dt",
-    "steps",
-    "num_groups",
-    "current_tolerance",
-    "max_rounds",
-    "rom",
-    "rom_dim",
-    "rom_tol",
-)
+SCENARIO_FIELDS = tuple(field.name for field in dataclasses.fields(Scenario))
 
 
 class SchemaError(ValueError):
@@ -103,22 +90,11 @@ def _build_scenario(fields, where, *, check_chip=False):
 
 
 def _geometry_fields(payload):
-    fields = {
+    return {
         key: payload[key]
         for key in GEOMETRY_FIELDS
         if payload.get(key) is not None
     }
-    benchmark = fields.get("benchmark")
-    if benchmark is not None:
-        # Catch unknown names at parse time (HTTP 400); letting them
-        # through would surface as a KeyError deep in the worker (500).
-        from repro.experiments.benchmarks import BENCHMARKS
-
-        if benchmark not in BENCHMARKS:
-            raise SchemaError("unknown benchmark {!r} (choose from {})".format(
-                benchmark, ", ".join(sorted(BENCHMARKS))
-            ))
-    return fields
 
 
 def parse_solve(payload):

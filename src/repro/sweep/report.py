@@ -9,7 +9,7 @@ on the way back from :class:`~repro.sweep.runner.SweepRunner` workers.
 
 The :class:`SweepReport` aggregates the per-scenario records with
 wall-time/throughput metrics and the merged
-:class:`~repro.thermal.solve.SolverStats` of every scenario's solve
+:class:`~repro.thermal.session.SolverStats` of every scenario's solve
 engine.  JSON serialization lives in :mod:`repro.io.results`
 (``sweep_report_to_json`` / ``sweep_report_from_json``).
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.thermal.solve import SolverStats
+from repro.thermal.session import SolverStats
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class ScenarioResult:
     elapsed_s:
         Wall time of this scenario alone (inside its worker).
     solver_stats:
-        Per-scenario :class:`~repro.thermal.solve.SolverStats` delta as
+        Per-scenario :class:`~repro.thermal.session.SolverStats` delta as
         a plain dict (None when the scenario ran no solver).
     """
 
@@ -194,7 +194,7 @@ class SweepReport:
         raise KeyError("no successful scenario named {!r}".format(name))
 
     def aggregate_solver_stats(self):
-        """Merged :class:`~repro.thermal.solve.SolverStats` over all results."""
+        """Merged :class:`~repro.thermal.session.SolverStats` over all results."""
         total = SolverStats()
         for result in self.results:
             if result.solver_stats:

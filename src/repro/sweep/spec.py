@@ -46,10 +46,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 from repro.thermal.geometry import TileGrid
-from repro.thermal.solve import SOLVER_MODES
+from repro.thermal.session import SOLVER_MODES
 from repro.thermal.stack import PackageStack
 from repro.utils import check_nonnegative, check_positive
-from repro.utils.validate import check_tile_indices
+from repro.utils.validate import check_limit, check_tile_indices
 
 #: Task identifiers accepted by :class:`Scenario`.
 TASKS = ("greedy", "table1", "optimize", "solve", "pareto", "transient",
@@ -105,7 +105,8 @@ class Scenario:
     task:
         One of :data:`TASKS`.
     benchmark:
-        Registered benchmark key (``alpha``, ``hc01`` ...).
+        Registered benchmark key (``alpha``, ``hc01`` ...); an unknown
+        name is refused here, not in the worker.
     rows / cols / power_map:
         Explicit geometry (mutually exclusive with ``benchmark``).
     chiplets:
@@ -153,7 +154,7 @@ class Scenario:
         (the :func:`~repro.core.deploy.greedy_deploy` default).
     backend:
         Solver backend for the instance — one of
-        :data:`~repro.thermal.solve.SOLVER_MODES` (``"direct"``,
+        :data:`~repro.thermal.session.SOLVER_MODES` (``"direct"``,
         ``"reuse"``, ``"mg"``, ``"auto"``), or None for the problem
         default (``"reuse"``).  Lets one sweep compare backends per
         scenario.
@@ -214,6 +215,10 @@ class Scenario:
                 "scenario {!r} needs exactly one geometry source: "
                 "benchmark, rows/cols/power_map, or chiplets".format(self.name)
             )
+        if has_benchmark:
+            from repro.experiments.benchmarks import check_benchmark_name
+
+            check_benchmark_name(self.benchmark)
         if has_chiplets:
             chiplets = []
             for entry in self.chiplets:
@@ -355,12 +360,7 @@ class Scenario:
         if self.tec_tiles is not None:
             check_tile_indices(self.tec_tiles, self.num_tiles)
         if self.limit_c is not None:
-            limit = float(self.limit_c)
-            if not math.isfinite(limit) or limit <= PackageStack.ambient_c:
-                raise ValueError(
-                    "limit_c must be a finite temperature above the {} C "
-                    "ambient, got {!r}".format(PackageStack.ambient_c, limit)
-                )
+            check_limit(self.limit_c, PackageStack.ambient_c)
 
     def geometry_key(self):
         """Hashable key identifying the *package* this scenario builds.
@@ -541,7 +541,7 @@ class SweepSpec:
         """Copy of the spec with every scenario pinned to ``backend``.
 
         ``backend`` must be one of
-        :data:`~repro.thermal.solve.SOLVER_MODES` or None (problem
+        :data:`~repro.thermal.session.SOLVER_MODES` or None (problem
         default); validation happens in the scenario constructor.
         """
         return replace(

@@ -39,7 +39,7 @@ from repro.thermal.spreading import (
 )
 from repro.thermal.reference import ReferenceGridModel
 from repro.thermal.reference_active import ActiveReferenceGridModel
-from repro.thermal.solve import SolverStats, SteadyStateSolver
+from repro.thermal.session import SolverStats
 from repro.thermal.stack import Layer, PackageStack
 from repro.thermal.transient import TransientSimulator, node_capacitances
 from repro.thermal.validation import ValidationReport, validate_against_reference
@@ -58,7 +58,6 @@ __all__ = [
     "ReferenceGridModel",
     "SILICON",
     "SolverStats",
-    "SteadyStateSolver",
     "TIM",
     "ThermalNetwork",
     "ThermalState",

@@ -19,8 +19,8 @@ Heat leaves each chiplet two ways, mirroring a lidded 2.5D package:
 
 A :class:`ChipletLayout` is pure description; the composite network is
 stamped by :class:`~repro.thermal.model.CompositeThermalModel`, and
-:func:`~repro.thermal.model.thermal_model_for_layout` routes
-single-die layouts to the exact single-die build path (bitwise
+:meth:`~repro.core.problem.CoolingSystemProblem.from_chiplet_layout`
+routes single-die layouts to the exact single-die build path (bitwise
 identical blueprints) so the refactor is provably non-regressive.
 """
 
@@ -198,7 +198,8 @@ class ChipletLayout:
 
         One chiplet, at the lattice origin, with no interposer — the
         composite build would add nothing the single-die build does
-        not, so :func:`~repro.thermal.model.thermal_model_for_layout`
+        not, so
+        :meth:`~repro.core.problem.CoolingSystemProblem.from_chiplet_layout`
         routes such layouts through the unchanged single-die code path
         (bitwise-identical blueprints).
         """

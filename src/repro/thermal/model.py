@@ -35,7 +35,7 @@ from repro.thermal.assembly import NetworkBlueprint, assemble
 from repro.thermal.chiplet import ChipletLayout
 from repro.thermal.geometry import TileGrid
 from repro.thermal.network import NodeLabels, NodeRole
-from repro.thermal.solve import SolverStats, SteadyStateSolver
+from repro.thermal.session import SolveSession, SolverStats
 from repro.thermal.stack import PackageStack
 from repro.utils import check_finite, kelvin_to_celsius
 
@@ -145,15 +145,16 @@ class PackageThermalModel:
         the network is then replayed incrementally instead of rebuilt
         from scratch — bitwise-identical matrices, a fraction of the
         build cost.  Obtain one via :meth:`network_blueprint`.
-    solver_mode / solver_cache_size:
-        Engine knobs forwarded to
-        :class:`~repro.thermal.solve.SteadyStateSolver` — any of
-        :data:`~repro.thermal.solve.SOLVER_MODES` (``"direct"``,
-        ``"reuse"``, ``"mg"``, ``"auto"``; ``auto`` resolves per
-        system to reuse, direct or mg, see
-        :func:`~repro.thermal.solve.select_backend`).
+    solver_mode:
+        Backend of the model's :class:`~repro.thermal.session.SolveSession`
+        — any of :data:`~repro.thermal.session.SOLVER_MODES`
+        (``"direct"``, ``"reuse"``, ``"mg"``, ``"auto"``; ``auto``
+        resolves per system to reuse, direct or mg, see
+        :func:`~repro.thermal.session.select_backend`).  Fixed for the
+        model's lifetime; :attr:`solver` is the session's zero-shift
+        view.
     solver_stats:
-        Optional shared :class:`~repro.thermal.solve.SolverStats` that
+        Optional shared :class:`~repro.thermal.session.SolverStats` that
         build and solve instrumentation is reported into.
     """
 
@@ -173,7 +174,6 @@ class PackageThermalModel:
         die_conductivity_scale=None,
         blueprint=None,
         solver_mode="direct",
-        solver_cache_size=8,
         solver_stats=None,
     ):
         if not isinstance(grid, TileGrid):
@@ -218,9 +218,9 @@ class PackageThermalModel:
         self._die_side_h = grid.height
         self.stack.validate_for_die(max(self._die_side_w, self._die_side_h))
 
-        self._init_engine(blueprint, solver_mode, solver_cache_size, solver_stats)
+        self._init_engine(blueprint, solver_mode, solver_stats)
 
-    def _init_engine(self, blueprint, solver_mode, solver_cache_size, solver_stats):
+    def _init_engine(self, blueprint, solver_mode, solver_stats):
         """Build the network and boot the solve engine.
 
         Shared tail of the constructor; :class:`CompositeThermalModel`
@@ -232,8 +232,7 @@ class PackageThermalModel:
         stats = solver_stats if solver_stats is not None else SolverStats()
         self._blueprint = blueprint
         self._recording = None
-        self._solver_mode = solver_mode
-        self._solver_cache_size = solver_cache_size
+        self._runaway_eigenpair = None
         build_start = time.perf_counter()
         if blueprint is None:
             blueprint = self.network_blueprint()
@@ -249,9 +248,9 @@ class PackageThermalModel:
             grid_shape=(self.grid.rows, self.grid.cols),
         )
         stats.assembly_time_s += time.perf_counter() - build_start
-        self.solver = SteadyStateSolver(
-            self.system, solver_cache_size, mode=solver_mode, stats=stats
-        )
+        self.solver = SolveSession(
+            self.system, mode=solver_mode, stats=stats
+        ).view(None)
 
         self.silicon_nodes = self.network.indices_with_role(NodeRole.SILICON)
         self.hot_nodes = [stamp.hot_node for stamp in self.stamps]
@@ -568,8 +567,7 @@ class PackageThermalModel:
             device=self.device,
             die_conductivity_scale=self._die_k_scale,
             blueprint=self._blueprint,
-            solver_mode=self._solver_mode,
-            solver_cache_size=self._solver_cache_size,
+            solver_mode=self.solver.mode,
             solver_stats=self.solver.stats,
         )
 
@@ -602,8 +600,7 @@ class PackageThermalModel:
             device=self.device,
             die_conductivity_scale=die_conductivity_scale,
             blueprint=self.ensure_blueprint(),
-            solver_mode=self._solver_mode,
-            solver_cache_size=self._solver_cache_size,
+            solver_mode=self.solver.mode,
             solver_stats=self.solver.stats,
         )
 
@@ -659,21 +656,50 @@ class PackageThermalModel:
             return self.solver.condensed
         return None
 
+    @property
+    def runaway_solved(self):
+        """Whether :meth:`runaway_eigenpair` has solved this model's
+        exact runaway eigenproblem (later calls read the kept pair)."""
+        return self._runaway_eigenpair is not None
+
+    def runaway_eigenpair(self):
+        """The exact runaway ``(RunawayCurrent, unit eigenvector)`` pair.
+
+        Solved on the first call and kept, so the default
+        :meth:`runaway_current` and GreedyDeploy's warm round
+        (:func:`repro.core.engine.warm_round`) share one eigensolve per
+        system.  Under ``reuse`` it reads the session's condensed
+        pencil (:meth:`runaway_condensed`); other backends factor ``G``
+        once, ordered over the same lattice, for the same bits.
+        """
+        if self._runaway_eigenpair is None:
+            self._runaway_eigenpair = _runaway_current(
+                self.system.g_matrix,
+                self.system.d_diagonal,
+                return_vector=True,
+                condensed=self.runaway_condensed(),
+                lattice=self.system.lattice,
+            )
+        return self._runaway_eigenpair
+
     def runaway_current(self, method="eigen", **kwargs):
         """The runaway limit ``lambda_m`` of this deployment (Theorem 1).
 
         Returns a :class:`~repro.linalg.runaway.RunawayCurrent`;
         ``math.inf`` when no TEC is deployed (``D = 0``).  The exact
-        ``"eigen"`` method reads the session's condensed pencil under
-        ``reuse`` (:meth:`runaway_condensed`); other backends factor
-        ``G`` once, ordered over the same lattice, for the same value.
+        ``"eigen"`` method takes no options and reads
+        :meth:`runaway_eigenpair`; ``kwargs`` go to
+        ``"binary-search"``.
         """
-        if method == "eigen":
-            kwargs.setdefault("condensed", self.runaway_condensed())
-            kwargs.setdefault("lattice", self.system.lattice)
-        return _runaway_current(
-            self.system.g_matrix, self.system.d_diagonal, method=method, **kwargs
-        )
+        if method != "eigen":
+            return _runaway_current(
+                self.system.g_matrix, self.system.d_diagonal, method=method, **kwargs
+            )
+        if kwargs:
+            raise TypeError(
+                "method='eigen' takes no options, got {}".format(", ".join(sorted(kwargs)))
+            )
+        return self.runaway_eigenpair()[0]
 
 
 class CompositeThermalModel(PackageThermalModel):
@@ -701,10 +727,11 @@ class CompositeThermalModel(PackageThermalModel):
       multigrid backend — node ``tile`` metadata carries bounding
       lattice indices so the mg stencil sees one coherent lattice.
 
-    Use :func:`thermal_model_for_layout` rather than constructing this
-    directly: single-die layouts must route through
-    :class:`PackageThermalModel` itself (the exact code path the paper
-    package takes today, bitwise-identical blueprints).
+    Build it through
+    :meth:`~repro.core.problem.CoolingSystemProblem.from_chiplet_layout`
+    rather than directly: that factory routes a single-die layout
+    through :class:`PackageThermalModel` itself (the exact code path
+    the paper package takes, bitwise-identical blueprints).
     """
 
     def __init__(
@@ -715,7 +742,6 @@ class CompositeThermalModel(PackageThermalModel):
         device=None,
         blueprint=None,
         solver_mode="direct",
-        solver_cache_size=8,
         solver_stats=None,
     ):
         if not isinstance(layout, ChipletLayout):
@@ -744,7 +770,7 @@ class CompositeThermalModel(PackageThermalModel):
         self._die_side_h = self.grid.height
         self.stack.validate_footprints(self._die_side_w, self._die_side_h)
 
-        self._init_engine(blueprint, solver_mode, solver_cache_size, solver_stats)
+        self._init_engine(blueprint, solver_mode, solver_stats)
 
     @property
     def interposer_layer(self):
@@ -904,8 +930,7 @@ class CompositeThermalModel(PackageThermalModel):
             tec_tiles=tec_tiles,
             device=self.device,
             blueprint=self._blueprint,
-            solver_mode=self._solver_mode,
-            solver_cache_size=self._solver_cache_size,
+            solver_mode=self.solver.mode,
             solver_stats=self.solver.stats,
         )
 
@@ -928,29 +953,3 @@ class CompositeThermalModel(PackageThermalModel):
             chiplet = self.grid.chiplet_of(int(tile))
             groups[self.layout.chiplets[chiplet].name].append(int(tile))
         return {name: tuple(sorted(ts)) for name, ts in groups.items()}
-
-
-def thermal_model_for_layout(layout, **kwargs):
-    """The thermal model of a :class:`~repro.thermal.chiplet.ChipletLayout`.
-
-    Routes single-die layouts (one chiplet at the origin, no
-    interposer) through :class:`PackageThermalModel` — the **exact**
-    code path a plain grid/power-map build takes, so the blueprint is
-    bitwise identical to today's single-die path — and everything else
-    through :class:`CompositeThermalModel`.  Keyword arguments
-    (``tec_tiles``, ``device``, ``blueprint``, ``solver_mode``,
-    ``solver_cache_size``, ``solver_stats``) pass through unchanged.
-    """
-    if not isinstance(layout, ChipletLayout):
-        raise TypeError(
-            "layout must be a ChipletLayout, got {!r}".format(type(layout))
-        )
-    if layout.is_single_die():
-        spec = layout.chiplets[0]
-        return PackageThermalModel(
-            spec.grid,
-            np.asarray(spec.power_map),
-            stack=layout.stack,
-            **kwargs,
-        )
-    return CompositeThermalModel(layout, **kwargs)

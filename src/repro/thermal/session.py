@@ -29,17 +29,18 @@ view carries the full factorization machinery of the engine:
   ``lambda_m`` is refused with :class:`SingularSystemError`;
 * the multigrid-preconditioned CG backend ``mg`` with an exact SPD
   factorization as its fallback;
+* ``auto``, which picks ``reuse``, ``direct`` or ``mg`` once per
+  assembled system (:func:`select_backend`);
 * per-view solution caches and the arbitrary-diagonal solves of
   :meth:`SessionView.solve_diagonal`.
 
 Consumers share sessions instead of carrying private ``splu`` calls:
-the steady solver *is* the session's zero-shift view
-(:class:`~repro.thermal.solve.SteadyStateSolver` subclasses
-:class:`SessionView`), the transient integrator and the closed control
-loop share the ``C / dt`` view (so a control trace's per-quantized-
-current factorizations become cache hits with real LRU eviction), and
-the multi-pin optimizer routes its per-device-current solves through
-:meth:`SessionView.solve_diagonal`.
+a model's steady solver is its session's zero-shift view
+(``SolveSession(system, mode=...).view(None)``), the transient
+integrator and the closed control loop share the ``C / dt`` view (so
+a control trace's per-quantized-current factorizations become cache
+hits with real LRU eviction), and the multi-pin optimizer routes its
+per-device-current solves through :meth:`SessionView.solve_diagonal`.
 
 Cache keys use the **exact float value** of the current (``float(i)``
 equality — no quantization) and the exact bytes of diagonal vectors.
@@ -65,8 +66,7 @@ from repro.linalg.condensed import condensed_pencil, factor_support_last
 from repro.linalg.krylov import DEFAULT_RTOL, krylov_solve
 from repro.linalg.spd import cholesky_is_spd
 
-#: Engine modes accepted by :class:`SolveSession` (and by
-#: :class:`~repro.thermal.solve.SteadyStateSolver`).  ``direct`` factors
+#: Engine modes accepted by :class:`SolveSession`.  ``direct`` factors
 #: the SPD matrix once per distinct current (LRU-cached) with
 #: :func:`repro.linalg.cholesky.spd_factorize`.  ``reuse`` is the
 #: condensed engine: one support-last factorization of ``S + G`` and
@@ -318,9 +318,8 @@ class SessionView:
     across any number of currents, carrying the per-current LRU caches
     and backend machinery described in the module docstring.  Views
     are obtained from :meth:`SolveSession.view` — one per distinct
-    shift, shared by every consumer requesting the same shift — except
-    the zero-shift view, which is the model's
-    :class:`~repro.thermal.solve.SteadyStateSolver` itself.
+    shift, shared by every consumer requesting the same shift; a
+    model's ``solver`` is the zero-shift view.
 
     Parameters
     ----------
@@ -1102,7 +1101,7 @@ def _factor_bytes(factor):
 class SolveSession:
     """Shared solve engine over one assembled system.
 
-    Owns the assembled system, the solver-mode resolution and the
+    Owns the assembled system, the backend resolution and the
     (optionally shared) :class:`SolverStats`, and hands out
     :class:`SessionView` objects per diagonal shift.  Views are
     cached on the exact bytes of the shift vector, so every consumer
@@ -1191,15 +1190,6 @@ class SolveSession:
     def base_view(self):
         """The unshifted (steady-state) view."""
         return self.view(None)
-
-    def solve_batch(self, currents, loads=None):
-        """Batched steady-state solves — see :meth:`SessionView.solve_batch`.
-
-        Convenience delegate to the unshifted view, so session holders
-        (the serve tier's warm pools, the sweep worker) can stack
-        requests without first asking for a view.
-        """
-        return self.base_view().solve_batch(currents, loads)
 
     @property
     def num_views(self):

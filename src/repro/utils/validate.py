@@ -29,6 +29,22 @@ def check_nonnegative(value, name):
     return value
 
 
+def check_limit(limit_c, ambient_c, name="limit_c"):
+    """Require a finite temperature limit (C) above ``ambient_c``.
+
+    A limit at or below the ambient is unachievable and an infinite
+    one is no limit at all; both are refused with the same message at
+    every front end (CLI, sweep spec, HTTP).
+    """
+    limit = float(limit_c)
+    if not np.isfinite(limit) or not limit > ambient_c:
+        raise ValueError(
+            "{} must be a finite temperature above the {} C ambient, "
+            "got {!r}".format(name, ambient_c, limit)
+        )
+    return limit
+
+
 def check_in_range(value, name, low, high, *, inclusive=(True, True)):
     """Require ``low (<=|<) value (<=|<) high``; return the float value."""
     value = float(value)

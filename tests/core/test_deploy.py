@@ -150,7 +150,8 @@ class TestSolveEngineRegression:
         )
         legacy = CoolingSystemProblem(
             small_grid, small_power, max_temperature_c=limit, name="legacy",
-        ).configure_solver(mode="direct", incremental=False)
+            solver_mode="direct", incremental_assembly=False,
+        )
         return greedy_deploy(engine), greedy_deploy(legacy)
 
     def test_same_deployment(self, engine_and_legacy):

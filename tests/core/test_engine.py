@@ -24,7 +24,7 @@ from repro.core.current import polish_current
 from repro.core.deploy import greedy_deploy
 from repro.core.problem import CoolingSystemProblem
 from repro.thermal.geometry import TileGrid
-from repro.thermal.solve import SingularSystemError
+from repro.thermal.session import SingularSystemError
 
 _CURRENT_AGREEMENT_A = 1.0e-6
 _PEAK_AGREEMENT_K = 1.0e-6
@@ -181,9 +181,7 @@ class TestDifferential:
         other backend solves the warm round itself."""
 
         def factory():
-            problem = _dense_problem()
-            problem.configure_solver(mode="mg")
-            return problem
+            return _dense_problem().with_solver_mode("mg")
 
         cold, loop = _race(factory)
         assert _warm_rounds(loop) == [1]
@@ -239,6 +237,72 @@ class TestMaxRoundsExhaustion:
         free = greedy_deploy(_dense_problem(), current_tolerance=1.0e-6)
         assert capped.tec_tiles == free.tec_tiles
         assert capped.feasible == free.feasible
+
+
+class TestRunawayEigenpairKept:
+    """A cold round's exact eigensolve seeds the next warm round: the
+    model keeps the ``(lambda_m, eigenvector)`` pair, so no system's
+    eigenproblem is condensed twice (``reuse`` reads the session's own
+    pencil and condenses none)."""
+
+    @staticmethod
+    def _count_condense(monkeypatch):
+        """``condense`` calls per ``G`` (each entry holds its matrix, so
+        no id is reused during the run)."""
+        from repro.linalg import runaway
+
+        calls = {}
+        condense = runaway.condense
+
+        def counting(g_matrix, diag, **kwargs):
+            calls.setdefault(id(g_matrix), [g_matrix, 0])[1] += 1
+            return condense(g_matrix, diag, **kwargs)
+
+        monkeypatch.setattr(runaway, "condense", counting)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["direct", "auto"])
+    def test_one_condense_per_system(self, monkeypatch, mode):
+        calls = self._count_condense(monkeypatch)
+        result = greedy_deploy(_dense_problem().with_solver_mode(mode))
+        assert _warm_rounds(result) == [1]
+        assert calls
+        assert [count for _, count in calls.values()] == [1] * len(calls)
+
+    def test_reuse_condenses_nothing(self, monkeypatch):
+        calls = self._count_condense(monkeypatch)
+        result = greedy_deploy(_dense_problem())
+        assert _warm_rounds(result) == [1]
+        assert calls == {}
+
+    @pytest.mark.parametrize("mode", ["direct", "reuse"])
+    def test_kept_pair_changes_no_answer(self, monkeypatch, mode):
+        """Reading the kept pair answers exactly what recomputing the
+        eigenproblem for the warm round answers."""
+        kept = greedy_deploy(_dense_problem().with_solver_mode(mode))
+        exact_runaway = engine._exact_runaway
+
+        def recomputed(model, stats=None):
+            model._runaway_eigenpair = None
+            return exact_runaway(model, stats)
+
+        monkeypatch.setattr(engine, "_exact_runaway", recomputed)
+        fresh = greedy_deploy(_dense_problem().with_solver_mode(mode))
+        assert _warm_rounds(fresh) == [1]
+        _assert_bit_identical(fresh, kept)
+
+    def test_dense_counts_only_solved_eigenproblems(self, monkeypatch):
+        """A rerun on the same problem reads its cached models' kept
+        pairs: no ``condense`` call and no ``runaway_dense`` count."""
+        problem = _dense_problem().with_solver_mode("direct")
+        first = greedy_deploy(problem)
+        assert first.deploy_stats.runaway_dense == 1
+        calls = self._count_condense(monkeypatch)
+        again = greedy_deploy(problem)
+        assert calls == {}
+        assert again.deploy_stats.runaway_dense == 0
+        assert again.deploy_stats.runaway_warm == 1
+        assert again.tec_tiles == first.tec_tiles
 
 
 class TestEngineSelection:

@@ -1,5 +1,7 @@
 """Problem 1 definition and model factory."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,18 @@ class TestConstruction:
     def test_limit_above_ambient_enforced(self, small_grid, small_power):
         with pytest.raises(ValueError, match="ambient"):
             CoolingSystemProblem(small_grid, small_power, max_temperature_c=40.0)
+
+    def test_infinite_limit_refused(self, small_grid, small_power,
+                                    small_problem):
+        """An infinite limit is no limit: every front end (CLI, sweep
+        worker, HTTP) reaches this check, directly or via
+        ``with_limit``."""
+        with pytest.raises(ValueError, match="finite"):
+            CoolingSystemProblem(
+                small_grid, small_power, max_temperature_c=math.inf
+            )
+        with pytest.raises(ValueError, match="finite"):
+            small_problem.with_limit(math.inf)
 
     def test_from_floorplan(self):
         problem = CoolingSystemProblem.from_floorplan(alpha_floorplan(), name="a")

@@ -137,6 +137,17 @@ class TestBadInput:
         assert status == 400
         assert fragment in body["error"]
 
+    def test_sweep_rejects_an_unknown_benchmark_with_400(self):
+        body = {"scenarios": [{"name": "s", "task": "greedy",
+                               "benchmark": "nope"}]}
+
+        async def scenario(app):
+            return await asgi_request(app, "POST", "/sweep", body)
+
+        status, body = with_app(scenario)
+        assert status == 400
+        assert "unknown benchmark 'nope'" in body["error"]
+
     def test_transient_rejects_out_of_range_tiles(self):
         async def scenario(app):
             return await asgi_request(
@@ -451,6 +462,19 @@ class TestProcessTier:
         assert body["kind"] == "scenario"
         assert body["error_type"] == "ValueError"
         assert body["traceback"]
+
+    def test_infinite_limit_is_a_422(self):
+        """``json.loads`` reads ``Infinity``; the problem refuses it
+        like any other limit that cannot be met or is no limit."""
+        body = {"benchmark": "hc08", "limit_c": float("inf")}
+
+        async def scenario(app):
+            return await asgi_request(app, "POST", "/deploy", body)
+
+        status, body = with_app(scenario, workers=1)
+        assert status == 422
+        assert body["error_type"] == "ValueError"
+        assert "finite" in body["error"]
 
     def test_sweep_matches_serial_runner(self):
         spec = SweepSpec(

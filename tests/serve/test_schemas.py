@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.serve.schemas import (
+    SCENARIO_FIELDS,
     SchemaError,
     blueprint_key,
     parse_deploy,
@@ -172,6 +173,12 @@ class TestParseSweep:
         parsed = parse_sweep(wire)
         assert parsed.name == spec.name
         assert parsed.scenarios == spec.scenarios
+
+    def test_vocabulary_is_the_scenario_fields(self):
+        assert set(SCENARIO_FIELDS) == {
+            field.name for field in dataclasses.fields(Scenario)
+        }
+        assert len(SCENARIO_FIELDS) == len(set(SCENARIO_FIELDS))
 
     def test_duplicate_names_rejected(self):
         entry = {"name": "dup", "task": "greedy", "benchmark": "alpha"}

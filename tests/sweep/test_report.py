@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sweep import ScenarioError, ScenarioResult, SweepReport
-from repro.thermal.solve import SolverStats
+from repro.thermal.session import SolverStats
 
 
 def _result(index, name="s", elapsed=1.0, stats=None):

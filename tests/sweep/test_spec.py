@@ -112,6 +112,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="backend"):
             _explicit(backend="jacobi")
 
+    def test_unknown_benchmark_rejected(self):
+        # At construction, not as a bare KeyError in the worker.
+        with pytest.raises(ValueError, match="unknown benchmark 'nope'"):
+            Scenario(name="s", task="greedy", benchmark="nope")
+        with pytest.raises(ValueError, match="unknown benchmark 'nope'"):
+            SweepSpec.table1(["nope"])
+
     def test_max_rounds_defaults_to_none(self):
         assert _explicit().max_rounds is None
 

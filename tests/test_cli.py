@@ -79,7 +79,7 @@ class TestSolve:
 
 
 class TestSolveBackend:
-    @pytest.mark.parametrize("flag", ["--backend", "--solver-mode"])
+    @pytest.mark.parametrize("flag", ["--backend"])
     def test_direct_backend_accepted(self, capsys, flag):
         assert main(["solve", "--benchmark", "hc08", flag, "direct",
                      "--solver-stats"]) == 0
@@ -155,6 +155,19 @@ class TestTransient:
     def test_solve_limit_below_ambient_rejected(self, capsys, limit):
         with pytest.raises(SystemExit, match="ambient"):
             main(["solve", "--benchmark", "hc08", "--limit", limit])
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--benchmark", "hc08"],
+        ["chiplet", "--rows", "4", "--cols", "4"],
+    ])
+    def test_infinite_limit_rejected(self, capsys, command):
+        """An infinite limit is no limit: refused (exit 1), not a
+        feasible run with no TECs."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--limit", "inf"])
+        message = excinfo.value.code
+        assert isinstance(message, str)  # exit status 1
+        assert "finite" in message
 
 
 class TestControl:
@@ -378,10 +391,27 @@ BAD_ARGUMENTS = [
     (["conjecture", "--min-size", "5", "--max-size", "2"], "(5, 2)"),
     (["serve", "--threads", "0"], "threads"),
     (["serve", "--port", "-1"], "--port"),
+    # Files written by ``flp_inputs``: a missing file, and a powers
+    # file without the ``right`` unit of ``chip.flp``.
+    (["solve", "--flp", "chip.flp", "--powers", "missing.json"],
+     "missing.json"),
+    (["solve", "--flp", "chip.flp", "--powers", "partial.json"],
+     "no power given for unit 'right'"),
 ]
 
 
 class TestBadInputBoundary:
+    @pytest.fixture(autouse=True)
+    def flp_inputs(self, tmp_path, monkeypatch):
+        """A two-unit ``chip.flp`` (6 x 6 mm, the 12 x 12 default grid)
+        and ``partial.json`` powering only its ``left`` unit, in the
+        working directory."""
+        (tmp_path / "chip.flp").write_text(
+            "left 3e-3 6e-3 0 0\nright 3e-3 6e-3 3e-3 0\n"
+        )
+        (tmp_path / "partial.json").write_text(json.dumps({"left": 1.0}))
+        monkeypatch.chdir(tmp_path)
+
     @pytest.mark.parametrize(
         "argv, fragment", BAD_ARGUMENTS,
         ids=[" ".join(argv) for argv, _ in BAD_ARGUMENTS],
@@ -464,10 +494,20 @@ class TestBackendValidation:
     def test_every_solver_mode_parses(self, command, backend):
         argv = [command, "--backend", backend] + self._COMMANDS[command]
         args = build_parser().parse_args(argv)
-        stored = getattr(args, "solver_mode", None) or getattr(
-            args, "backend", None
-        )
-        assert stored == backend
+        assert args.backend == backend
+
+    @pytest.mark.parametrize("command", ["solve", "transient", "control",
+                                         "chiplet"])
+    @pytest.mark.parametrize("flags", [["--solver-mode", "direct"],
+                                       ["--solver-cache-size", "4"]])
+    def test_removed_solver_flag_is_a_parse_error(self, capsys, command,
+                                                  flags):
+        """``--backend`` is the one solver flag; the old alias and the
+        cache-size knob are unrecognized arguments (exit code 2)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command] + flags + self._COMMANDS.get(command, []))
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTable1:

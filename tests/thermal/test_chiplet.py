@@ -9,8 +9,8 @@ Three pillars of the chiplet generalization:
 * the differential gate: ``CompositeThermalModel`` against the
   independently assembled ``ReferenceChipletModel`` to <= 1e-6 K;
 * the non-regression identity: a single-die ``ChipletLayout`` routed
-  through ``thermal_model_for_layout`` produces the *bitwise* same
-  blueprint and matrices as today's single-die path.
+  through ``CoolingSystemProblem.from_chiplet_layout`` produces the
+  *bitwise* same blueprint and matrices as today's single-die path.
 """
 
 import numpy as np
@@ -29,11 +29,7 @@ from repro.thermal.chiplet import (
     layout_from_plain,
 )
 from repro.thermal.geometry import CompositeGrid, TileGrid
-from repro.thermal.model import (
-    CompositeThermalModel,
-    PackageThermalModel,
-    thermal_model_for_layout,
-)
+from repro.thermal.model import CompositeThermalModel, PackageThermalModel
 from repro.thermal.reference import ReferenceChipletModel
 
 
@@ -266,7 +262,7 @@ class TestSingleDieIdentity:
         layout = ChipletLayout(
             (ChipletSpec("die", grid, tuple(power)),)
         )
-        routed = thermal_model_for_layout(layout)
+        routed = CoolingSystemProblem.from_chiplet_layout(layout).model(())
         direct = PackageThermalModel(grid, power)
         assert type(routed) is PackageThermalModel
         assert routed.system.g_matrix.shape == direct.system.g_matrix.shape

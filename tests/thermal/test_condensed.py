@@ -30,7 +30,7 @@ from repro.linalg import condensed
 from repro.linalg.runaway import runaway_current_eigen
 from repro.thermal.geometry import TileGrid
 from repro.thermal.model import PackageThermalModel
-from repro.thermal.solve import SingularSystemError, SteadyStateSolver
+from repro.thermal.session import SingularSystemError, SolveSession
 
 _FRACTIONS = (0.1, 0.5, 0.9, 0.99)
 
@@ -73,7 +73,7 @@ def deployed_models():
 
 def _fresh(model):
     """A private reuse solver over ``model``'s assembled system."""
-    return SteadyStateSolver(model.system, mode="reuse")
+    return SolveSession(model.system, mode="reuse").view(None)
 
 
 def _refined_reference(system, current, sweeps=4):
@@ -184,7 +184,7 @@ class TestAgainstDirect:
         lam = model.runaway_current().value
         shift = np.linspace(0.5, 2.0, system.num_nodes)
         reuse = _fresh(model).session.view(shift)
-        direct = SteadyStateSolver(system, mode="direct").session.view(shift)
+        direct = SolveSession(system, mode="direct").view(shift)
         rhs = np.column_stack([system.p_base, shift * 300.0])
         for fraction in (0.0, 0.3, 0.9):
             current = fraction * lam
@@ -200,7 +200,7 @@ class TestAgainstDirect:
         rng = np.random.default_rng(7)
         support = np.flatnonzero(system.d_diagonal)
         reuse = _fresh(model)
-        direct = SteadyStateSolver(system, mode="direct")
+        direct = SolveSession(system, mode="direct").view(None)
         for _ in range(3):
             d = np.zeros(system.num_nodes)
             d[support] = system.d_diagonal[support] * rng.uniform(
@@ -216,7 +216,7 @@ class TestAgainstDirect:
         d = np.zeros(system.num_nodes)
         d[0] = 1e-3
         got = _fresh(model).solve_diagonal(d, system.p_base)
-        want = SteadyStateSolver(system, mode="direct").solve_diagonal(
+        want = SolveSession(system, mode="direct").view(None).solve_diagonal(
             d, system.p_base
         )
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

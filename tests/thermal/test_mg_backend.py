@@ -22,7 +22,6 @@ import pytest
 
 from repro.thermal import session
 from repro.thermal.model import PackageThermalModel
-from repro.thermal.solve import SteadyStateSolver
 
 _TILES = (5, 6, 9, 10)
 
@@ -68,7 +67,7 @@ class TestMgDifferential:
         up to 90% of the runaway limit — and genuinely through the
         multigrid path (zero fallbacks)."""
         direct = make_model("direct")
-        mg = SteadyStateSolver(direct.system, mode="mg")
+        mg = session.SolveSession(direct.system, mode="mg").view(None)
         for current in _probe_currents(direct):
             reference = direct.solver.solve(current)
             theta = mg.solve(current)
@@ -90,7 +89,7 @@ class TestMgDifferential:
         step = np.inf if ulps > 0 else -np.inf
         for _ in range(abs(ulps)):
             lam = float(np.nextafter(lam, step))
-        mg = SteadyStateSolver(direct.system, mode="mg")
+        mg = session.SolveSession(direct.system, mode="mg").view(None)
         for current in (0.3 * lam, 0.6 * lam, 0.8 * lam, 0.9 * lam):
             reference = direct.solver.solve(current)
             theta = mg.solve(current)
@@ -108,7 +107,7 @@ class TestMgDifferential:
         to ~100x machine epsilon."""
         direct = make_model("direct")
         current = 0.95 * direct.runaway_current().value
-        mg = SteadyStateSolver(direct.system, mode="mg")
+        mg = session.SolveSession(direct.system, mode="mg").view(None)
         reference = direct.solver.solve(current)
         theta = mg.solve(current)
         scale = np.max(np.abs(reference))
@@ -120,7 +119,7 @@ class TestMgDifferential:
         currents = _probe_currents(model)[:3]
         serial = [model.solver.solve(i).copy() for i in currents]
         fresh = make_model("mg")
-        batch = fresh.session.solve_batch(currents)
+        batch = fresh.solver.solve_batch(currents)
         for j, reference in enumerate(serial):
             np.testing.assert_array_equal(batch.temperatures[:, j], reference)
 
@@ -139,7 +138,7 @@ class TestHierarchyEconomics:
         currents = _probe_currents(model)
         for current in currents:
             model.solver.solve(current)
-        model.session.solve_batch(list(reversed(currents)))
+        model.solver.solve_batch(list(reversed(currents)))
         stats = model.solver.stats
         assert stats.mg_hierarchies == 1
         assert stats.mg_solves >= len(currents)

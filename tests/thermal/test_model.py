@@ -159,6 +159,16 @@ class TestTecBehaviour:
         ).value
         assert search == pytest.approx(eigen, rel=1e-6)
 
+    def test_eigen_takes_no_options(self, small_deployed):
+        with pytest.raises(TypeError, match="tolerance"):
+            small_deployed.runaway_current(method="eigen", tolerance=1e-9)
+
+    def test_runaway_eigenpair_kept(self, small_deployed):
+        pair = small_deployed.runaway_eigenpair()
+        assert small_deployed.runaway_solved
+        assert small_deployed.runaway_eigenpair() is pair
+        assert small_deployed.runaway_current() is pair[0]
+
 
 class TestThermalState:
     def test_grid_view_shape(self, small_model):
@@ -263,7 +273,7 @@ class TestNetworkBlueprint:
         assert np.array_equal(state_a.theta_k, state_b.theta_k)
 
     def test_build_counters(self, small_grid, small_power, blueprint):
-        from repro.thermal.solve import SolverStats
+        from repro.thermal.session import SolverStats
 
         stats = SolverStats()
         PackageThermalModel(

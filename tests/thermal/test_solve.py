@@ -5,14 +5,19 @@ import pytest
 
 from repro.thermal.assembly import assemble
 from repro.thermal.network import NodeRole, ThermalNetwork
-from repro.thermal.solve import (
+from repro.thermal.session import (
     AUTO_SUPPORT_FLOOR,
     SingularSystemError,
     SolveSession,
-    SteadyStateSolver,
     select_backend,
 )
 from repro.utils import celsius_to_kelvin
+
+
+def steady_view(system, mode="direct", cache_size=8):
+    """A standalone steady solver: the zero-shift view of a fresh
+    session, exactly what a model's ``solver`` is."""
+    return SolveSession(system, mode=mode, cache_size=cache_size).view(None)
 
 
 @pytest.fixture()
@@ -37,28 +42,28 @@ def tec_system():
 
 class TestSolve:
     def test_zero_current_matches_dense_solve(self, tec_system):
-        solver = SteadyStateSolver(tec_system)
+        solver = steady_view(tec_system)
         theta = solver.solve(0.0)
         expected = np.linalg.solve(tec_system.g_matrix.toarray(), tec_system.p_base)
         assert np.allclose(theta, expected)
 
     def test_all_temperatures_above_ambient_without_cooling(self, tec_system):
-        theta = SteadyStateSolver(tec_system).solve(0.0)
+        theta = steady_view(tec_system).solve(0.0)
         assert np.all(theta >= celsius_to_kelvin(45.0) - 1e-9)
 
     def test_current_changes_solution(self, tec_system):
-        solver = SteadyStateSolver(tec_system)
+        solver = steady_view(tec_system)
         assert not np.allclose(solver.solve(0.0), solver.solve(5.0))
 
     def test_cache_reuses_factorization(self, tec_system):
-        solver = SteadyStateSolver(tec_system, cache_size=2)
+        solver = steady_view(tec_system, cache_size=2)
         solver.solve(1.0)
         lu_first = solver._lu_cache[1.0]
         solver.solve(1.0)
         assert solver._lu_cache[1.0] is lu_first
 
     def test_cache_eviction(self, tec_system):
-        solver = SteadyStateSolver(tec_system, cache_size=2)
+        solver = steady_view(tec_system, cache_size=2)
         solver.solve(1.0)
         solver.solve(2.0)
         solver.solve(3.0)
@@ -67,12 +72,12 @@ class TestSolve:
 
     def test_cache_size_validation(self, tec_system):
         with pytest.raises(ValueError):
-            SteadyStateSolver(tec_system, cache_size=0)
+            steady_view(tec_system, cache_size=0)
 
     def test_check_definite_raises_beyond_runaway(self, tec_system):
         from repro.linalg.runaway import runaway_current
 
-        solver = SteadyStateSolver(tec_system)
+        solver = steady_view(tec_system)
         lam = runaway_current(tec_system.g_matrix, tec_system.d_diagonal).value
         with pytest.raises(SingularSystemError):
             solver.solve(1.5 * lam, check_definite=True)
@@ -80,7 +85,7 @@ class TestSolve:
     def test_below_runaway_passes_check(self, tec_system):
         from repro.linalg.runaway import runaway_current
 
-        solver = SteadyStateSolver(tec_system)
+        solver = steady_view(tec_system)
         lam = runaway_current(tec_system.g_matrix, tec_system.d_diagonal).value
         theta = solver.solve(0.5 * lam, check_definite=True)
         assert np.all(np.isfinite(theta))
@@ -88,12 +93,12 @@ class TestSolve:
 
 class TestRhsAndInfluence:
     def test_solve_rhs_shape_check(self, tec_system):
-        solver = SteadyStateSolver(tec_system)
+        solver = steady_view(tec_system)
         with pytest.raises(ValueError, match="rhs"):
             solver.solve_rhs(0.0, np.zeros(3))
 
     def test_influence_rows_match_inverse(self, tec_system):
-        solver = SteadyStateSolver(tec_system)
+        solver = steady_view(tec_system)
         rows = solver.influence_rows(0.0, [0, 2])
         inverse = np.linalg.inv(tec_system.g_matrix.toarray())
         assert np.allclose(rows[0], inverse[0])
@@ -101,7 +106,7 @@ class TestRhsAndInfluence:
 
     def test_influence_rows_nonnegative(self, tec_system):
         """Lemma 3 seen through the solver: H entries >= 0."""
-        solver = SteadyStateSolver(tec_system)
+        solver = steady_view(tec_system)
         rows = solver.influence_rows(0.0, range(tec_system.num_nodes))
         assert np.all(rows >= -1e-12)
 
@@ -110,7 +115,7 @@ class TestLruPolicy:
     def test_recently_used_entry_survives_eviction(self, tec_system):
         """True LRU: re-touching a current refreshes its recency, so the
         alternating access pattern of the section search keeps hitting."""
-        solver = SteadyStateSolver(tec_system, cache_size=2)
+        solver = steady_view(tec_system, cache_size=2)
         rhs = tec_system.p_base
         solver.solve_rhs(1.0, rhs)
         solver.solve_rhs(2.0, rhs)
@@ -121,14 +126,14 @@ class TestLruPolicy:
         assert 3.0 in solver._lu_cache
 
     def test_eviction_counter(self, tec_system):
-        solver = SteadyStateSolver(tec_system, cache_size=2)
+        solver = steady_view(tec_system, cache_size=2)
         rhs = tec_system.p_base
         for current in (1.0, 2.0, 3.0, 4.0):
             solver.solve_rhs(current, rhs)
         assert solver.stats.evictions == 2
 
     def test_hit_and_miss_counters(self, tec_system):
-        solver = SteadyStateSolver(tec_system, cache_size=4)
+        solver = steady_view(tec_system, cache_size=4)
         rhs = tec_system.p_base
         solver.solve_rhs(1.0, rhs)
         solver.solve_rhs(2.0, rhs)
@@ -138,7 +143,7 @@ class TestLruPolicy:
         assert solver.stats.cache_hit_rate == pytest.approx(1.0 / 3.0)
 
     def test_solution_cache_hit(self, tec_system):
-        solver = SteadyStateSolver(tec_system, cache_size=4)
+        solver = steady_view(tec_system, cache_size=4)
         first = solver.solve(2.0)
         second = solver.solve(2.0)
         assert solver.stats.solution_hits == 1
@@ -150,15 +155,15 @@ class TestLruPolicy:
 
 class TestReuseMode:
     def test_matches_direct_mode(self, tec_system):
-        direct = SteadyStateSolver(tec_system, mode="direct")
-        reuse = SteadyStateSolver(tec_system, mode="reuse")
+        direct = steady_view(tec_system, mode="direct")
+        reuse = steady_view(tec_system, mode="reuse")
         for current in (0.0, 0.5, 1.0, 2.0):
             assert np.allclose(
                 reuse.solve(current), direct.solve(current), rtol=1e-10, atol=1e-10
             )
 
     def test_single_sparse_factorization(self, tec_system):
-        solver = SteadyStateSolver(tec_system, mode="reuse")
+        solver = steady_view(tec_system, mode="reuse")
         for current in (0.1, 0.7, 1.3, 2.1, 2.9):
             solver.solve(current)
         assert solver.stats.factorizations == 1
@@ -166,8 +171,8 @@ class TestReuseMode:
         assert solver.stats.condensed_factorizations == 1
 
     def test_solve_rhs_matches_direct(self, tec_system):
-        direct = SteadyStateSolver(tec_system, mode="direct")
-        reuse = SteadyStateSolver(tec_system, mode="reuse")
+        direct = steady_view(tec_system, mode="direct")
+        reuse = steady_view(tec_system, mode="reuse")
         rhs = np.arange(1.0, tec_system.num_nodes + 1.0)
         assert np.allclose(
             reuse.solve_rhs(1.5, rhs), direct.solve_rhs(1.5, rhs),
@@ -175,8 +180,8 @@ class TestReuseMode:
         )
 
     def test_influence_rows_match_direct(self, tec_system):
-        direct = SteadyStateSolver(tec_system, mode="direct")
-        reuse = SteadyStateSolver(tec_system, mode="reuse")
+        direct = steady_view(tec_system, mode="direct")
+        reuse = steady_view(tec_system, mode="reuse")
         nodes = range(tec_system.num_nodes)
         assert np.allclose(
             reuse.influence_rows(1.0, nodes), direct.influence_rows(1.0, nodes),
@@ -185,7 +190,7 @@ class TestReuseMode:
 
     def test_mode_validation(self, tec_system):
         with pytest.raises(ValueError, match="mode"):
-            SteadyStateSolver(tec_system, mode="iterative")
+            SolveSession(tec_system, mode="iterative")
 
 
 class TestRemovedBackends:
@@ -196,16 +201,12 @@ class TestRemovedBackends:
     def test_removed_mode_is_refused(self, tec_system, mode):
         with pytest.raises(ValueError, match="mode"):
             SolveSession(tec_system, mode=mode)
-        with pytest.raises(ValueError, match="mode"):
-            SteadyStateSolver(tec_system, mode=mode)
 
     @pytest.mark.parametrize("knob", [
         "krylov_method", "krylov_rtol", "krylov_maxiter", "krylov_restart",
         "mg_options",
     ])
     def test_removed_knob_is_refused(self, tec_system, knob):
-        with pytest.raises(TypeError, match=knob):
-            SteadyStateSolver(tec_system, **{knob: None})
         with pytest.raises(TypeError, match=knob):
             SolveSession(tec_system, **{knob: None})
 
@@ -223,14 +224,14 @@ class TestAutoMode:
         assert select_backend(16, AUTO_SUPPORT_FLOOR + 1) == "direct"
 
     def test_auto_resolves_per_system(self, tec_system):
-        solver = SteadyStateSolver(tec_system, mode="auto")
+        solver = steady_view(tec_system, mode="auto")
         # 4 nodes, support 2: well below the floor -> condensed reuse
         assert solver.effective_mode == "reuse"
         assert solver.mode == "auto"  # the request is preserved
 
     def test_auto_matches_direct(self, tec_system):
-        direct = SteadyStateSolver(tec_system, mode="direct")
-        auto = SteadyStateSolver(tec_system, mode="auto")
+        direct = steady_view(tec_system, mode="direct")
+        auto = steady_view(tec_system, mode="auto")
         for current in (0.0, 0.5, 1.0):
             assert np.allclose(
                 auto.solve(current), direct.solve(current),
@@ -239,15 +240,16 @@ class TestAutoMode:
 
     def test_non_auto_effective_mode_is_identity(self, tec_system):
         for mode in ("direct", "reuse", "mg"):
-            assert SteadyStateSolver(tec_system, mode=mode).effective_mode == mode
+            assert steady_view(tec_system, mode=mode).effective_mode == mode
 
 
 class TestExactFloatCacheKey:
-    """Pin the exact-float per-current cache key (see the solve.py
-    module docstring): quantizing the key is a deliberate change."""
+    """Pin the exact-float per-current cache key (see the
+    ``repro.thermal.session`` module docstring): quantizing the key is
+    a deliberate change."""
 
     def test_nearly_identical_currents_always_miss(self, tec_system):
-        solver = SteadyStateSolver(tec_system, mode="direct")
+        solver = steady_view(tec_system, mode="direct")
         rhs = tec_system.p_base
         current = 1.0
         solver.solve_rhs(current, rhs)
@@ -257,7 +259,7 @@ class TestExactFloatCacheKey:
         assert solver.stats.cache_hit_rate == 0.0
 
     def test_exact_current_hits(self, tec_system):
-        solver = SteadyStateSolver(tec_system, mode="direct")
+        solver = steady_view(tec_system, mode="direct")
         rhs = tec_system.p_base
         solver.solve_rhs(1.0, rhs)
         solver.solve_rhs(1.0, rhs)
@@ -269,7 +271,7 @@ class TestExactFloatCacheKey:
         the per-current cache is the solution cache — keyed on the
         exact float — and the per-device factor is keyed on the exact
         bytes of the diagonal."""
-        solver = SteadyStateSolver(tec_system, mode="reuse")
+        solver = steady_view(tec_system, mode="reuse")
         solver.solve(1.0)
         solver.solve(np.nextafter(1.0, 2.0))
         assert solver.stats.solution_hits == 0
@@ -301,7 +303,7 @@ class TestSingularHandling:
         """The condensed ``C_S - i diag(d_S)`` is singular exactly at
         ``lambda_m``; the guard on its spectral factor ``1 - i mu_max``
         must catch it instead of returning garbage temperatures."""
-        solver = SteadyStateSolver(tec_system, mode="reuse")
+        solver = steady_view(tec_system, mode="reuse")
         lam = self._runaway(tec_system)
         with pytest.raises(SingularSystemError, match="runaway"):
             solver.solve(lam)
@@ -312,7 +314,7 @@ class TestSingularHandling:
         where runaway happens."""
         import scipy.linalg
 
-        solver = SteadyStateSolver(tec_system, mode="reuse")
+        solver = steady_view(tec_system, mode="reuse")
         pencil = solver.condensed()
         eigs = scipy.linalg.eigvals(np.diag(pencil.d_support), pencil.schur)
         real = eigs.real[np.abs(eigs.imag) < 1e-9 * np.abs(eigs).max()]
@@ -320,7 +322,7 @@ class TestSingularHandling:
         assert i_sing == pytest.approx(self._runaway(tec_system), rel=1e-9)
 
     def test_reuse_check_definite_beyond_runaway(self, tec_system):
-        solver = SteadyStateSolver(tec_system, mode="reuse")
+        solver = steady_view(tec_system, mode="reuse")
         with pytest.raises(SingularSystemError):
             solver.solve(1.5 * self._runaway(tec_system), check_definite=True)
 
@@ -328,14 +330,14 @@ class TestSingularHandling:
         """The SPD factorization's pivot check refuses an indefinite
         ``G - i D`` instead of returning temperatures below absolute
         zero, as a general LU of the nonsingular system would."""
-        solver = SteadyStateSolver(tec_system, mode="direct")
+        solver = steady_view(tec_system, mode="direct")
         with pytest.raises(SingularSystemError, match="runaway"):
             solver.solve(1.5 * self._runaway(tec_system))
 
 
 class TestBatchedRhs:
     def test_matrix_rhs_matches_column_solves(self, tec_system):
-        solver = SteadyStateSolver(tec_system)
+        solver = steady_view(tec_system)
         rhs = np.column_stack([
             tec_system.p_base,
             np.arange(float(tec_system.num_nodes)),
@@ -346,14 +348,14 @@ class TestBatchedRhs:
             assert np.allclose(batched[:, j], solver.solve_rhs(1.0, rhs[:, j]))
 
     def test_rhs_columns_counted(self, tec_system):
-        solver = SteadyStateSolver(tec_system)
+        solver = steady_view(tec_system)
         solver.solve_rhs(0.0, np.zeros((tec_system.num_nodes, 3)))
         assert solver.stats.rhs_columns == 3
 
 
 class TestSolverStats:
     def test_diff_and_copy(self, tec_system):
-        solver = SteadyStateSolver(tec_system)
+        solver = steady_view(tec_system)
         before = solver.stats.copy()
         solver.solve(1.0)
         delta = solver.stats.diff(before)
@@ -362,7 +364,7 @@ class TestSolverStats:
         assert before.solves == 0  # the snapshot is independent
 
     def test_as_dict_round_trips(self, tec_system):
-        solver = SteadyStateSolver(tec_system)
+        solver = steady_view(tec_system)
         solver.solve(0.5)
         data = solver.stats.as_dict()
         assert data["solves"] == 1
@@ -376,7 +378,7 @@ class TestSolverStats:
         }
 
     def test_summary_is_single_line(self, tec_system):
-        solver = SteadyStateSolver(tec_system)
+        solver = steady_view(tec_system)
         solver.solve(0.5)
         summary = solver.stats.summary()
         assert "\n" not in summary
@@ -402,7 +404,7 @@ class TestClusteredCurrents:
 
     def test_clustered_currents_match_fresh_direct_solves(self):
         model = self._big_model()
-        direct = SteadyStateSolver(model.system, mode="direct")
+        direct = steady_view(model.system, mode="direct")
         currents = [1.0, 1.05, 1.0 + 1e-9, 1.05 * (1.0 + 1e-15)]
         for current in currents:
             got = model.solve(current).theta_k
