@@ -24,12 +24,16 @@ checks the acceptance criteria of the solve-session PR:
   ``incremental_builds`` per iteration.
 
 The measurements are written to ``BENCH_session.json`` at the repo
-root (schema: :func:`repro.io.results.bench_report_to_json`) so the
-perf trajectory is machine-readable across commits.
+root (schema: :func:`repro.io.results.bench_report_to_json`), tagged
+``"run": "full"``, so the perf trajectory is machine-readable across
+commits.
 
 The workload list honours the ``BENCH_SESSION_WORKLOADS`` environment
 variable (comma-separated subset of ``control,nonlinear``) so CI can
-run either half alone.
+run either half alone.  A run with that override writes the
+gitignored ``BENCH_session-fast.json`` (tagged ``"run": "fast"``)
+instead, so a fast run never overwrites the checked-in full-run
+numbers.
 
 Run:  pytest benchmarks/bench_session.py -s
       python benchmarks/bench_session.py
@@ -53,6 +57,10 @@ from repro.thermal.transient import TransientSimulator
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _DEFAULT_WORKLOADS = "control,nonlinear"
+_FULL_RUN = "BENCH_SESSION_WORKLOADS" not in os.environ
+_OUTPUT = _REPO_ROOT / (
+    "BENCH_session.json" if _FULL_RUN else "BENCH_session-fast.json"
+)
 
 #: Central hotspot deployment on the alpha floorplan for the nonlinear
 #: workload — fixed so that half never pays a GreedyDeploy run.
@@ -249,6 +257,7 @@ def run_workload(workloads=None):
         "tiles": list(_TILES),
         "trace_agreement_k": _TRACE_AGREEMENT_K,
         "factorization_ratio": _FACTORIZATION_RATIO,
+        "run": "full" if _FULL_RUN else "fast",
         "cpu_count": os.cpu_count(),
     }
     return entries, metadata
@@ -314,9 +323,8 @@ def test_nonlinear_replay_matches_rebuild(workload):
 
 def test_writes_bench_json(workload):
     entries, metadata = workload
-    path = _REPO_ROOT / "BENCH_session.json"
-    bench_report_to_json("session", entries, path, metadata=metadata)
-    assert path.exists()
+    bench_report_to_json("session", entries, _OUTPUT, metadata=metadata)
+    assert _OUTPUT.exists()
 
 
 if __name__ == "__main__":
@@ -340,6 +348,7 @@ if __name__ == "__main__":
                     item["wall_replay_s"], item["wall_rebuild_s"],
                 )
             )
-    out = _REPO_ROOT / "BENCH_session.json"
-    bench_report_to_json("session", measured_entries, out, metadata=run_metadata)
-    print("written to {}".format(out))
+    bench_report_to_json(
+        "session", measured_entries, _OUTPUT, metadata=run_metadata
+    )
+    print("written to {}".format(_OUTPUT))

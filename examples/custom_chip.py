@@ -86,7 +86,7 @@ def main():
     )
     print("\nconvexity certificate over [0, {:.1f} A]: {} (margin {:.2e})".format(
         certificate.i_max,
-        "CERTIFIED — gradient/golden optimum is global" if certificate.certified
+        "CERTIFIED — the searched optimum is global" if certificate.certified
         else "not certified",
         certificate.margin,
     ))

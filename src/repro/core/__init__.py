@@ -15,8 +15,9 @@ The solution pipeline mirrors the paper:
 ``current``
     Problem 2 (Section V.C): the convex current-setting subroutine —
     runaway limit ``lambda_m`` (Theorem 1), then 1-D minimization of
-    the peak tile temperature over ``[0, lambda_m)`` by golden section
-    or the paper's gradient descent.
+    the peak tile temperature over ``[0, lambda_m)`` by one search
+    that cuts a certified bracket with every tile's exact tangent
+    line and probes at the minimizer of the tiles' quadratic models.
 ``convexity``
     The optimality certificate: the eta/zeta decomposition of
     Equation (10), ``eta'`` via ``H' = H D H`` (Equation 13), the

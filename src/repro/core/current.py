@@ -12,28 +12,31 @@ temperatures diverge (Theorem 2).  Under Conjecture 1 every
 ``theta_k(i)`` is convex on ``[0, lambda_m)`` (Theorem 3 + the Lemma 4
 certificate), so the max is convex and any local minimum is global.
 
-Three solvers are provided (:data:`CURRENT_METHODS`):
-
-* ``method="golden"`` (default): bracket the minimum by doubling from
-  zero, then golden-section — derivative-free, robust, and optimal for
-  a 1-D convex objective; every cold GreedyDeploy round and every
-  Full-Cover baseline runs it;
-* ``method="newton"``: safeguarded secant (Illinois) root-find on the
-  exact slope ``theta'(i)`` — each evaluation reuses the current's
-  factorized system for the derivative solve, so a warm-started round
-  converges in ~6-8 factorizations; the workhorse of GreedyDeploy's
-  warm rounds (:func:`repro.core.engine.warm_round`);
-* ``method="gradient"``: the paper's projected gradient descent with
-  backtracking line search, using the exact derivative
-  ``theta'(i) = H (D theta + 2 i j)`` obtained from
-  ``H' = H D H`` and ``p'(i) = 2 i j`` — the Section V.C.3 reference
-  the tests check golden section against.
+One search answers every caller — cold GreedyDeploy rounds, the
+Full-Cover baseline, warm rounds, sweeps and serve.  Each probe
+current returns the value, exact slope ``theta' = H (D theta + 2 i j)``
+and curvature ``theta'' = H (2 D theta' + 2 j)`` of every silicon tile
+(``H = (G - i D)^{-1}``, Section V.C.3; one
+:meth:`~repro.thermal.session.SessionView.solve_derivatives` call).
+By convexity each tile's tangent line is a lower bound on that tile,
+so with ``f*`` the best peak probed so far every minimizer lies where
+all tangents stay at or below ``f*``: a *certified bracket*
+``[lo, hi]`` cut from ``[0, safety_fraction * lambda_m]`` by every
+tile of every probe.  The next probe is the minimizer over the bracket
+of the maximum of the latest probe's per-tile quadratic models — a
+Newton step that also sees the kink where two tiles cross, which is
+where a Table I greedy optimum often sits.  A step that lands within
+``tolerance / 4`` of the best probe is replaced by a probe
+``0.4 tolerance`` beside it on the uncut side, and one taken when
+neither the bracket nor the previous step halved by bisection.  The
+search stops when the bracket is at most ``tolerance`` wide and
+returns the best probed current.
 
 Warm starts: callers that already know ``lambda_m`` (a warm round's
-shift-inverted estimate) pass it via ``lambda_m=`` to skip
-the per-round dense eigensolve, and seed the ``"newton"`` search with
-``bounds=`` — a sub-interval of ``[0, upper]`` around the previous
-round's optimum, from which the slope-sign bracket discovery starts.
+shift-inverted estimate) pass it via ``lambda_m=`` to skip the dense
+eigensolve, and pass ``bounds=`` — an interval around the previous
+round's optimum whose midpoint becomes the first probe; the certified
+bracket still starts from the whole capped interval.
 
 :func:`polish_current` refines any approximate minimizer by one
 deterministic parabolic fit through three fixed-spacing samples —
@@ -49,13 +52,15 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.utils.units import kelvin_to_celsius
 from repro.utils.validate import check_in_range, check_positive
 
-#: Golden ratio constant for the section search.
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: Problem 2 search methods accepted by :func:`minimize_peak_temperature`.
-CURRENT_METHODS = ("golden", "gradient", "newton")
+#: Grid points over the bracket that pick the tiles whose quadratic
+#: models place the next probe (the bracket always cuts with every
+#: tile).
+_ENVELOPE_POINTS = 33
 
 
 @dataclass
@@ -65,21 +70,20 @@ class CurrentOptimizationResult:
     Attributes
     ----------
     current:
-        The optimal shared supply current ``I_opt`` (A).
+        The optimal shared supply current ``I_opt`` (A): the best
+        probed current.
     peak_c:
         Peak silicon temperature at ``current`` (Celsius).
     lambda_m:
         Runaway current bounding the search (A; ``inf`` if no TEC).
     evaluations:
-        Number of steady-state solves performed.
-    method:
-        The search method, one of :data:`CURRENT_METHODS`.
+        Number of probe currents solved.
     converged:
-        True when the bracket/step tolerance was met within the
-        iteration budget.  For the gradient method this also requires
-        that an Armijo line-search failure happened at a (projected)
-        stationary point — exhausting the backtracking loop far from
-        one reports False.
+        True when the certified bracket narrowed to ``tolerance``
+        within the evaluation budget.
+    bracket:
+        The certified ``(lo, hi)`` interval (A) holding every
+        minimizer when the search stopped.
     history:
         Optional list of ``(current, peak_c)`` pairs visited.
     stats:
@@ -89,15 +93,15 @@ class CurrentOptimizationResult:
         Wall-clock split: computing ``lambda_m`` (zero when injected
         by the caller) vs the 1-D search itself.
     warm_started:
-        True when the search started from caller-provided ``bounds``.
+        True when the first probe came from caller-provided ``bounds``.
     """
 
     current: float
     peak_c: float
     lambda_m: float
     evaluations: int
-    method: str
     converged: bool
+    bracket: tuple = (0.0, 0.0)
     history: list = field(default_factory=list)
     stats: object = None
     runaway_s: float = 0.0
@@ -105,39 +109,9 @@ class CurrentOptimizationResult:
     warm_started: bool = False
 
 
-class _PeakObjective:
-    """Callable computing ``max_k theta_k(i)`` with solve counting."""
-
-    def __init__(self, model, record_history=False):
-        self.model = model
-        self.evaluations = 0
-        self.history = [] if record_history else None
-
-    def __call__(self, current):
-        self.evaluations += 1
-        peak = self.model.solve(current).peak_silicon_c
-        if self.history is not None:
-            self.history.append((float(current), float(peak)))
-        return peak
-
-    def gradient(self, current):
-        """Exact derivative of the peak tile temperature at ``current``.
-
-        Differentiating ``(G - i D) theta = p_base + i^2 j`` gives
-        ``theta'(i) = (G - i D)^{-1} (D theta + 2 i j)``; the active
-        (hottest) tile's component is a (sub)gradient of the max.
-        """
-        state = self.model.solve(current)
-        system = self.model.system
-        rhs = system.d_diagonal * state.theta_k + 2.0 * current * system.joule
-        derivative = self.model.solver.solve_rhs(current, rhs)
-        return float(derivative[self.model.silicon_nodes[state.peak_tile]]), state
-
-
 def minimize_peak_temperature(
     model,
     *,
-    method="golden",
     tolerance=1.0e-4,
     safety_fraction=0.98,
     max_iterations=200,
@@ -153,35 +127,32 @@ def minimize_peak_temperature(
         A :class:`~repro.thermal.model.PackageThermalModel` with at
         least one TEC deployed.  (With none, the result is trivially
         ``i = 0``.)
-    method:
-        ``"golden"`` (default), ``"gradient"`` (the paper's descent)
-        or ``"newton"`` (safeguarded secant on the exact slope).
     tolerance:
-        Absolute current tolerance on the final bracket / step (A).
+        Width (A) of the certified bracket at which the search stops.
     safety_fraction:
         The search is restricted to ``[0, safety_fraction * lambda_m]``
         to keep the linear solves well-conditioned; temperatures
         diverge at ``lambda_m``, so the minimizer is interior and
         unaffected for any sensible instance.
     max_iterations:
-        Iteration budget for the section search / descent.
+        Evaluation budget: the most probe currents solved.
     record_history:
         Keep the ``(i, peak)`` evaluation trace in the result.
     lambda_m:
         Externally computed runaway current (a float or anything with
         ``.value``/``__float__``).  Skips the internal
         ``model.runaway_current()`` eigensolve — a warm GreedyDeploy
-        round passes its shift-inverted estimate here.  Must be an *upper* bound on the true value only up to
-        the safety margin: a ``1/safety_fraction`` overestimate still
-        keeps the capped search interval valid.
+        round passes its shift-inverted estimate here.  Must be an
+        *upper* bound on the true value only up to the safety margin:
+        a ``1/safety_fraction`` overestimate still keeps the capped
+        search interval valid.
     bounds:
         Optional ``(lo, hi)`` warm-start interval (A) believed to
         contain the minimizer — typically the previous greedy round's
-        optimum scaled by the ``lambda_m`` ratio.  ``"newton"`` only
-        (any other method raises ``ValueError``): clipped to
-        ``[0, upper]``, it seeds the slope-sign bracket discovery — no
-        validation probes, a drifted minimum just costs extra
-        doubling steps.
+        optimum scaled by the ``lambda_m`` ratio.  Clipped to
+        ``[0, upper]``, its midpoint is the first probe; the certified
+        bracket still starts from ``[0, upper]``, so a drifted guess
+        costs a few more probes, never the answer.
 
     Returns
     -------
@@ -189,17 +160,6 @@ def minimize_peak_temperature(
     """
     check_positive(tolerance, "tolerance")
     check_in_range(safety_fraction, "safety_fraction", 0.0, 1.0, inclusive=(False, False))
-    if method not in CURRENT_METHODS:
-        raise ValueError(
-            "unknown method {!r}; use one of {}".format(
-                method, ", ".join(CURRENT_METHODS)
-            )
-        )
-    if bounds is not None and method != "newton":
-        raise ValueError(
-            "bounds seed only the 'newton' search, not {!r}".format(method)
-        )
-    objective = _PeakObjective(model, record_history=record_history)
     stats_before = model.solver.stats.copy()
 
     runaway_start = time.perf_counter()
@@ -214,43 +174,43 @@ def minimize_peak_temperature(
     runaway_s = time.perf_counter() - runaway_start
 
     search_start = time.perf_counter()
+    history = [] if record_history else None
     if not model.stamps:
-        peak = objective(0.0)
-        return CurrentOptimizationResult(
-            current=0.0,
-            peak_c=peak,
-            lambda_m=lambda_m,
-            evaluations=objective.evaluations,
-            method=method,
-            converged=True,
-            history=objective.history or [],
-            stats=model.solver.stats.diff(stats_before),
-            runaway_s=runaway_s,
-            search_s=time.perf_counter() - search_start,
-        )
-
-    if math.isinf(lambda_m):
+        peak = model.solve(0.0).peak_silicon_c
+        if history is not None:
+            history.append((0.0, float(peak)))
+        search = (0.0, peak, (0.0, 0.0), 1, True)
+    elif math.isinf(lambda_m):
         # D has no positive entry; physically impossible for a stamped
         # TEC (the hot node always carries +alpha), so treat as a
         # configuration error.
         raise ValueError("deployment has TECs but no runaway current; D is degenerate")
-    upper = safety_fraction * lambda_m
+    else:
+        upper = safety_fraction * lambda_m
+        start = 0.0
+        if bounds is not None:
+            lo = min(max(float(bounds[0]), 0.0), upper)
+            hi = min(max(float(bounds[1]), lo), upper)
+            start = 0.5 * (lo + hi)
 
-    if method == "golden":
-        result = _golden_section(objective, upper, tolerance, max_iterations)
-    elif method == "gradient":
-        result = _gradient_descent(objective, upper, tolerance, max_iterations)
-    else:  # "newton"
-        result = _newton_on_slope(objective, bounds, upper, tolerance, max_iterations)
-    current, peak, converged = result
+        def probe(current):
+            block = model.solver.solve_derivatives(current)[model.silicon_nodes]
+            if history is not None:
+                history.append((current, float(kelvin_to_celsius(block[:, 0].max()))))
+            return block
+
+        search = _tangent_cut_search(
+            probe, start, upper, float(tolerance), int(max_iterations)
+        )
+    current, peak, bracket, evaluations, converged = search
     return CurrentOptimizationResult(
-        current=current,
-        peak_c=peak,
+        current=float(current),
+        peak_c=float(peak),
         lambda_m=lambda_m,
-        evaluations=objective.evaluations,
-        method=method,
+        evaluations=evaluations,
         converged=converged,
-        history=objective.history or [],
+        bracket=bracket,
+        history=history or [],
         stats=model.solver.stats.diff(stats_before),
         runaway_s=runaway_s,
         search_s=time.perf_counter() - search_start,
@@ -258,94 +218,85 @@ def minimize_peak_temperature(
     )
 
 
-def _newton_on_slope(objective, bounds, upper, tolerance, max_iterations):
-    """Safeguarded secant (Illinois) root-find on the exact slope.
+def _tangent_cut_search(probe, start, upper, tolerance, budget):
+    """The certified tangent-cut search on ``[0, upper]``.
 
-    The objective is convex on ``[0, upper]``, so its derivative is
-    nondecreasing and the minimizer is the slope's sign change.  Each
-    evaluation costs one solver factorization for the temperature plus
-    one back-substitution for the derivative (same current, hence a
-    cached factorization) — the cheapest information per factorization
-    of all the methods.  Discovery doubles outward from the warm guess
-    until the slope changes sign; Illinois refinement then converges
-    superlinearly with a bisection-grade worst case.
+    ``probe(i)`` returns the ``(tiles, 3)`` block of per-tile value,
+    slope and curvature at ``i`` (Kelvin).  Returns ``(current,
+    peak_c, bracket, evaluations, converged)`` for the best probe.
     """
-    evaluated = {}
+    currents, values, slopes, peaks = [], [], [], []
+    width = last_step = math.inf
+    current = start
+    while True:
+        block = probe(current)
+        currents.append(current)
+        values.append(block[:, 0])
+        slopes.append(block[:, 1])
+        peaks.append(block[:, 0].max())
+        best = int(np.argmin(peaks))
+        lo, hi = _certified_bracket(currents, values, slopes, peaks[best], upper)
+        if lo > hi:
+            # Round-off emptied the bracket: the cuts cross at the
+            # best probe as closely as the solves can tell.
+            lo = hi = currents[best]
+        if hi - lo <= tolerance or len(currents) >= budget:
+            break
+        step = _model_minimizer(current, block, lo, hi)
+        best_current = currents[best]
+        if abs(step - best_current) <= 0.25 * tolerance:
+            side = 1.0 if hi - best_current >= best_current - lo else -1.0
+            step = min(max(best_current + side * 0.4 * tolerance, lo), hi)
+        elif step in currents or (
+            hi - lo > 0.5 * width and abs(step - current) > 0.5 * last_step
+        ):
+            # Neither the bracket nor the step halved: bisect.
+            step = 0.5 * (lo + hi)
+        width, last_step = hi - lo, abs(step - current)
+        current = step
+    peak_c = float(kelvin_to_celsius(peaks[best]))
+    return currents[best], peak_c, (lo, hi), len(currents), hi - lo <= tolerance
 
-    def eval_at(current):
-        if current in evaluated:
-            return evaluated[current]
-        slope, state = objective.gradient(current)
-        objective.evaluations += 1
-        peak = float(state.peak_silicon_c)
-        if objective.history is not None:
-            objective.history.append((float(current), peak))
-        evaluated[current] = (slope, peak)
-        return slope, peak
 
-    if bounds is not None:
-        lo = min(max(float(bounds[0]), 0.0), upper)
-        hi = min(max(float(bounds[1]), lo), upper)
-        x = 0.5 * (lo + hi)
-        step = max(0.5 * (hi - lo), tolerance)
-    else:
-        x = 0.5 * upper
-        step = 0.25 * upper
+def _certified_bracket(currents, values, slopes, best_peak, upper):
+    """``[lo, hi]`` left by every tile's tangent line at every probe:
+    a minimizer ``i*`` has ``theta_k(i_j) + theta_k'(i_j) (i* - i_j)
+    <= theta_k(i*) <= best_peak``."""
+    values = np.asarray(values)
+    slopes = np.asarray(slopes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.asarray(currents)[:, None] + (best_peak - values) / slopes
+    lo = max(0.0, float(reach[slopes < 0.0].max(initial=0.0)))
+    hi = min(upper, float(reach[slopes > 0.0].min(initial=upper)))
+    return lo, hi
 
-    neg = pos = None
-    slope_neg = slope_pos = 0.0
-    for _ in range(60):
-        slope, peak = eval_at(x)
-        if slope == 0.0:
-            return x, peak, True
-        if slope < 0.0:
-            neg, slope_neg = x, slope
-            if pos is not None:
-                break
-            if x >= upper:
-                # Still descending at the capped interval's end: the
-                # safety margin is the binding constraint.
-                return upper, peak, True
-            x = min(x + step, upper)
-        else:
-            pos, slope_pos = x, slope
-            if neg is not None:
-                break
-            if x <= 0.0:
-                # Heating from the first ampere on: cooling never helps.
-                return 0.0, peak, True
-            x = max(x - step, 0.0)
-        step *= 2.0
-    if neg is None or pos is None:
-        best = min(evaluated, key=lambda key: evaluated[key][1])
-        return best, evaluated[best][1], False
 
-    side = 0
-    iterations = 0
-    while pos - neg > tolerance and iterations < max_iterations:
-        iterations += 1
-        denominator = slope_pos - slope_neg
-        if denominator > 0.0:
-            x = pos - slope_pos * (pos - neg) / denominator
-        else:
-            x = 0.5 * (neg + pos)
-        if not neg < x < pos:
-            x = 0.5 * (neg + pos)
-        slope, peak = eval_at(x)
-        if slope == 0.0:
-            return x, peak, True
-        if slope < 0.0:
-            neg, slope_neg = x, slope
-            if side == -1:
-                slope_pos *= 0.5
-            side = -1
-        else:
-            pos, slope_pos = x, slope
-            if side == 1:
-                slope_neg *= 0.5
-            side = 1
-    best = min(evaluated, key=lambda key: evaluated[key][1])
-    return best, evaluated[best][1], pos - neg <= tolerance
+def _model_minimizer(current, block, lo, hi):
+    """Minimizer over ``[lo, hi]`` of ``max_k q_k`` for the per-tile
+    quadratic models ``q_k(t) = v_k + s_k t + c_k t^2 / 2`` about
+    ``current`` (``t = i - current``).  The tiles on the models' upper
+    envelope over a :data:`_ENVELOPE_POINTS` grid of the bracket take
+    part; the max of their quadratics is minimized at an end, a vertex
+    or a pairwise crossing, and every candidate is evaluated."""
+    value, slope, half = block[:, 0], block[:, 1], 0.5 * block[:, 2]
+    grid = np.linspace(lo - current, hi - current, _ENVELOPE_POINTS)
+    envelope = value[:, None] + grid * (slope[:, None] + half[:, None] * grid)
+    tiles = np.unique(envelope.argmax(axis=0))
+    value, slope, half = value[tiles], slope[tiles], half[tiles]
+    candidates = [grid[[0, -1]]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        candidates.append(-slope / (2.0 * half))
+        first, second = np.triu_indices(tiles.size, 1)
+        a = half[first] - half[second]
+        b = slope[first] - slope[second]
+        c = value[first] - value[second]
+        root = np.sqrt(b * b - 4.0 * a * c)
+        q = -0.5 * (b + np.copysign(root, b))
+        candidates.extend([q / a, c / q])
+    t = np.concatenate(candidates)
+    t = np.clip(t[np.isfinite(t)], grid[0], grid[-1])
+    models = value[:, None] + t * (slope[:, None] + half[:, None] * t)
+    return current + float(t[np.argmin(models.max(axis=0))])
 
 
 def polish_current(model, current, *, spacing=1.0e-3, upper=None,
@@ -405,85 +356,3 @@ def polish_current(model, current, *, spacing=1.0e-3, upper=None,
         if moved <= 1.0e-4 * h:
             break
     return center, evaluations
-
-
-def _golden_section(objective, upper, tolerance, max_iterations):
-    """Bracket by doubling, then golden-section on the bracket."""
-    f0 = objective(0.0)
-    # Doubling phase: find b with f(b) above the running minimum, so the
-    # convex objective's minimizer lies in [0, b].
-    step = min(upper / 64.0, 1.0) or upper / 64.0
-    best_i, best_f = 0.0, f0
-    b = step
-    fb = objective(b)
-    doublings = 0
-    while fb <= best_f and doublings < 60:
-        best_i, best_f = b, fb
-        b = min(2.0 * b, upper)
-        fb = objective(b)
-        doublings += 1
-        if b >= upper:
-            break
-    lo, hi = 0.0, b
-
-    # Golden-section search on [lo, hi].
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    iterations = 0
-    while hi - lo > tolerance and iterations < max_iterations:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = objective(x2)
-        iterations += 1
-    candidates = [(f0, 0.0), (f1, x1), (f2, x2), (fb, b), (best_f, best_i)]
-    peak, current = min(candidates)
-    return float(current), float(peak), iterations < max_iterations
-
-
-def _gradient_descent(objective, upper, tolerance, max_iterations):
-    """The paper's method: projected gradient descent on ``[0, upper]``.
-
-    Backtracking (Armijo) line search; the iterate is clipped to the
-    feasible interval.  On the convex objective this converges to the
-    global minimizer (Section V.C.3).
-    """
-    current = min(1.0, 0.25 * upper)
-    value = objective(current)
-    step = max(0.25, 0.05 * upper)
-    converged = False
-    for _ in range(max_iterations):
-        grad, _ = objective.gradient(current)
-        if abs(grad) < 1.0e-12:
-            converged = True
-            break
-        direction = -math.copysign(1.0, grad)
-        trial_step = step
-        improved = False
-        while trial_step > tolerance * 0.25:
-            candidate = min(max(current + direction * trial_step, 0.0), upper)
-            candidate_value = objective(candidate)
-            if candidate_value < value - 1.0e-4 * trial_step * abs(grad):
-                current, value = candidate, candidate_value
-                step = trial_step * 1.5
-                improved = True
-                break
-            trial_step *= 0.5
-        if not improved:
-            # Armijo exhaustion only certifies a (projected) stationary
-            # point when a tolerance-sized move the *other* way does not
-            # improve either — a misleading gradient (e.g. from a
-            # near-singular solve) would otherwise be reported as
-            # converged far from the minimizer.
-            probe = min(max(current - direction * tolerance, 0.0), upper)
-            probe_value = objective(probe) if probe != current else value
-            converged = not (
-                probe_value < value - 1.0e-9 * max(1.0, abs(value))
-            )
-            break
-    return float(current), float(value), converged

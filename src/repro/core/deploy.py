@@ -132,13 +132,14 @@ def greedy_deploy(problem, *, current_tolerance=1.0e-4, max_rounds=None):
     """Run GreedyDeploy (Figure 5) on a :class:`CoolingSystemProblem`.
 
     Every round runs cold — build the deployment's model, solve
-    Problem 2 over the whole capped interval by golden section, solve
+    Problem 2 from a cold start over the whole capped interval, solve
     the steady state — except a round that is not the first and
     whose Peltier support ``2 |S_TEC|`` reaches
     :data:`repro.core.engine._DIRECT_MIN_SUPPORT`.  Such a round runs
     :func:`~repro.core.engine.warm_round`: a shift-inverted runaway
-    bound seeded by the previous round's eigenvector and a slope
-    root-find inside the previous optimum's bracket.  A run whose last
+    bound seeded by the previous round's eigenvector and the same
+    search, first probing the previous optimum scaled by the
+    ``lambda_m`` ratio.  A run whose last
     round was warm polishes its final optimum
     (:func:`~repro.core.engine.polish_final`); an all-cold run is
     returned as the rounds left it.

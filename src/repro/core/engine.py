@@ -18,11 +18,13 @@ from the round before:
    Rayleigh quotient certifies an upper bound on ``lambda_m``; if it
    overshoots past the safety margin, the resulting
    :class:`SingularSystemError` is caught, the exact eigenvalue
-   recomputed and the round's search rerun on a cold bracket
+   recomputed and the round's search rerun from a cold start
    (``DeployStats.runaway_rescues``).
 2. **Warm-started Problem 2**: the previous optimum, scaled by the
-   ``lambda_m`` ratio, brackets the next one, and the slope root-find
-   (``method="newton"``) converges in a handful of evaluations.
+   ``lambda_m`` ratio, is the first probe of the one Problem 2 search
+   (:func:`~repro.core.current.minimize_peak_temperature`), whose
+   certified tangent-cut bracket still starts from the whole capped
+   interval.
 3. **A per-current backend**: a warm round evaluates only a handful of
    distinct currents, so under ``reuse`` (also ``auto`` resolving to
    it) the round runs on ``"direct"`` — one sparse SPD factorization
@@ -161,11 +163,6 @@ class DeployStats:
         )
 
 
-#: Half-width of the warm-start bracket, as a fraction of the scaled
-#: previous optimum (the lambda-ratio scaling is accurate to far
-#: better than this in practice).
-_WARM_HALF_FRACTION = 0.5
-
 #: Initial shift-invert shift, as a fraction of the previous round's
 #: lambda_m.  Growing the deployment grows the Peltier support, so
 #: lambda_m (near-)monotonically shrinks round over round; starting
@@ -182,8 +179,8 @@ _SAFETY_FRACTION = 0.98
 #: cold round is cheap: the condensed pencil's ``m x m``
 #: eigendecomposition answers ``lambda_m`` and every current of the
 #: search.  Above it that eigendecomposition dominates, and a few
-#: shift-inverted solves plus a bracketed slope root-find over a
-#: handful of per-current factorizations beat it.
+#: shift-inverted solves plus a warm-started search over a handful of
+#: per-current factorizations beat it.
 _DIRECT_MIN_SUPPORT = 256
 
 
@@ -255,9 +252,9 @@ def warm_round(problem, deployment, previous, round_stats, stats, *,
     ``previous`` is ``(model, optimum, vector)`` of the round before:
     its model, its :class:`~repro.core.current.CurrentOptimizationResult`
     and its runaway eigenvector, None after a cold round (the vector is
-    then the one kept on that round's model).  The slope
-    root-find runs inside the previous optimum's bracket; without one,
-    and in the rescue, the search is the cold golden section.  Fills
+    then the one kept on that round's model).  The search's first
+    probe is the previous optimum scaled by the ``lambda_m`` ratio;
+    without one, and in the rescue, it starts cold.  Fills
     ``round_stats`` and ``stats``; returns ``(model, optimum, state,
     vector)``.
     """
@@ -294,23 +291,18 @@ def warm_round(problem, deployment, previous, round_stats, stats, *,
         and previous_optimum.current > 0.0
     ):
         guess = previous_optimum.current * (lam / previous_lambda)
-        half = max(_WARM_HALF_FRACTION * guess, 50.0 * current_tolerance)
-        bounds = (guess - half, guess + half)
+        bounds = (guess, guess)
 
     try:
         optimum = minimize_peak_temperature(
-            model,
-            method="newton" if bounds is not None else "golden",
-            tolerance=current_tolerance,
-            lambda_m=lam,
-            bounds=bounds,
+            model, tolerance=current_tolerance, lambda_m=lam, bounds=bounds
         )
         phase_start = time.perf_counter()
         state = model.solve(optimum.current)
     except SingularSystemError:
         # The warm Rayleigh bound overshot lambda_m past the safety
         # margin and a capped-interval solve went singular: recover
-        # with the exact eigenvalue and a cold-bracket retry.
+        # with the exact eigenvalue and a cold-start retry.
         stats.runaway_rescues += 1
         lam, vector, _, _ = _exact_runaway(model, stats)
         round_stats.runaway_method = runaway_method + "+rescue"

@@ -21,7 +21,7 @@ Both studies warm-start each perturbed model's current search from the
 nominal optimum (``warm_start=True``): perturbations are small, so the
 optimum moves little, and the iterated parabolic refinement of
 :func:`~repro.core.current.polish_current` lands on it in a handful of
-solves instead of a cold bracket-and-golden-section search per sample.
+solves instead of a cold Problem 2 search per sample.
 A local-optimality probe guards the shortcut — whenever the polished
 point is not a local minimum (the perturbed optimum escaped the polish
 window) or the window hits the runaway limit, the sample silently

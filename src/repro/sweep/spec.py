@@ -77,6 +77,22 @@ def _whole_number(value, name):
     return number
 
 
+def _real_number(value, name):
+    """``value`` as a ``float``, or ValueError unless it is a number.
+
+    ``"2"`` and ``3`` coerce; ``True`` and non-numbers are refused.
+    Range checks (finite, positive, ...) are the caller's.
+    """
+    try:
+        number = float(value)
+        real = not isinstance(value, bool)
+    except (TypeError, ValueError, OverflowError):
+        real = False
+    if not real:
+        raise ValueError("{} must be a real number, got {!r}".format(name, value))
+    return number
+
+
 @functools.lru_cache(maxsize=None)
 def _benchmark_num_tiles(name):
     from repro.experiments.benchmarks import BENCHMARKS
@@ -97,6 +113,9 @@ class Scenario:
     ``num_groups``, ``max_rounds`` and the four counts of each
     ``chiplets`` entry — must be whole numbers: ``"3"`` and ``4.0``
     coerce, while ``2.7`` and ``True`` are refused, never truncated.
+    The real-number fields (factors, currents, budgets, tolerances,
+    ``limit_c``, ``dt``, ``rom_tol`` and each chiplet's power) are
+    stored as floats: ``"2"`` coerces, ``True`` is refused.
 
     Attributes
     ----------
@@ -235,7 +254,9 @@ class Scenario:
                     _whole_number(cols, "chiplet cols"),
                     _whole_number(row0, "chiplet row_offset"),
                     _whole_number(col0, "chiplet col_offset"),
-                    check_nonnegative(power, "chiplet power_w"),
+                    check_nonnegative(
+                        _real_number(power, "chiplet power_w"), "chiplet power_w"
+                    ),
                 )
                 if min(entry[:2]) < 1 or min(entry[2:4]) < 0:
                     raise ValueError(
@@ -274,10 +295,17 @@ class Scenario:
                 )
         for name in ("power_scale", "seebeck_factor", "resistance_factor",
                      "current_tolerance"):
-            check_positive(getattr(self, name), name)
+            value = _real_number(getattr(self, name), name)
+            object.__setattr__(self, name, check_positive(value, name))
         for name in ("current_a", "budget_w"):
             if getattr(self, name) is not None:
-                check_nonnegative(getattr(self, name), name)
+                value = _real_number(getattr(self, name), name)
+                object.__setattr__(self, name, check_nonnegative(value, name))
+        if self.limit_c is not None:
+            # Its range fits the package, so check_chip checks it.
+            object.__setattr__(
+                self, "limit_c", _real_number(self.limit_c, "limit_c")
+            )
         if self.task in _DEPLOYED_TASKS:
             if self.tec_tiles is None:
                 raise ValueError(
@@ -294,7 +322,9 @@ class Scenario:
                 "pareto scenario {!r} needs budget_w >= 0".format(self.name)
             )
         if self.dt is not None:
-            object.__setattr__(self, "dt", check_positive(self.dt, "dt"))
+            object.__setattr__(
+                self, "dt", check_positive(_real_number(self.dt, "dt"), "dt")
+            )
         if self.steps is not None:
             if self.steps < 1:
                 raise ValueError(
@@ -316,7 +346,8 @@ class Scenario:
                 )
         if self.rom_tol is not None:
             object.__setattr__(
-                self, "rom_tol", check_positive(self.rom_tol, "rom_tol")
+                self, "rom_tol",
+                check_positive(_real_number(self.rom_tol, "rom_tol"), "rom_tol"),
             )
         if self.num_groups is not None:
             if not 1 <= self.num_groups <= len(self.tec_tiles or ()):

@@ -44,10 +44,9 @@ per-device-current solves through :meth:`SessionView.solve_diagonal`.
 
 Cache keys use the **exact float value** of the current (``float(i)``
 equality — no quantization) and the exact bytes of diagonal vectors.
-Golden-section probes at nearly identical currents are *distinct* keys
-and always miss; this is deliberate, keeps replay bit-reproducible,
-and is pinned by
-``tests/thermal/test_solve.py::TestExactFloatCacheKey``.
+Search probes at nearly identical currents are *distinct* keys and
+always miss; this is deliberate, keeps replay bit-reproducible, and is
+pinned by ``tests/thermal/test_solve.py::TestExactFloatCacheKey``.
 """
 
 from __future__ import annotations
@@ -155,8 +154,8 @@ class SolverStats:
     cache_hits / cache_misses / evictions:
         Per-current factorization-cache traffic.
     solves:
-        ``solve`` / ``solve_rhs`` / ``solve_diagonal`` /
-        ``influence_rows`` calls.
+        ``solve`` / ``solve_rhs`` / ``solve_derivatives`` /
+        ``solve_diagonal`` / ``influence_rows`` calls.
     rhs_columns:
         Total right-hand-side columns pushed through a factorization.
     solution_hits:
@@ -614,11 +613,9 @@ class SessionView:
             self._x_pair = self._timed_lu_solve(lu, rhs)
         return self._x_pair
 
-    def _current_correct(self, current, x):
-        """Turn ``x = (S + G)^{-1} b`` into ``(S + G - i D)^{-1} b``
-        (``x`` 1-D or a column block) through the pencil's spectrum."""
-        if current == 0.0 or self._support.size == 0:
-            return x
+    def _current_inverse(self, current):
+        """The pencil and its ``(C_S - i diag(d_S))^{-1}``; refuses a
+        current at or beyond ``lambda_m``."""
         pencil = self.condensed()
         inverse = pencil.current_inverse(current)
         if inverse is None:
@@ -626,6 +623,14 @@ class SessionView:
                 "C_S - i diag(d_S) is not positive definite at i = {} A "
                 "(current at/beyond the runaway limit lambda_m)".format(current)
             )
+        return pencil, inverse
+
+    def _current_correct(self, current, x):
+        """Turn ``x = (S + G)^{-1} b`` into ``(S + G - i D)^{-1} b``
+        (``x`` 1-D or a column block) through the pencil's spectrum."""
+        if current == 0.0 or self._support.size == 0:
+            return x
+        pencil, inverse = self._current_inverse(current)
         return pencil.solve(inverse, current * self._d_support, x)
 
     def _apply_reuse(self, current, rhs):
@@ -801,6 +806,66 @@ class SessionView:
             )
         self._cache_put(self._solution_cache, current, theta.copy())
         return theta
+
+    def solve_derivatives(self, current):
+        """``[theta, theta', theta'']`` at ``current`` as an ``(n, 3)`` block.
+
+        Differentiating ``(S + G - i D) theta = p_base + i^2 joule``
+        gives the paper's exact slope ``theta' = H (D theta + 2 i j)``
+        and ``theta'' = H (2 D theta' + 2 j)`` with
+        ``H = (S + G - i D)^{-1}`` (Section V.C.3).  ``direct`` and
+        ``mg`` solve the three columns in turn on the current's factor
+        or hierarchy.  ``reuse`` differentiates its condensed form
+        instead: the support block of each column is ``m x m`` work on
+        the pencil's spectrum and all three ride one 3-column lift
+        through the support-last factor.  Counted as one solve; the
+        value column is not put in the solution cache, so
+        :meth:`solve` answers the same bits whether or not this ran.
+        """
+        current = float(current)
+        self.stats.solves += 1
+        if self.effective_mode == "reuse":
+            block = self._reuse_derivatives(current)
+        else:
+            d = self.system.d_diagonal
+            joule = self.system.joule
+            theta = self._apply_inverse(current, self.system.power_vector(current))
+            slope = self._apply_inverse(current, d * theta + 2.0 * current * joule)
+            curvature = self._apply_inverse(current, 2.0 * (d * slope + joule))
+            block = np.column_stack([theta, slope, curvature])
+        if not np.all(np.isfinite(block)):
+            raise SingularSystemError(
+                "solve produced non-finite temperatures at i = {} A".format(current)
+            )
+        return block
+
+    def _reuse_derivatives(self, current):
+        """The condensed derivative solve.  With ``x(i) = a + i^2 b``
+        from :meth:`_base_pair` and ``R = (C_S - i diag(d_S))^{-1}``,
+        each support block is ``y_S + R d (k theta_S^(k-1) + i y_S)``
+        for the base column ``y`` of order ``k`` (the cancellation-safe
+        form :meth:`solve` uses), and the lift carries the support
+        loads ``w^(k) = k d theta_S^(k-1) + i d theta_S^(k)``."""
+        pair = self._base_pair()
+        base = np.column_stack([
+            pair[:, 0] + (current * current) * pair[:, 1],
+            (2.0 * current) * pair[:, 1],
+            2.0 * pair[:, 1],
+        ])
+        if self._support.size == 0:
+            return base
+        pencil, inverse = self._current_inverse(current)
+        d = self._d_support
+        base_support = base[self._support]
+        support = np.empty_like(base_support)
+        loads = np.empty_like(base_support)
+        previous = np.zeros(d.size)
+        for order in range(3):
+            y = base_support[:, order]
+            support[:, order] = y + inverse(d * (order * previous + current * y))
+            loads[:, order] = d * (order * previous + current * support[:, order])
+            previous = support[:, order]
+        return base + pencil.lift(loads)
 
     def solve_rhs(self, current, rhs):
         """Solve ``(S + G - i D) x = rhs`` for arbitrary right-hand sides.

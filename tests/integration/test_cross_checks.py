@@ -106,7 +106,7 @@ class TestDecompositionVsDirectSolve:
 
 
 class TestOptimizerAgainstBruteForce:
-    def test_golden_section_matches_fine_grid_on_alpha(self, alpha_greedy):
+    def test_search_matches_fine_grid_on_alpha(self, alpha_greedy):
         model = alpha_greedy.model
         optimum = minimize_peak_temperature(model, tolerance=1e-5)
         grid = np.linspace(

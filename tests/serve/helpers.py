@@ -27,9 +27,9 @@ for _tile in SMALL_CHIP["tec_tiles"]:
 
 
 #: GreedyDeploy settings every front end must refuse up front, with
-#: the fragment the refusal names.  ``current_method`` is gone (every
-#: cold search is golden section), so even its old default is an
-#: unknown field.
+#: the fragment the refusal names.  ``current_method`` is gone (one
+#: Problem 2 search serves every round), so even its old default is
+#: an unknown field.
 BAD_DEPLOY_SETTINGS = [
     ({"current_method": "golden"}, "current_method"),
     ({"max_rounds": 2.7}, "max_rounds"),

@@ -185,6 +185,80 @@ class TestBadInput:
         assert "steps" in body["error"]
 
 
+#: Real-number fields of ``/deploy`` and ``/sweep`` given something
+#: that is not a number: each ran as 1.0 (a bool) or reached the
+#: worker raw and failed there with a traceback.
+NOT_NUMBERS = [
+    ({"power_scale": True}, "power_scale"),
+    ({"current_tolerance": True}, "current_tolerance"),
+    ({"seebeck_factor": "1.1x"}, "seebeck_factor"),
+]
+
+
+class TestRealNumberFields:
+    """Numeric strings coerce to floats; anything else is a 400 that
+    names the field."""
+
+    @pytest.mark.parametrize("overrides, fragment", NOT_NUMBERS)
+    def test_deploy_refuses_non_numbers_with_400(self, overrides, fragment):
+        async def scenario(app):
+            return await asgi_request(
+                app, "POST", "/deploy", small_deploy_body(**overrides)
+            )
+
+        status, body = with_app(scenario)
+        assert status == 400
+        assert fragment + " must be a real number" in body["error"]
+
+    @pytest.mark.parametrize("overrides, fragment", NOT_NUMBERS)
+    def test_sweep_refuses_non_numbers_with_400(self, overrides, fragment):
+        entry = dict(small_deploy_body(**overrides), name="g", task="greedy")
+
+        async def scenario(app):
+            return await asgi_request(
+                app, "POST", "/sweep", {"scenarios": [entry]}
+            )
+
+        status, body = with_app(scenario)
+        assert status == 400
+        assert fragment + " must be a real number" in body["error"]
+
+    def test_deploy_coerces_numeric_strings(self):
+        body = small_deploy_body(power_scale="2", seebeck_factor="1.1")
+
+        async def scenario(app):
+            return await asgi_request(app, "POST", "/deploy", body)
+
+        status, served = with_app(scenario, workers=1)
+        assert status == 200
+        reference = worker.execute(0, Scenario(
+            name="deploy", task="greedy",
+            rows=SMALL_CHIP["rows"], cols=SMALL_CHIP["cols"],
+            power_map=tuple(SMALL_CHIP["power_map"]),
+            power_scale=2.0, seebeck_factor=1.1,
+        )).values
+        assert served["values"] == reference
+
+    def test_sweep_entry_coerces_numeric_strings(self):
+        entry = dict(small_deploy_body(power_scale="2"), name="g",
+                     task="greedy")
+
+        async def scenario(app):
+            return await asgi_request(
+                app, "POST", "/sweep", {"scenarios": [entry]}
+            )
+
+        status, body = with_app(scenario, workers=1)
+        assert status == 200
+        assert body["errors"] == []
+        reference = worker.execute(0, Scenario(
+            name="g", task="greedy",
+            rows=SMALL_CHIP["rows"], cols=SMALL_CHIP["cols"],
+            power_map=tuple(SMALL_CHIP["power_map"]), power_scale=2.0,
+        )).values
+        assert body["results"][0]["values"] == reference
+
+
 class TestWarmPoolSharing:
     def test_concurrent_same_chip_requests_share_one_session(self):
         """Two concurrent same-blueprint requests land on one warm

@@ -30,6 +30,22 @@ NOT_WHOLE_NUMBERS = [
 ]
 
 
+#: Real-number fields given a value that is not a number, with the
+#: field the refusal names; each was kept raw (a string crashed the
+#: worker or the current search) or ran a bool as 1.0.
+NOT_REAL_NUMBERS = [
+    ({"power_scale": True}, "power_scale"),
+    ({"current_tolerance": True}, "current_tolerance"),
+    ({"seebeck_factor": "1.1x"}, "seebeck_factor"),
+    ({"resistance_factor": [2.0]}, "resistance_factor"),
+    ({"task": "solve", "tec_tiles": (0,), "current_a": True}, "current_a"),
+    ({"task": "pareto", "tec_tiles": (0,), "budget_w": "lots"}, "budget_w"),
+    ({"limit_c": True}, "limit_c"),
+    ({"power_map": None, "rows": None, "cols": None,
+      "chiplets": ((2, 2, 0, 0, True),)}, "chiplet power_w"),
+]
+
+
 def _explicit(name="s", task="greedy", **overrides):
     kwargs = dict(
         name=name,
@@ -296,6 +312,50 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError, match="dt"):
             _explicit(task="transient", tec_tiles=(0,), current_a=0.5,
                       dt=float("nan"))
+
+
+class TestRealNumbers:
+    @pytest.mark.parametrize("overrides, fragment", NOT_REAL_NUMBERS)
+    def test_refused_with_the_field_named(self, overrides, fragment):
+        with pytest.raises(ValueError, match=fragment + " must be a real number"):
+            _explicit(**overrides)
+
+    def test_numeric_strings_are_stored_as_floats(self):
+        scenario = _explicit(
+            power_scale="2", seebeck_factor="1.1", resistance_factor="0.5",
+            current_tolerance="1e-4", limit_c="80",
+        )
+        assert scenario.power_scale == 2.0
+        assert scenario.seebeck_factor == 1.1
+        assert scenario.resistance_factor == 0.5
+        assert scenario.current_tolerance == 1e-4
+        assert scenario.limit_c == 80.0
+        for name in ("power_scale", "seebeck_factor", "resistance_factor",
+                     "current_tolerance", "limit_c"):
+            assert type(getattr(scenario, name)) is float
+
+    def test_pareto_and_solve_numbers_stored_as_floats(self):
+        solve = _explicit(task="solve", tec_tiles=(0,), current_a="0.5")
+        pareto = _explicit(task="pareto", tec_tiles=(0,), budget_w=1)
+        assert type(solve.current_a) is float and solve.current_a == 0.5
+        assert type(pareto.budget_w) is float and pareto.budget_w == 1.0
+
+    def test_string_tolerance_runs_a_deploy(self):
+        """A string tolerance reached the Problem 2 search raw and
+        raised a TypeError there."""
+        from repro.sweep import worker
+        from repro.sweep.report import ScenarioResult
+
+        chip = dict(rows=4, cols=4, limit_c=60.0,
+                    power_map=(0.08,) * 5 + (0.55,) * 2 + (0.08,) * 2
+                    + (0.55,) * 2 + (0.08,) * 5)
+        as_text = worker.execute(0, Scenario(
+            name="g", task="greedy", current_tolerance="1e-4", **chip))
+        as_float = worker.execute(0, Scenario(
+            name="g", task="greedy", current_tolerance=1e-4, **chip))
+        assert isinstance(as_text, ScenarioResult)
+        assert as_text.values["num_tecs"] > 0
+        assert as_text.values == as_float.values
 
 
 class TestGeometryKey:

@@ -1,10 +1,12 @@
 """Options removed from the Python API fail loudly, never silently.
 
 The sweep runner's shared-memory broadcast (``share_blueprints``), the
-Problem 2 ``current_method`` option and ``run_table1``'s serial
-``stack`` / ``device`` dispatch are gone: every cold search is golden
-section and every Table I row runs as a sweep scenario.  Passing any of
-them is a ``TypeError`` at the call, before any work runs.  The
+Problem 2 ``current_method`` option, ``minimize_peak_temperature``'s
+``method`` keyword (with ``CURRENT_METHODS``) and ``run_table1``'s
+serial ``stack`` / ``device`` dispatch are gone: one Problem 2 search
+serves every round and every Table I row runs as a sweep scenario.
+Passing any of them is a ``TypeError`` at the call, before any work
+runs.  The
 ``current_method`` cases of ``BAD_DEPLOY_SETTINGS`` check the same for
 ``Scenario`` (``tests/sweep/test_spec.py``) and for the HTTP bodies, an
 unknown-field 400 (``tests/serve/helpers.py``).
@@ -23,6 +25,7 @@ import importlib
 import pytest
 
 from repro.core.baselines import full_cover
+from repro.core.current import minimize_peak_temperature
 from repro.core.deploy import greedy_deploy
 from repro.core.problem import CoolingSystemProblem
 from repro.experiments.table1 import run_benchmark_row, run_table1
@@ -34,6 +37,7 @@ from repro.thermal.session import SolveSession
 REMOVED_KEYWORDS = [
     (greedy_deploy, (None,), "current_method"),
     (full_cover, (None,), "current_method"),
+    (minimize_peak_temperature, (None,), "method"),
     (run_table1, (), "current_method"),
     (run_table1, (), "stack"),
     (run_table1, (), "device"),
@@ -81,6 +85,11 @@ def test_removed_solve_module_is_not_found():
 def test_removed_steady_state_solver_is_an_import_error():
     with pytest.raises(ImportError, match="SteadyStateSolver"):
         from repro.thermal import SteadyStateSolver  # noqa: F401
+
+
+def test_removed_search_methods_are_an_import_error():
+    with pytest.raises(ImportError, match="CURRENT_METHODS"):
+        from repro.core.current import CURRENT_METHODS  # noqa: F401
 
 
 def test_removed_layout_router_is_an_import_error():
