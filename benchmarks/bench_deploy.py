@@ -16,8 +16,7 @@ up to 48x48), and checks:
   backends shifts the shallow parabola vertex by ~1e-6), ``I_opt``
   matches to 1e-6 A and the peak temperature to 1e-6 K;
 * on a dense >= 32x32 grid ``greedy_deploy`` is >= 3x faster than the
-  all-cold loop end to end.  A run whose last round was warm polishes
-  its optimum; the all-cold run then gets the same polish, timed, so
+  all-cold loop end to end.  Neither loop polishes its optimum, so
   both walls cover the same deliverable.
 
 A full default run writes ``BENCH_deploy.json`` at the repo root
@@ -179,23 +178,12 @@ def _measure(workload):
     problem_deploy = _problem_for(workload)
     cold, cold_wall = _timed_deploy(problem_cold, all_cold=True)
     deploy, deploy_wall = _timed_deploy(problem_deploy, all_cold=False)
-    cold_current = float(cold.current)
-    if deploy.deploy_stats.polish_evaluations:
-        # greedy_deploy polished its warm final optimum: give the
-        # all-cold run the same polish so both walls cover the same
-        # deliverable.
-        start = time.perf_counter()
-        cold_current, _ = polish_current(
-            cold.model, cold.current,
-            upper=0.98 * cold.current_result.lambda_m,
-        )
-        cold_wall += time.perf_counter() - start
 
     rounds_match = len(cold.iterations) == len(deploy.iterations) and all(
         a.added_tiles == b.added_tiles
         for a, b in zip(cold.iterations, deploy.iterations)
     )
-    ref_cold = _common_polish(cold, cold_current)
+    ref_cold = _common_polish(cold, float(cold.current))
     ref_deploy = _common_polish(cold, float(deploy.current))
     peak_cold = float(cold.model.solve(ref_cold).peak_silicon_c)
     peak_deploy = float(cold.model.solve(ref_deploy).peak_silicon_c)
@@ -240,7 +228,7 @@ def run_workload(workloads=None):
         for workload in (workloads if workloads is not None else _workloads())
     ]
     metadata = {
-        "workload": "GreedyDeploy vs its all-cold loop, polish included",
+        "workload": "GreedyDeploy vs its all-cold loop",
         "run": "full" if _FULL_RUN else "fast",
         "current_tolerance": _CURRENT_TOLERANCE,
         "limit_percentile": _LIMIT_PERCENTILE,

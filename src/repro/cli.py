@@ -169,17 +169,17 @@ def _print_round_stats(rounds, indent="  "):
     the timing segment is omitted rather than printed as zero.
     """
     for entry in rounds:
-        warm = "warm" if entry.get("current_warm") else "cold"
+        start = "warm first probe" if entry.get("current_warm") else "cold start"
         wall = entry.get("wall_s")
         timing = "" if wall is None else "{:.3f} s, ".format(wall)
         print(
-            "{}round {}: {}{} evals ({} bracket), runaway {} "
+            "{}round {}: {}{} evals ({}), runaway {} "
             "(lambda_m {:.4g} A)".format(
                 indent,
                 entry.get("index"),
                 timing,
                 entry.get("evaluations", 0),
-                warm,
+                start,
                 entry.get("runaway_method", "?"),
                 entry.get("lambda_m", float("nan")),
             )
@@ -214,8 +214,8 @@ def _add_table1(subparsers):
     parser.add_argument(
         "--round-stats", action="store_true",
         help="print per-round GreedyDeploy instrumentation (evaluations, "
-             "cold or warm bracket, runaway method and lambda_m) after "
-             "the table",
+             "cold start or warm first probe, runaway method and "
+             "lambda_m) after the table",
     )
     parser.set_defaults(func=_cmd_table1)
 
@@ -374,8 +374,8 @@ def _add_solve(subparsers):
     parser.add_argument(
         "--round-stats", action="store_true",
         help="print per-round GreedyDeploy instrumentation (evaluations, "
-             "cold or warm bracket, runaway method and lambda_m) after "
-             "the run",
+             "cold start or warm first probe, runaway method and "
+             "lambda_m) after the run",
     )
     parser.set_defaults(func=_cmd_solve)
 

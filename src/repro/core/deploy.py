@@ -139,10 +139,8 @@ def greedy_deploy(problem, *, current_tolerance=1.0e-4, max_rounds=None):
     :func:`~repro.core.engine.warm_round`: a shift-inverted runaway
     bound seeded by the previous round's eigenvector and the same
     search, first probing the previous optimum scaled by the
-    ``lambda_m`` ratio.  A run whose last
-    round was warm polishes its final optimum
-    (:func:`~repro.core.engine.polish_final`); an all-cold run is
-    returned as the rounds left it.
+    ``lambda_m`` ratio.  Every run is returned as its rounds left it:
+    the last round's certified optimum, unpolished.
 
     Parameters
     ----------
@@ -183,7 +181,6 @@ def greedy_deploy(problem, *, current_tolerance=1.0e-4, max_rounds=None):
     iterations = []
     optimum = None
     previous = None
-    warm = False
     for round_index in range(max_rounds if offenders else 0):
         round_start = time.perf_counter()
         added = tuple(sorted(offenders - deployment))
@@ -239,15 +236,10 @@ def greedy_deploy(problem, *, current_tolerance=1.0e-4, max_rounds=None):
         if offenders <= deployment:
             break
 
-    current = 0.0 if optimum is None else optimum.current
-    if warm:
-        current, state = engine.polish_final(
-            problem, model, optimum, state, offenders, deployment, deploy_stats
-        )
     return DeploymentResult(
         feasible=feasible,
         tec_tiles=tuple(sorted(deployment)),
-        current=current,
+        current=0.0 if optimum is None else optimum.current,
         peak_c=state.peak_silicon_c,
         no_tec_peak_c=no_tec_peak,
         tec_power_w=state.tec_input_power_w(),

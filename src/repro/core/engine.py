@@ -32,11 +32,8 @@ from the round before:
    ``m x m`` trailing block and pencil eigendecomposition grow as
    ``m^2`` and ``m^3``.  Every other backend keeps its own.
 
-A run whose last round was warm refines its optimum with
-:func:`~repro.core.current.polish_current` (:func:`polish_final`), so
-the reported ``I_opt`` agrees with an identically polished all-cold
-run to ~1e-6 A — solver round-off otherwise scatters raw argmins
-across the objective's noise plateau.
+A warm round's optimum is the search's certified answer, reported as
+the search left it, the same as a cold round's.
 
 Per-round instrumentation is threaded through :class:`DeployStats` /
 :class:`RoundStats` and surfaces in ``DeploymentResult.deploy_stats``,
@@ -51,13 +48,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from repro.core.current import minimize_peak_temperature, polish_current
+from repro.core.current import minimize_peak_temperature
 from repro.linalg.runaway import runaway_current_shift_invert
 from repro.thermal.session import SingularSystemError
 
 # Not called here: every exact bound reads the model's kept pair
-# (``model.runaway_eigenpair()``).  perfbench's ``runaway.eigen``
-# layer still looks the name up on this module.
+# (``model.runaway_eigenpair()``), and no round polishes its optimum.
+# perfbench's ``runaway.eigen`` and ``polish.engine`` layers still look
+# the names up on this module.
+from repro.core.current import polish_current  # noqa: F401
 from repro.linalg.runaway import runaway_current_eigen  # noqa: F401
 
 
@@ -85,7 +84,9 @@ class RoundStats:
     runaway_iterations:
         Shift-invert solve count (0 for the exact eigensolve).
     current_warm:
-        True when the Problem 2 search ran inside a warm-start bracket.
+        True when the Problem 2 search's first probe was the previous
+        round's optimum (a warm round); its certified bracket still
+        starts from the whole capped interval.
     lambda_m:
         The runaway estimate the round searched under (A).
     """
@@ -115,8 +116,8 @@ class DeployStats:
     (``runaway_dense``; a model answers repeats from its kept pair, so
     a model cached from an earlier run adds none) and warm
     (``runaway_warm``) runaway bounds, warm seeds that fell back
-    to the exact eigensolve, rescued warm searches, warm-bracket
-    searches and the final polish's evaluations.
+    to the exact eigensolve, rescued warm searches and searches whose
+    first probe was warm.
     """
 
     rounds: list = field(default_factory=list)
@@ -125,7 +126,6 @@ class DeployStats:
     runaway_fallbacks: int = 0
     runaway_rescues: int = 0
     current_warm_rounds: int = 0
-    polish_evaluations: int = 0
 
     @property
     def total_wall_s(self):
@@ -149,8 +149,7 @@ class DeployStats:
         """Compact one-line report for CLIs and benchmarks."""
         return (
             "{} rounds, {} evals, runaway {} warm / {} dense "
-            "({} fallbacks, {} rescues), current warm {} rounds, "
-            "polish {} evals".format(
+            "({} fallbacks, {} rescues), current warm {} rounds".format(
                 len(self.rounds),
                 self.total_evaluations,
                 self.runaway_warm,
@@ -158,7 +157,6 @@ class DeployStats:
                 self.runaway_fallbacks,
                 self.runaway_rescues,
                 self.current_warm_rounds,
-                self.polish_evaluations,
             )
         )
 
@@ -170,9 +168,6 @@ class DeployStats:
 #: positive definite in the common case, and the geometric backoff
 #: recovers when a round shrinks lambda_m by more than this.
 _SHIFT_HINT_FRACTION = 0.6
-
-#: Problem 2 safety fraction (mirrors minimize_peak_temperature).
-_SAFETY_FRACTION = 0.98
 
 #: Peltier support size (~2 nodes per deployed tile) from which a
 #: round after the first runs warm (:func:`warm_round`).  Below it a
@@ -321,25 +316,3 @@ def warm_round(problem, deployment, previous, round_stats, stats, *,
         stats.current_warm_rounds += 1
     return model, optimum, state, vector
 
-
-def polish_final(problem, model, optimum, state, offenders, deployment, stats):
-    """Polish a warm final optimum; returns ``(current, state)``.
-
-    The polished current is kept only when it leaves the run's
-    feasibility verdict unchanged.
-    """
-    upper = None
-    if math.isfinite(optimum.lambda_m):
-        upper = _SAFETY_FRACTION * optimum.lambda_m
-    polished, evaluations = polish_current(model, optimum.current, upper=upper)
-    stats.polish_evaluations += evaluations
-    if polished == optimum.current:
-        return optimum.current, state
-    polished_state = model.solve(polished)
-    polished_offenders = problem.tiles_above_limit(polished_state)
-    verdict_stable = bool(polished_offenders) == bool(offenders) and (
-        not polished_offenders or polished_offenders <= deployment
-    )
-    if verdict_stable:
-        return polished, polished_state
-    return optimum.current, state

@@ -10,6 +10,8 @@ candidate deployments.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.power.floorplan import Floorplan
@@ -105,10 +107,8 @@ class CoolingSystemProblem:
         self.solver_stats = SolverStats()
         self._model_cache = {}
         self._blueprint = None
-        #: Set by :meth:`from_chiplet_layout` for true multi-chiplet
-        #: instances; ``model()`` then builds composite models.  Stays
-        #: ``None`` for single-die problems (including single-die
-        #: layouts, which take the exact single-die code path).
+        #: Set by :meth:`from_chiplet_layout`; ``model()`` then builds
+        #: composite models.  ``None`` for single-die problems.
         self._layout = None
 
     @classmethod
@@ -146,28 +146,16 @@ class CoolingSystemProblem:
         global flat order) and ``model()`` builds
         :class:`~repro.thermal.model.CompositeThermalModel` instances.
         The whole optimization stack — GreedyDeploy, the runaway
-        certificate, sweep and serve — runs on them unchanged.
-
-        A single-die layout (one chiplet at the origin, no interposer)
-        degenerates to the plain constructor on the chiplet's own grid,
-        taking exactly today's single-die code path.
+        certificate, sweep and serve — runs on them unchanged.  A
+        one-chiplet layout is a composite problem too: its matrices are
+        bit for bit those of the single-die package on the chiplet's
+        grid, because both model kinds share one network builder.
         """
         from repro.thermal.chiplet import ChipletLayout
 
         if not isinstance(layout, ChipletLayout):
             raise TypeError(
                 "layout must be a ChipletLayout, got {!r}".format(type(layout))
-            )
-        if layout.is_single_die():
-            spec = layout.chiplets[0]
-            return cls(
-                spec.grid,
-                np.asarray(spec.power_map),
-                max_temperature_c=max_temperature_c,
-                stack=layout.stack,
-                device=device,
-                name=name if name is not None else spec.name,
-                **solver_kwargs,
             )
         problem = cls(
             layout.composite_grid(),
@@ -271,9 +259,31 @@ class CoolingSystemProblem:
         """
         return self._sibling(solver_mode=solver_mode)
 
+    def with_device(self, device):
+        """Copy of the problem on another TEC device.
+
+        The device enters the matrices, so the copy records its own
+        blueprint; it keeps the geometry (a chiplet problem's layout)
+        and the solver backend, with fresh stats and model caches.
+        """
+        return self._sibling(device=device)
+
+    def with_stack(self, stack):
+        """Copy of the problem on another package stack.
+
+        Like :meth:`with_device`: the copy records its own blueprint
+        and keeps the backend; a chiplet problem's layout is carried
+        over onto the new stack.
+        """
+        return self._sibling(stack=stack)
+
     def _sibling(self, **changes):
-        """Copy of the problem with some constructor arguments changed,
-        sharing the recorded blueprint and the chiplet layout."""
+        """Copy of the problem with some constructor arguments changed.
+
+        The copy keeps the chiplet layout (on the copy's stack) and,
+        unless the device or the stack changed (both enter the
+        matrices), shares the recorded blueprint.
+        """
         settings = dict(
             max_temperature_c=self.max_temperature_c,
             stack=self.stack,
@@ -284,8 +294,12 @@ class CoolingSystemProblem:
         )
         settings.update(changes)
         sibling = CoolingSystemProblem(self.grid, self.power_map, **settings)
-        sibling._blueprint = self._blueprint
-        sibling._layout = self._layout
+        layout = self._layout
+        if layout is not None and layout.stack is not sibling.stack:
+            layout = replace(layout, stack=sibling.stack)
+        sibling._layout = layout
+        if sibling.stack is self.stack and sibling.device is self.device:
+            sibling._blueprint = self._blueprint
         return sibling
 
     def __repr__(self):

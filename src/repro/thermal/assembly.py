@@ -276,16 +276,12 @@ class NetworkBlueprint:
         return g
 
     def _cover(self):
-        """Per recorded node, the tile whose TEC displaces it, else -1.
-
-        A TIM node is displaced by its ``cover_tile`` (a composite
-        layout's global flat index) or, on the single-die package where
-        the two coincide, its ``tile``.
-        """
+        """Per recorded node, the tile whose TEC displaces it, else -1:
+        a TIM node's ``cover_tile`` meta (its global flat tile)."""
         tim = role_code(NodeRole.TIM)
         parts = []
         for block in self.network.node_blocks:
-            cover = block.meta.get("cover_tile", block.tiles)
+            cover = block.meta.get("cover_tile", -1)
             parts.append(np.where(block.roles == tim, cover, -1))
         return np.concatenate(parts).astype(np.int64)
 

@@ -10,18 +10,19 @@ one shared TIM / spreader / sink stack.
 Heat leaves each chiplet two ways, mirroring a lidded 2.5D package:
 
 * **up** through its TIM tile (or a deployed TEC) into the shared
-  spreader and sink — the same per-tile vertical chain as the
-  single-die package;
+  spreader and sink — the per-tile vertical chain of every package;
 * **down** through its microbump field into the interposer, which
   spreads laterally across the whole package (coupling the chiplets
   thermally) and optionally leaks into the board through a lumped
   TSV/ball path.
 
 A :class:`ChipletLayout` is pure description; the composite network is
-stamped by :class:`~repro.thermal.model.CompositeThermalModel`, and
-:meth:`~repro.core.problem.CoolingSystemProblem.from_chiplet_layout`
-routes single-die layouts to the exact single-die build path (bitwise
-identical blueprints) so the refactor is provably non-regressive.
+stamped by :class:`~repro.thermal.model.CompositeThermalModel` through
+the one network builder of
+:class:`~repro.thermal.model.PackageThermalModel`, which reads a single
+die as the one-chiplet layout at the origin without an interposer.  So
+a one-chiplet layout assembles bit for bit the single-die package's
+matrices.
 """
 
 from __future__ import annotations
@@ -147,8 +148,8 @@ class ChipletLayout:
     interposer:
         Optional :class:`InterposerSpec`; ``None`` drops the
         interposer entirely (chiplets couple only through the
-        spreader, and a one-chiplet layout without an interposer is
-        exactly the paper's single-die package).
+        spreader, and a one-chiplet layout at the origin without an
+        interposer is exactly the paper's single-die package).
     """
 
     chiplets: tuple
@@ -192,21 +193,6 @@ class ChipletLayout:
     def total_power_w(self):
         """Package-level worst-case power (W)."""
         return float(sum(spec.total_power_w for spec in self.chiplets))
-
-    def is_single_die(self):
-        """True when this layout is exactly the single-die package.
-
-        One chiplet, at the lattice origin, with no interposer — the
-        composite build would add nothing the single-die build does
-        not, so
-        :meth:`~repro.core.problem.CoolingSystemProblem.from_chiplet_layout`
-        routes such layouts through the unchanged single-die code path
-        (bitwise-identical blueprints).
-        """
-        if self.num_chiplets != 1 or self.interposer is not None:
-            return False
-        spec = self.chiplets[0]
-        return spec.row_offset == 0 and spec.col_offset == 0
 
     def chiplet_tiles(self, chiplet):
         """Global flat tile indices of one chiplet (by index or name)."""

@@ -17,6 +17,10 @@ The layered construction mirrors HotSpot's grid model:
   peripheral nodes;
 * convection is distributed over the sink nodes by footprint area.
 
+One builder stamps every package: a 2.5D chiplet layout
+(:class:`CompositeThermalModel`), and a single die as the one-chiplet
+layout at the origin of its own lattice, without an interposer.
+
 Models are immutable once built: changing the TEC deployment creates a
 new model (:meth:`PackageThermalModel.with_tec_tiles`), which keeps the
 greedy algorithm's bookkeeping trivial and the solver caches valid.
@@ -33,7 +37,7 @@ from repro.tec.materials import chowdhury_thin_film_tec
 from repro.tec.stamp import TecStampBlock
 from repro.thermal.assembly import NetworkBlueprint, assemble
 from repro.thermal.chiplet import ChipletLayout
-from repro.thermal.geometry import TileGrid
+from repro.thermal.geometry import CompositeGrid, TileGrid
 from repro.thermal.network import NodeLabels, NodeRole
 from repro.thermal.session import SolveSession, SolverStats
 from repro.thermal.stack import PackageStack
@@ -163,6 +167,11 @@ class PackageThermalModel:
     #: into the ring.  Calibrated once against the fine-grid reference.
     SPREADING_FACTOR = 0.2
 
+    #: The interposer the builder stamps under the chiplets
+    #: (:class:`~repro.thermal.chiplet.InterposerSpec`); a single die
+    #: sits on its package stack alone.
+    _interposer = None
+
     def __init__(
         self,
         grid,
@@ -179,6 +188,26 @@ class PackageThermalModel:
         if not isinstance(grid, TileGrid):
             raise TypeError("grid must be a TileGrid, got {!r}".format(type(grid)))
         self.grid = grid
+        # The builder stamps chiplet layouts; a single die is the one
+        # chiplet at the origin of its own lattice.
+        self._chiplets = CompositeGrid((grid,), ((0, 0),))
+        self._init_package(
+            power_map, stack, tec_tiles, device, die_conductivity_scale,
+            blueprint, solver_mode, solver_stats,
+        )
+
+    def _init_package(self, power_map, stack, tec_tiles, device,
+                      die_conductivity_scale, blueprint, solver_mode,
+                      solver_stats):
+        """Validate the inputs over :attr:`grid`, build the network and
+        boot the solve engine.
+
+        Shared by both constructors, so both model kinds ride one
+        build/assemble/solver pipeline.  There is one build path:
+        without a ``blueprint`` the model records its own
+        (:meth:`network_blueprint`) and instantiates that.
+        """
+        grid = self.grid
         self.stack = stack if stack is not None else PackageStack()
         self.device = device if device is not None else chowdhury_thin_film_tec()
         power_map = check_finite(power_map, "power_map")
@@ -214,21 +243,8 @@ class PackageThermalModel:
                 raise ValueError("die_conductivity_scale entries must be positive")
             self._die_k_scale = scale.copy()
 
-        self._die_side_w = grid.width
-        self._die_side_h = grid.height
-        self.stack.validate_for_die(max(self._die_side_w, self._die_side_h))
+        self.stack.validate_footprints(grid.width, grid.height)
 
-        self._init_engine(blueprint, solver_mode, solver_stats)
-
-    def _init_engine(self, blueprint, solver_mode, solver_stats):
-        """Build the network and boot the solve engine.
-
-        Shared tail of the constructor; :class:`CompositeThermalModel`
-        reuses it after its own geometry setup, so both model kinds
-        ride one build/assemble/solver pipeline.  There is one build
-        path: without a ``blueprint`` the model records its own
-        (:meth:`network_blueprint`) and instantiates that.
-        """
         stats = solver_stats if solver_stats is not None else SolverStats()
         self._blueprint = blueprint
         self._recording = None
@@ -245,7 +261,7 @@ class PackageThermalModel:
         self.system = assemble(
             self.network,
             self.stack.ambient_c,
-            grid_shape=(self.grid.rows, self.grid.cols),
+            grid_shape=(grid.rows, grid.cols),
         )
         stats.assembly_time_s += time.perf_counter() - build_start
         self.solver = SolveSession(
@@ -264,8 +280,9 @@ class PackageThermalModel:
         """This model's :class:`~repro.thermal.assembly.NetworkBlueprint`.
 
         The blueprint records the deployment-independent network (every
-        TIM tile present) plus one TEC stamp row per tile; sibling
-        models for *any* deployment of the same grid/stack/device/powers
+        TIM tile present, die conductances unscaled) plus one TEC stamp
+        row per tile; sibling models for *any* deployment and any die
+        conductivity scale of the same grid/stack/device/powers
         instantiate from it (see ``blueprint=`` in the constructor).
         Recorded once per model and cached.
         """
@@ -278,88 +295,103 @@ class PackageThermalModel:
         self._build_periphery(bp.network, *self._build_core(bp))
         return bp
 
-    def _die_exit_resistances(self):
-        """Die node-to-exit-face resistance per tile (t/3k), scaled by
-        the per-tile die conductivity when one is set."""
-        die = self.stack.conduction_layers()[0]
-        r_die_exit = die.vertical_generation_resistance(self.grid.tile_area)
-        if self._die_k_scale is None:
-            return np.full(self.grid.num_tiles, r_die_exit)
-        return r_die_exit / self._die_k_scale
-
-    def _stamp_rows(self, silicon, spreader_nodes, node_tiles):
-        """One TEC stamp row per tile (Figure 4).
-
-        The die-exit / spreader-entry lumping resistances are carried
-        in series with the contacts so covered and uncovered tiles see
-        the same layer conventions.
-        """
-        die, _, spreader, _ = self.stack.conduction_layers()
-        tile_area = self.grid.tile_area
-        return TecStampBlock(
-            self.device,
-            tiles=np.arange(self.grid.num_tiles),
-            node_tiles=node_tiles,
-            silicon_nodes=silicon,
-            spreader_nodes=spreader_nodes,
-            cold_series=self._die_exit_resistances(),
-            hot_series=spreader.vertical_half_resistance(tile_area),
-            cold_series_base=die.vertical_generation_resistance(tile_area),
-        )
-
     def _build_core(self, bp):
-        """Nodes, sources, layer conduction and stamp rows of the grid.
+        """Nodes, sources, layer conduction and stamp rows of the stack.
+
+        Per chiplet: silicon tiles with their power sources, TIM tiles,
+        lateral die/TIM conduction, and the per-tile vertical chain die
+        -> TIM -> spreader.  Shared over the chiplets' bounding
+        lattice: the interposer, when there is one (with microbump
+        links up to each chiplet tile and optional TSV/board leakage),
+        and the spreader and sink layers with lateral conduction across
+        chiplets and gaps.  A single die is one chiplet filling its own
+        lattice.  Silicon and TIM are indexed by global flat tile
+        (labels ``die[k]``/``tim[k]``, the chiplet index in node meta),
+        the shared layers by lattice flat; node ``tile`` meta is the
+        lattice placement and the TIM nodes' ``cover_tile`` the global
+        tile whose TEC displaces them.
 
         Records into ``bp`` with every TIM tile present (coverage is
-        applied at instantiation) and marks the stamp section; returns
-        the spreader and sink node arrays and the grid they are indexed
-        by.
+        applied at instantiation) and the die conductances unscaled
+        (tagged, so instantiation applies any scale field), and marks
+        the stamp section.  Returns the spreader and sink node arrays
+        and the lattice they are indexed by.
         """
         net = bp.network
-        grid = self.grid
+        chiplets = self._chiplets
+        interposer = self._interposer
+        lattice_grid = chiplets.bounding_grid()
         die, tim, spreader, sink = self.stack.conduction_layers()
-        tile_area = grid.tile_area
-        n = grid.num_tiles
+        tile_area = chiplets.tile_area
+        n = chiplets.num_tiles
         flat = np.arange(n)
+        lattice = np.arange(lattice_grid.num_tiles)
+        lattice_of = chiplets.occupied_lattice_tiles()
+        chiplet_of = np.repeat(
+            np.arange(chiplets.num_chiplets), [g.num_tiles for g in chiplets.grids]
+        )
 
         silicon = net.add_nodes(
-            NodeRole.SILICON, NodeLabels("die[{}]", flat), tile=flat
+            NodeRole.SILICON, NodeLabels("die[{}]", flat),
+            tile=lattice_of, chiplet=chiplet_of,
         )
-        tim_nodes = net.add_nodes(NodeRole.TIM, NodeLabels("tim[{}]", flat), tile=flat)
+        tim_nodes = net.add_nodes(
+            NodeRole.TIM, NodeLabels("tim[{}]", flat),
+            tile=lattice_of, cover_tile=flat, chiplet=chiplet_of,
+        )
+        interposer_nodes = None
+        if interposer is not None:
+            interposer_nodes = net.add_nodes(
+                NodeRole.INTERPOSER, NodeLabels("itp[{}]", lattice), tile=lattice
+            )
         spreader_nodes = net.add_nodes(
-            NodeRole.SPREADER, NodeLabels("spr[{}]", flat), tile=flat
+            NodeRole.SPREADER, NodeLabels("spr[{}]", lattice), tile=lattice
         )
-        sink_nodes = net.add_nodes(NodeRole.SINK, NodeLabels("snk[{}]", flat), tile=flat)
+        sink_nodes = net.add_nodes(
+            NodeRole.SINK, NodeLabels("snk[{}]", lattice), tile=lattice
+        )
 
         # Tile powers.
         powered = flat[self.power_map > 0.0]
         net.add_sources(silicon[powered], self.power_map[powered])
 
-        # Lateral conduction inside each gridded layer.  Die edges
-        # honour the optional per-tile conductivity scaling (two
-        # half-tiles in series -> harmonic mean of the scales) and are
-        # tagged with their unscaled value, so the blueprint replays
-        # under any scale field.
-        a, b, east = grid.lateral_pair_arrays()
-        base = _lateral(die, grid, east)
-        value = base
-        if self._die_k_scale is not None:
-            sa, sb = self._die_k_scale[a], self._die_k_scale[b]
-            value = base * (2.0 * sa * sb / (sa + sb))
+        # Lateral conduction: die and TIM within each chiplet only
+        # (chiplets are physically separate islands of silicon).  Die
+        # edges are tagged with their unscaled value: a per-tile
+        # conductivity scale (two half-tiles in series -> harmonic
+        # mean of the scales) is applied at instantiation.
+        pairs = []
+        for chiplet, cgrid in enumerate(chiplets.grids):
+            offset = chiplets.block_offset(chiplet)
+            a, b, east = cgrid.lateral_pair_arrays()
+            pairs.append((offset + a, offset + b, _lateral(die, cgrid, east),
+                          _lateral(tim, cgrid, east)))
+        a, b, base, tim_lateral = (np.concatenate(column) for column in zip(*pairs))
         first = net.size("conductance")
-        net.add_conductances(silicon[a], silicon[b], value)
+        net.add_conductances(silicon[a], silicon[b], base)
         bp.tag_die_scale("die_lateral", first + np.arange(a.size), (a, b), base)
-        for layer, nodes in ((spreader, spreader_nodes), (sink, sink_nodes)):
-            net.add_conductances(nodes[a], nodes[b], _lateral(layer, grid, east))
-        # TIM lateral conduction; pairs with a covered tile drop out at
-        # instantiation (a deployed TEC replaces the whole TIM tile).
-        net.add_conductances(tim_nodes[a], tim_nodes[b], _lateral(tim, grid, east))
+        # The shared layers across the whole lattice, gaps included —
+        # this is the lateral interposer/spreader spreading that
+        # couples the chiplets.
+        shared_layers = [(spreader, spreader_nodes), (sink, sink_nodes)]
+        if interposer_nodes is not None:
+            shared_layers.insert(0, (interposer.layer(), interposer_nodes))
+        la, lb, least = lattice_grid.lateral_pair_arrays()
+        for layer, nodes in shared_layers:
+            net.add_conductances(
+                nodes[la], nodes[lb], _lateral(layer, lattice_grid, least)
+            )
+        # TIM pairs with a covered tile drop out at instantiation (a
+        # deployed TEC replaces the whole TIM tile).
+        net.add_conductances(tim_nodes[a], tim_nodes[b], tim_lateral)
 
         # Vertical conduction through the stack, one die -> TIM ->
-        # spreader -> sink chain per tile.  The die generates its heat
+        # spreader chain per tile.  The die generates its heat
         # internally, so its node-to-face resistance uses the
         # volume-average (t/3k) convention; the passive layers use the
-        # usual mid-plane (t/2k) convention.
+        # usual mid-plane (t/2k) convention.  The microbump field links
+        # each silicon tile down into the interposer, and spreader ->
+        # sink spans the full lattice.
         tim_half = tim.vertical_half_resistance(tile_area)
         r_die_exit = die.vertical_generation_resistance(tile_area)
         g_tim_spr = 1.0 / (
@@ -369,32 +401,58 @@ class PackageThermalModel:
             spreader.vertical_half_resistance(tile_area)
             + sink.vertical_half_resistance(tile_area)
         )
-        g_die_tim = 1.0 / (self._die_exit_resistances() + tim_half)
+        chain = [
+            (silicon, tim_nodes, np.full(n, 1.0 / (r_die_exit + tim_half))),
+            (tim_nodes, spreader_nodes[lattice_of], np.full(n, g_tim_spr)),
+        ]
+        if interposer_nodes is not None:
+            chain.append((
+                silicon, interposer_nodes[lattice_of],
+                np.full(n, interposer.microbump_conductance),
+            ))
         first = net.size("conductance")
         net.add_conductances(
-            np.column_stack([silicon, tim_nodes, spreader_nodes]).ravel(),
-            np.column_stack([tim_nodes, spreader_nodes, sink_nodes]).ravel(),
-            np.column_stack(
-                [g_die_tim, np.full(n, g_tim_spr), np.full(n, g_spr_snk)]
-            ).ravel(),
+            *(np.column_stack(column).ravel() for column in zip(*chain))
         )
-        bp.tag_die_scale("die_tim", first + 3 * flat, flat, (r_die_exit, tim_half))
+        bp.tag_die_scale(
+            "die_tim", first + len(chain) * flat, flat, (r_die_exit, tim_half)
+        )
+        net.add_conductances(spreader_nodes, sink_nodes, g_spr_snk)
 
-        bp.mark_stamp_section(self._stamp_rows(silicon, spreader_nodes, flat))
-        return spreader_nodes, sink_nodes, grid
+        # Optional lumped TSV/ball path from the interposer into the
+        # board, distributed uniformly over the interposer tiles.
+        if interposer_nodes is not None and interposer.board_resistance is not None:
+            g_board = 1.0 / (interposer.board_resistance * lattice_grid.num_tiles)
+            net.add_ground_conductances(interposer_nodes, g_board)
+
+        # One TEC stamp row per tile (Figure 4).  The die-exit /
+        # spreader-entry lumping resistances are carried in series with
+        # the contacts so covered and uncovered tiles see the same
+        # layer conventions.
+        bp.mark_stamp_section(TecStampBlock(
+            self.device,
+            tiles=flat,
+            node_tiles=lattice_of,
+            silicon_nodes=silicon,
+            spreader_nodes=spreader_nodes[lattice_of],
+            cold_series=np.full(n, r_die_exit),
+            hot_series=spreader.vertical_half_resistance(tile_area),
+            cold_series_base=r_die_exit,
+        ))
+        return spreader_nodes, sink_nodes, lattice_grid
 
     def _build_periphery(self, net, spreader_nodes, sink_nodes, grid):
         """Spreader/sink overhang nodes and convection to ambient.
 
-        ``grid`` is the tile grid the spreader/sink node arrays are
-        indexed by — the silicon grid for the single-die package; the
-        bounding lattice for a composite layout (whose shared layers
-        span chiplets and gaps alike).  Each ring side is one block.
+        ``grid`` is the lattice the spreader/sink node arrays are
+        indexed by: the chiplets' bounding lattice, whose footprint the
+        spreader covers (a single die's own grid).  Each ring side is
+        one block.
         """
         stack = self.stack
         _, _, spreader, sink = stack.conduction_layers()
 
-        die_w, die_h = self._die_side_w, self._die_side_h
+        die_w, die_h = grid.width, grid.height
         spr_side = spreader.side or max(die_w, die_h)
         snk_side = sink.side or spr_side
         spr_overhang_w = max(0.0, 0.5 * (spr_side - die_w))
@@ -706,13 +764,18 @@ class CompositeThermalModel(PackageThermalModel):
     """Compact thermal model of a 2.5D multi-chiplet package.
 
     Stamps a :class:`~repro.thermal.chiplet.ChipletLayout` — N chiplet
-    tile grids, the shared interposer with microbump vertical links and
-    lateral spreading, and the shared TIM/spreader/sink cooling stack —
-    into the same node/conductance network machinery as the single-die
-    :class:`PackageThermalModel`, so every downstream subsystem
-    (blueprint replay, :class:`~repro.thermal.session.SolveSession`
-    caching, the mg hierarchy, GreedyDeploy, sweep and serve) works on
-    composite models unchanged.
+    tile grids, the optional shared interposer with microbump vertical
+    links and lateral spreading, and the shared TIM/spreader/sink
+    cooling stack — through the one network builder of
+    :class:`PackageThermalModel`, which reads a single die as the
+    one-chiplet layout.  Every downstream subsystem (blueprint replay,
+    :class:`~repro.thermal.session.SolveSession` caching, the mg
+    hierarchy, GreedyDeploy, sweep and serve) works on composite
+    models unchanged, and a one-chiplet layout at the origin without
+    an interposer assembles bit for bit the matrices of
+    :class:`PackageThermalModel` on that chiplet's grid.  What a layout
+    adds is the chiplet bookkeeping: :attr:`layout`,
+    :attr:`interposer_layer` and :meth:`tiles_by_chiplet`.
 
     Indexing conventions:
 
@@ -727,11 +790,8 @@ class CompositeThermalModel(PackageThermalModel):
       multigrid backend — node ``tile`` metadata carries bounding
       lattice indices so the mg stencil sees one coherent lattice.
 
-    Build it through
-    :meth:`~repro.core.problem.CoolingSystemProblem.from_chiplet_layout`
-    rather than directly: that factory routes a single-die layout
-    through :class:`PackageThermalModel` itself (the exact code path
-    the paper package takes, bitwise-identical blueprints).
+    Problems over a layout build these through
+    :meth:`~repro.core.problem.CoolingSystemProblem.from_chiplet_layout`.
     """
 
     def __init__(
@@ -749,28 +809,12 @@ class CompositeThermalModel(PackageThermalModel):
                 "layout must be a ChipletLayout, got {!r}".format(type(layout))
             )
         self.layout = layout
-        self.grid = layout.composite_grid()
-        self.stack = layout.stack
-        self.device = device if device is not None else chowdhury_thin_film_tec()
-        self.power_map = layout.power_vector()
-
-        tec_tiles = sorted({int(t) for t in tec_tiles})
-        for tile in tec_tiles:
-            if not 0 <= tile < self.grid.num_tiles:
-                raise IndexError(
-                    "TEC tile {} out of range [0, {})".format(
-                        tile, self.grid.num_tiles
-                    )
-                )
-        self.tec_tiles = tuple(tec_tiles)
-        self._die_k_scale = None
-
-        self._bounding = self.grid.bounding_grid()
-        self._die_side_w = self.grid.width
-        self._die_side_h = self.grid.height
-        self.stack.validate_footprints(self._die_side_w, self._die_side_h)
-
-        self._init_engine(blueprint, solver_mode, solver_stats)
+        self.grid = self._chiplets = layout.composite_grid()
+        self._interposer = layout.interposer
+        self._init_package(
+            layout.power_vector(), layout.stack, tec_tiles, device, None,
+            blueprint, solver_mode, solver_stats,
+        )
 
     @property
     def interposer_layer(self):
@@ -778,14 +822,10 @@ class CompositeThermalModel(PackageThermalModel):
         spec = self.layout.interposer
         return spec.layer() if spec is not None else None
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
     def network_blueprint(self):
-        """Record (once) the composite build as a blueprint.
+        """Record (once) the layout's build as a blueprint.
 
-        Same contract as the single-die
+        The same builder and contract as
         :meth:`PackageThermalModel.network_blueprint`: every TIM tile
         present plus one TEC stamp row per **global** tile, and any
         deployment of the same layout instantiates from it.
@@ -793,131 +833,6 @@ class CompositeThermalModel(PackageThermalModel):
         if self._recording is None:
             self._recording = self._record()
         return self._recording
-
-    def _build_core(self, bp):
-        """Nodes, sources, layer conduction and stamp rows of the stack.
-
-        Per chiplet: silicon tiles with their power sources, TIM tiles,
-        lateral die/TIM conduction, and the per-tile vertical chain die
-        -> TIM -> spreader.  Shared over the bounding lattice:
-        interposer (with microbump links up to each chiplet tile and
-        optional TSV/board leakage), spreader and sink layers with
-        lateral conduction across chiplets and gaps.  Silicon and TIM
-        are indexed by global flat, the shared layers by bounding flat;
-        node ``tile`` meta is the bounding-lattice placement and the
-        TIM nodes' ``cover_tile`` the global tile whose TEC displaces
-        them.  Returns the spreader and sink node arrays and the
-        bounding lattice they are indexed by.
-        """
-        net = bp.network
-        grid = self.grid
-        layout = self.layout
-        bounding = self._bounding
-        die, tim, spreader, sink = self.stack.conduction_layers()
-        interposer = self.interposer_layer
-        tile_area = grid.tile_area
-        n = grid.num_tiles
-        flat = np.arange(n)
-        lattice = np.arange(bounding.num_tiles)
-        lattice_of = grid.occupied_lattice_tiles()
-        chiplet_of = np.repeat(
-            np.arange(grid.num_chiplets), [g.num_tiles for g in grid.grids]
-        )
-        names = np.array([spec.name for spec in layout.chiplets])[chiplet_of]
-
-        silicon = net.add_nodes(
-            NodeRole.SILICON, NodeLabels("die[{}:{}]", names, flat),
-            tile=lattice_of, chiplet=chiplet_of,
-        )
-        tim_nodes = net.add_nodes(
-            NodeRole.TIM, NodeLabels("tim[{}:{}]", names, flat),
-            tile=lattice_of, cover_tile=flat, chiplet=chiplet_of,
-        )
-        interposer_nodes = None
-        if interposer is not None:
-            interposer_nodes = net.add_nodes(
-                NodeRole.INTERPOSER, NodeLabels("itp[{}]", lattice), tile=lattice
-            )
-        spreader_nodes = net.add_nodes(
-            NodeRole.SPREADER, NodeLabels("spr[{}]", lattice), tile=lattice
-        )
-        sink_nodes = net.add_nodes(
-            NodeRole.SINK, NodeLabels("snk[{}]", lattice), tile=lattice
-        )
-
-        # Tile powers.
-        powered = flat[self.power_map > 0.0]
-        net.add_sources(silicon[powered], self.power_map[powered])
-
-        # Lateral conduction: die and TIM within each chiplet only
-        # (chiplets are physically separate islands of silicon)...
-        pairs = []
-        for chiplet, cgrid in enumerate(grid.grids):
-            offset = grid.block_offset(chiplet)
-            a, b, east = cgrid.lateral_pair_arrays()
-            pairs.append((offset + a, offset + b, _lateral(die, cgrid, east),
-                          _lateral(tim, cgrid, east)))
-        a, b, base, tim_lateral = (np.concatenate(column) for column in zip(*pairs))
-        first = net.size("conductance")
-        net.add_conductances(silicon[a], silicon[b], base)
-        bp.tag_die_scale("die_lateral", first + np.arange(a.size), (a, b), base)
-        # ... the shared layers across the whole bounding lattice,
-        # gaps included — this is the lateral interposer/spreader
-        # spreading that couples the chiplets.
-        shared_layers = [(spreader, spreader_nodes), (sink, sink_nodes)]
-        if interposer_nodes is not None:
-            shared_layers.insert(0, (interposer, interposer_nodes))
-        la, lb, least = bounding.lateral_pair_arrays()
-        for layer, nodes in shared_layers:
-            net.add_conductances(nodes[la], nodes[lb], _lateral(layer, bounding, least))
-        net.add_conductances(tim_nodes[a], tim_nodes[b], tim_lateral)
-
-        # Vertical conduction.  Chiplet tiles follow the single-die
-        # conventions exactly (t/3k generation exit, mid-plane halves);
-        # the microbump field links each silicon tile down into the
-        # interposer, and spreader -> sink spans the full lattice.
-        tim_half = tim.vertical_half_resistance(tile_area)
-        r_die_exit = die.vertical_generation_resistance(tile_area)
-        g_tim_spr = 1.0 / (
-            tim_half + spreader.vertical_half_resistance(tile_area)
-        )
-        g_spr_snk = 1.0 / (
-            spreader.vertical_half_resistance(tile_area)
-            + sink.vertical_half_resistance(tile_area)
-        )
-        chain = [
-            (silicon, tim_nodes, 1.0 / (self._die_exit_resistances() + tim_half)),
-            (tim_nodes, spreader_nodes[lattice_of], np.full(n, g_tim_spr)),
-        ]
-        if interposer_nodes is not None:
-            chain.append((
-                silicon, interposer_nodes[lattice_of],
-                np.full(n, layout.interposer.microbump_conductance),
-            ))
-        first = net.size("conductance")
-        net.add_conductances(
-            *(np.column_stack(column).ravel() for column in zip(*chain))
-        )
-        bp.tag_die_scale(
-            "die_tim", first + len(chain) * flat, flat, (r_die_exit, tim_half)
-        )
-        net.add_conductances(spreader_nodes, sink_nodes, g_spr_snk)
-
-        # Optional lumped TSV/ball path from the interposer into the
-        # board, distributed uniformly over the interposer tiles.
-        if (
-            interposer_nodes is not None
-            and layout.interposer.board_resistance is not None
-        ):
-            g_board = 1.0 / (
-                layout.interposer.board_resistance * bounding.num_tiles
-            )
-            net.add_ground_conductances(interposer_nodes, g_board)
-
-        bp.mark_stamp_section(
-            self._stamp_rows(silicon, spreader_nodes[lattice_of], lattice_of)
-        )
-        return spreader_nodes, sink_nodes, bounding
 
     # ------------------------------------------------------------------
     # Siblings

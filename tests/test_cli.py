@@ -350,8 +350,8 @@ class TestRoundsAndEngine:
         assert code == 1
         assert "round stats (2 rounds," in out
         assert "round 0:" in out
-        assert "(cold bracket), runaway eigen" in out
-        assert "(warm bracket), runaway shift-invert" in out
+        assert "(cold start), runaway eigen" in out
+        assert "(warm first probe), runaway shift-invert" in out
 
     def test_solve_max_rounds_caps_loop(self, capsys):
         # hc06 at 85 C is infeasible, so the greedy loop runs multiple
@@ -526,6 +526,22 @@ class TestTable1:
     def test_markdown_flag(self, capsys):
         assert main(["table1", "--benchmarks", "hc08", "--markdown"]) == 0
         assert capsys.readouterr().out.startswith("| bench |")
+
+
+class TestChiplet:
+    def test_one_chiplet_deploy_reports_per_chiplet(self, capsys):
+        """A one-chiplet layout is a composite problem: its deployment
+        is grouped under the chiplet's name, and the exit code is the
+        verdict."""
+        code = main([
+            "chiplet", "--chiplet", "8,8,0,0,30", "--no-interposer",
+            "--deploy",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "feasible:     False" in captured.out
+        assert "  chiplet0     64 TECs, peak " in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestValidate:

@@ -18,18 +18,27 @@ on the backend fixed when its problem is built: the
 ``SolveSession.solve_batch`` and the second single-die router
 ``thermal_model_for_layout`` are gone.  The CLI side (``--solver-mode``,
 ``--solver-cache-size``) is checked in ``tests/test_cli.py``.
+
+One network builder stamps every package, so nothing routes a
+one-chiplet layout (``ChipletLayout.is_single_die`` is gone).  The
+sensitivity studies run the certified search on every perturbed model
+(no ``warm_start``), and GreedyDeploy reports its last round's optimum
+unpolished (no ``polish_final``, no ``DeployStats.polish_evaluations``).
 """
 
 import importlib
 
 import pytest
 
+from repro.core import engine
 from repro.core.baselines import full_cover
 from repro.core.current import minimize_peak_temperature
 from repro.core.deploy import greedy_deploy
 from repro.core.problem import CoolingSystemProblem
+from repro.core.sensitivity import monte_carlo_feasibility, parameter_sensitivities
 from repro.experiments.table1 import run_benchmark_row, run_table1
 from repro.sweep import SweepRunner, SweepSpec
+from repro.thermal.chiplet import ChipletLayout
 from repro.thermal.model import CompositeThermalModel, PackageThermalModel
 from repro.thermal.session import SolveSession
 
@@ -50,12 +59,17 @@ REMOVED_KEYWORDS = [
     (CoolingSystemProblem, (None, None), "solver_cache_size"),
     (PackageThermalModel, (None, None), "solver_cache_size"),
     (CompositeThermalModel, (None,), "solver_cache_size"),
+    (parameter_sensitivities, (None, ()), "warm_start"),
+    (monte_carlo_feasibility, (None, ()), "warm_start"),
 ]
 
 #: (owner, the removed attribute).
 REMOVED_ATTRIBUTES = [
     (CoolingSystemProblem, "configure_solver"),
     (SolveSession, "solve_batch"),
+    (ChipletLayout, "is_single_die"),
+    (engine, "polish_final"),
+    (engine.DeployStats, "polish_evaluations"),
 ]
 
 
@@ -70,7 +84,10 @@ def test_removed_keyword_is_a_type_error(func, args, keyword):
 
 @pytest.mark.parametrize(
     "owner, name", REMOVED_ATTRIBUTES,
-    ids=["{}.{}".format(o.__qualname__, n) for o, n in REMOVED_ATTRIBUTES],
+    ids=[
+        "{}.{}".format(getattr(o, "__qualname__", o.__name__), n)
+        for o, n in REMOVED_ATTRIBUTES
+    ],
 )
 def test_removed_attribute_is_an_attribute_error(owner, name):
     with pytest.raises(AttributeError, match=name):

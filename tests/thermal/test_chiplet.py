@@ -8,9 +8,11 @@ Three pillars of the chiplet generalization:
   bounding-lattice correspondences;
 * the differential gate: ``CompositeThermalModel`` against the
   independently assembled ``ReferenceChipletModel`` to <= 1e-6 K;
-* the non-regression identity: a single-die ``ChipletLayout`` routed
-  through ``CoolingSystemProblem.from_chiplet_layout`` produces the
-  *bitwise* same blueprint and matrices as today's single-die path.
+* the single-die identity: one network builder stamps every package,
+  so a one-chiplet ``ChipletLayout`` at the origin without an
+  interposer gives a composite problem whose blueprint and assembled
+  arrays are *bitwise* those of ``PackageThermalModel`` on the
+  chiplet's grid.
 """
 
 import numpy as np
@@ -31,6 +33,7 @@ from repro.thermal.chiplet import (
 from repro.thermal.geometry import CompositeGrid, TileGrid
 from repro.thermal.model import CompositeThermalModel, PackageThermalModel
 from repro.thermal.reference import ReferenceChipletModel
+from tests.thermal.test_assembly_digests import digest
 
 
 def _row_of_chiplets(draw):
@@ -165,18 +168,23 @@ class TestLayoutValidation:
         assert layout.stack.spreader.side >= 1.5 * 20e-3
 
     def test_single_die_detection(self):
-        single = ChipletLayout((ChipletSpec("die", TileGrid(4, 4), 5.0),))
-        assert single.is_single_die()
-        offset = ChipletLayout(
-            (ChipletSpec("die", TileGrid(4, 4), 5.0, col_offset=1),),
-            stack=grown_default_stack(3e-3, 2e-3),
-        )
-        assert not offset.is_single_die()
-        with_itp = ChipletLayout(
-            (ChipletSpec("die", TileGrid(4, 4), 5.0),),
-            interposer=InterposerSpec(),
-        )
-        assert not with_itp.is_single_die()
+        """Only the one chiplet at the origin without an interposer is
+        the single die: an offset or an interposer changes the network."""
+        grid = TileGrid(4, 4)
+        stack = grown_default_stack(3e-3, 2e-3)
+
+        def composite(col_offset=0, interposer=None):
+            spec = ChipletSpec("die", grid, 5.0, col_offset=col_offset)
+            return CompositeThermalModel(
+                ChipletLayout((spec,), stack=stack, interposer=interposer)
+            )
+
+        single = digest(PackageThermalModel(
+            grid, np.full(grid.num_tiles, 5.0 / grid.num_tiles), stack=stack
+        ))
+        assert digest(composite()) == single
+        assert digest(composite(col_offset=1)) != single
+        assert digest(composite(interposer=InterposerSpec())) != single
 
 
 class TestChipletDifferential:
@@ -254,7 +262,8 @@ def _assert_bitwise_equal(left, right, path):
 
 
 class TestSingleDieIdentity:
-    """A single-die layout must take the exact single-die code path."""
+    """A one-chiplet layout at the origin is a composite problem built
+    by the one network builder: bit for bit the single-die package."""
 
     def test_bitwise_identical_blueprint_and_matrices(self):
         grid = TileGrid(5, 4)
@@ -262,23 +271,25 @@ class TestSingleDieIdentity:
         layout = ChipletLayout(
             (ChipletSpec("die", grid, tuple(power)),)
         )
-        routed = CoolingSystemProblem.from_chiplet_layout(layout).model(())
-        direct = PackageThermalModel(grid, power)
-        assert type(routed) is PackageThermalModel
-        assert routed.system.g_matrix.shape == direct.system.g_matrix.shape
-        assert np.array_equal(
-            routed.system.g_matrix.toarray(), direct.system.g_matrix.toarray()
-        )
-        assert np.array_equal(routed.system.p_base, direct.system.p_base)
+        problem = CoolingSystemProblem.from_chiplet_layout(layout)
+        for tiles in ((), (0, 7, 13), tuple(range(grid.num_tiles))):
+            composite = problem.model(tiles)
+            package = PackageThermalModel(
+                grid, power, stack=layout.stack, tec_tiles=tiles
+            )
+            assert type(composite) is CompositeThermalModel
+            assert digest(composite) == digest(package), tiles
         _assert_bitwise_equal(
-            routed.network_blueprint(), direct.network_blueprint(), "blueprint"
+            problem.model(()).network_blueprint(),
+            PackageThermalModel(grid, power).network_blueprint(),
+            "blueprint",
         )
 
-    def test_problem_factory_degenerates(self):
+    def test_problem_keeps_the_layout(self):
         layout = ChipletLayout((ChipletSpec("die", TileGrid(4, 4), 5.0),))
         problem = CoolingSystemProblem.from_chiplet_layout(layout)
-        assert problem.layout is None
-        assert type(problem.model(())) is PackageThermalModel
+        assert problem.layout is layout
+        assert problem.model((3,)).tiles_by_chiplet() == {"die": (3,)}
 
 
 class TestCompositeModel:

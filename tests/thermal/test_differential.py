@@ -212,6 +212,21 @@ class TestScaleReplayBitEquality:
         assert np.array_equal(a.p_base, b.p_base)
         assert np.array_equal(a.joule, b.joule)
 
+    def test_scaled_model_replays_unscaled_bitwise(self):
+        """The blueprint records the die conductances unscaled, so a
+        scaled model's blueprint replays any scale field, none too."""
+        grid = TileGrid(4, 5)
+        power = np.linspace(0.1, 1.0, grid.num_tiles)
+        scaled = PackageThermalModel(
+            grid, power, tec_tiles=(3, 7),
+            die_conductivity_scale=np.linspace(0.6, 1.4, grid.num_tiles),
+        )
+        a = scaled.with_die_conductivity_scale(None).system
+        b = PackageThermalModel(grid, power, tec_tiles=(3, 7)).system
+        assert np.array_equal(a.g_matrix.data, b.g_matrix.data)
+        assert np.array_equal(a.g_matrix.indices, b.g_matrix.indices)
+        assert np.array_equal(a.p_base, b.p_base)
+
     @given(_instances(), st.floats(min_value=0.5, max_value=1.5))
     @_settings
     def test_scaled_solve_matches_dense(self, instance, scale):
