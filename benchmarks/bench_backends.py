@@ -2,9 +2,10 @@
 
 Sweeps tile grids (8x8 up to 128x128 by default) with dense TEC
 deployments, times every applicable solver backend on the same
-assembled system and probe currents through the batched
-:meth:`~repro.thermal.session.SessionView.solve_batch` kernel, and
-checks the acceptance criteria of the backend-layer PRs:
+assembled system and probe currents through
+:meth:`~repro.thermal.session.SessionView.solve_batch` (one solve per
+current), and checks the acceptance criteria of the backend-layer
+PRs:
 
 * every backend agrees with the ``direct`` reference on the peak
   temperature of every probe current to 1e-6 K;
@@ -15,7 +16,7 @@ checks the acceptance criteria of the backend-layer PRs:
   support threshold relies on;
 * on the 128x128 grid (stride-lattice deployment, 512 support nodes),
   the condensed ``reuse`` backend — one support-last factorization for
-  every probe current — beats the batched ``direct`` backend, which
+  every probe current — beats the ``direct`` backend, which
   factors once per current, wall-clock;
 * on the 256x256 grid (>= 260k nodes) the geometric-multigrid ``mg``
   backend beats the assembled SPD factorization by >= 2x wall-clock
@@ -162,9 +163,9 @@ def _time_backend(system, backend, currents):
     # this backend's measurement.
     gc.collect()
     start = time.perf_counter()
-    batch = solver.solve_batch(currents)
+    answers = solver.solve_batch(currents)
     wall = time.perf_counter() - start
-    peaks = [float(column.peak_k) for column in batch.columns]
+    peaks = [float(theta.max()) for theta, _ in answers]
     return {
         "backend": backend,
         "wall_s": wall,
@@ -300,7 +301,7 @@ def test_direct_beats_reuse_on_large_grid(workload):
 @pytest.mark.slow
 def test_reuse_beats_direct_on_128(workload):
     """The condensed reuse backend wins the 128x128 column over the
-    batched sparse-SPD backend: one support-last factorization answers
+    sparse-SPD backend: one support-last factorization answers
     every probe current, where direct factors once per current."""
     entries, _ = workload
     ratios = {

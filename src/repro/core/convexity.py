@@ -172,6 +172,7 @@ def certify_convexity(
     check_in_range(i_max, "i_max", 0.0, lambda_m, inclusive=(False, False))
 
     edges = np.linspace(0.0, i_max, subdivisions + 1)
+    indicator = _tec_indicator(model)
     intervals = []
     solves = 0
     overall_margin = np.inf
@@ -182,17 +183,10 @@ def certify_convexity(
         margin = np.inf
         worst_tile = -1
         worst_current = lo
-        indicator = _tec_indicator(model)
-        # All sample currents of the interval share one batched kernel
-        # call (the indicator load repeated per sample).
-        sample_currents = [
-            float(current) for current in np.linspace(lo, hi, samples_per_interval)
-        ]
-        loads = np.tile(indicator[:, None], (1, len(sample_currents)))
-        sample_batch = model.solver.solve_batch(sample_currents, loads=loads)
-        for sample, current in enumerate(sample_currents):
-            eta_values = sample_batch.temperatures[
-                model.silicon_nodes, sample
+        for current in np.linspace(lo, hi, samples_per_interval):
+            current = float(current)
+            eta_values = model.solver.solve_rhs(current, indicator)[
+                model.silicon_nodes
             ]
             solves += 1
             certificate = eta_values + DERIVATIVE_FACTOR * current * eta_slope
@@ -200,7 +194,7 @@ def certify_convexity(
             if certificate[k] < margin:
                 margin = float(certificate[k])
                 worst_tile = k
-                worst_current = float(current)
+                worst_current = current
         check = IntervalCheck(
             lower=lo, upper=hi, margin=margin,
             worst_tile=worst_tile, worst_current=worst_current,
@@ -228,7 +222,7 @@ def numerical_convexity_check(model, i_max, *, samples=33, tolerance=1.0e-6):
         raise ValueError("samples must be >= 3")
     currents = np.linspace(0.0, i_max, samples)
     temperatures = np.stack([
-        state.silicon_c for state in model.solve_batch(currents)
+        model.solve(current).silicon_c for current in currents
     ])
     second = temperatures[:-2] - 2.0 * temperatures[1:-1] + temperatures[2:]
     scale = max(1.0, float(np.max(np.abs(temperatures))))

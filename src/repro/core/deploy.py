@@ -112,20 +112,17 @@ class DeploymentResult:
         For a problem built from a
         :class:`~repro.thermal.chiplet.ChipletLayout` (see
         :meth:`~repro.core.problem.CoolingSystemProblem.from_chiplet_layout`),
-        returns ``{chiplet_name: (global flat tiles...)}`` over every
-        chiplet, empty tuples included — the per-chiplet ``#TECs``
-        breakdown of a 2.5D report.  Single-die problems report the
-        whole deployment under ``"die"``.
+        returns the layout's
+        :meth:`~repro.thermal.chiplet.ChipletLayout.tiles_by_chiplet`
+        of the deployment — ``{chiplet_name: (global flat tiles...)}``
+        over every chiplet, empty tuples included: the per-chiplet
+        ``#TECs`` breakdown of a 2.5D report.  Single-die problems
+        report the whole deployment under ``"die"``.
         """
         layout = getattr(self.problem, "layout", None)
         if layout is None:
             return {"die": tuple(self.tec_tiles)}
-        grid = layout.composite_grid()
-        grouped = {spec.name: [] for spec in layout.chiplets}
-        for tile in self.tec_tiles:
-            index, _, _ = grid.locate(int(tile))
-            grouped[layout.chiplets[index].name].append(int(tile))
-        return {name: tuple(tiles) for name, tiles in grouped.items()}
+        return layout.tiles_by_chiplet(self.tec_tiles)
 
 
 def greedy_deploy(problem, *, current_tolerance=1.0e-4, max_rounds=None):

@@ -170,9 +170,11 @@ def chiplet_groups(model):
     regulator, so a per-chiplet TEC supply costs no extra pins beyond
     one per chiplet.  Groups the deployed devices of a
     :class:`~repro.thermal.model.CompositeThermalModel` by the chiplet
-    their tile belongs to and returns device-index lists ordered like
-    the layout's chiplets (chiplets without devices are skipped), ready
-    for :func:`optimize_pin_groups`.
+    their tile belongs to
+    (:meth:`~repro.thermal.chiplet.ChipletLayout.tiles_by_chiplet`) and
+    returns device-index lists ordered like the layout's chiplets
+    (chiplets without devices are skipped), ready for
+    :func:`optimize_pin_groups`.
     """
     layout = getattr(model, "layout", None)
     if layout is None:
@@ -182,11 +184,12 @@ def chiplet_groups(model):
         )
     if not model.stamps:
         raise ValueError("model has no deployed devices")
-    grid = model.grid
-    groups = [[] for _ in range(layout.num_chiplets)]
-    for j, stamp in enumerate(model.stamps):
-        groups[grid.chiplet_of(int(stamp.tile))].append(j)
-    return [group for group in groups if group]
+    device_of = {int(stamp.tile): j for j, stamp in enumerate(model.stamps)}
+    grouped = layout.tiles_by_chiplet(device_of)
+    return [
+        [device_of[tile] for tile in tiles]
+        for tiles in grouped.values() if tiles
+    ]
 
 
 @dataclass

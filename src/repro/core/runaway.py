@@ -104,17 +104,11 @@ def runaway_curve(model, *, fractions=None, max_fraction=0.999):
     unit = np.zeros(model.num_nodes)
     unit[peak_node] = 1.0
 
-    # One batched kernel call answers every operating point, and a
-    # second one answers the influence rows (the unit load repeated
-    # per current) — stacked BLAS-3 instead of a per-fraction loop.
     currents = [float(fraction * lambda_m) for fraction in fractions]
-    states = model.solve_batch(currents)
-    loads = np.tile(unit[:, None], (1, len(currents)))
-    h_batch = model.solver.solve_batch(currents, loads=loads)
-    peaks = [state.peak_silicon_c for state in states]
+    peaks = [model.solve(current).peak_silicon_c for current in currents]
     h_values = [
-        float(h_batch.temperatures[peak_node, j])
-        for j in range(len(currents))
+        float(model.solver.solve_rhs(current, unit)[peak_node])
+        for current in currents
     ]
     return RunawayCurve(
         lambda_m=lambda_m,
@@ -132,10 +126,10 @@ def influence_sweep(model, node_pairs, currents):
     pair's influence coefficient as a function of current.  Entries are
     non-negative (Lemma 3) and, under Conjecture 1, convex (Theorem 3).
 
-    All pairs sharing a current are answered by one batched multi-RHS
-    solve (one unit column per distinct ``l``), so a sweep over ``p``
-    pairs costs one factorization and one BLAS-3 backsubstitution per
-    current instead of ``p`` single-vector solves.
+    All pairs at one current are answered by one multi-RHS solve (one
+    unit column per distinct ``l``), so a sweep over ``p`` pairs costs
+    one factorization and one BLAS-3 backsubstitution per current
+    instead of ``p`` single-vector solves.
     """
     node_pairs = [(int(k), int(l)) for k, l in node_pairs]
     currents = np.asarray(currents, dtype=float)
@@ -147,13 +141,8 @@ def influence_sweep(model, node_pairs, currents):
     num_cols = len(column_nodes)
     rhs = np.zeros((model.num_nodes, num_cols))
     rhs[column_nodes, np.arange(num_cols)] = 1.0
-    # Stack (current, unit-column) pairs into one batched solve: the
-    # kernel groups equal currents into shared factorizations, and in
-    # reuse mode the whole block rides a single stacked base solve.
-    expanded = [float(current) for current in currents for _ in range(num_cols)]
-    batch = model.solver.solve_batch(expanded, loads=np.tile(rhs, (1, currents.shape[0])))
-    for j in range(currents.shape[0]):
-        block = batch.temperatures[:, j * num_cols:(j + 1) * num_cols]
+    for j, current in enumerate(currents):
+        block = model.solver.solve_rhs(current, rhs)
         for row_index, (k, l) in enumerate(node_pairs):
             result[row_index, j] = block[k, column_of[l]]
     return result

@@ -11,7 +11,7 @@ class a geometric multigrid preconditioner gives O(n) work *and* O(n)
 memory, which is what makes 256x256-and-beyond chiplet-scale grids
 tractable.
 
-Three pieces, all generic linear algebra (the thermal layer only
+Two pieces, both generic linear algebra (the thermal layer only
 supplies the :class:`LatticeGeometry` description):
 
 ``LatticeStencil``
@@ -25,23 +25,20 @@ supplies the :class:`LatticeGeometry` description):
     diagonal correction applied on top (see the session layer).
 
 ``MultigridHierarchy``
-    Aggregation-based geometric coarsening.  On a lattice the
-    aggregates are per-layer 2x2 tile agglomerations (semicoarsening:
-    layers are never merged, periphery nodes ride along as
-    singletons); off-lattice systems fall back to greedy pairwise
-    strength matching.  Coarse operators are Galerkin products
-    ``P^T A P`` with a smoothed-aggregation prolongator, smoothing is
-    damped Jacobi or (default) Chebyshev, V- and F-cycles are
-    supported, and the coarsest level is solved directly.  The
-    integer aggregation plan is exposed for reuse, so shifted views of
-    the same system re-Galerkin without re-aggregating.
-
-``mg_solve``
-    Standalone stationary multigrid iteration with a true-residual
-    report, mirroring :func:`repro.linalg.krylov.krylov_solve`.  The
-    hierarchy also plugs directly into that CG as a preconditioner
-    callable (:meth:`MultigridHierarchy.precondition`) — the session
-    layer runs CG with one V-cycle per application.
+    Aggregation-based geometric coarsening in one configuration.  On a
+    lattice the aggregates are per-layer 2x2 tile agglomerations
+    (semicoarsening: layers are never merged, periphery nodes ride
+    along as singletons); off-lattice systems fall back to greedy
+    pairwise strength matching.  Coarse operators are Galerkin products
+    ``P^T A P``; the finest level's prolongator is smoothed (smoothed
+    aggregation) and applies the operator through the lattice stencil,
+    every coarser level is piecewise constant.  Chebyshev smoothing
+    wraps each coarse-grid correction of a V-cycle and the coarsest
+    level is solved directly.  The integer aggregation plan is exposed
+    for reuse, so shifted views of the same system re-Galerkin without
+    re-aggregating.  :meth:`MultigridHierarchy.precondition` (one
+    V-cycle from zero) is the preconditioner the session layer hands
+    to :func:`repro.linalg.krylov.krylov_solve`.
 
 Fork safety: a hierarchy pickles cleanly — the coarsest-level
 factorization (a live ``splu`` handle) is dropped on ``__getstate__``
@@ -56,31 +53,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-#: Smoothers accepted by :class:`MultigridHierarchy`.
-SMOOTHERS = ("chebyshev", "jacobi")
-
-#: Cycle kinds accepted by the hierarchy and :func:`mg_solve`.
-CYCLE_KINDS = ("V", "F")
-
 #: Stop coarsening once a level has at most this many unknowns; the
 #: remaining system is factored directly (its fill is negligible).
-DEFAULT_COARSE_SIZE = 400
+COARSE_SIZE = 400
 
-#: Hard cap on the level count (a 2x2 lattice agglomeration divides
-#: the unknowns by ~4 per level, so this is never the binding limit on
-#: real grids).
-DEFAULT_MAX_LEVELS = 16
-
-#: Default smoothing polynomial degree (Chebyshev) / sweep count
-#: (Jacobi) applied before and after each coarse-grid correction.
-DEFAULT_SWEEPS = 2
-
-#: Default relative-residual target of :func:`mg_solve`.
-DEFAULT_RTOL = 1.0e-10
-
-#: Default number of finest levels whose prolongator is smoothed (see
-#: ``smooth_prolongator`` on :class:`MultigridHierarchy`).
-DEFAULT_SMOOTH_LEVELS = 1
+#: Chebyshev smoothing degree applied before and after each
+#: coarse-grid correction.
+SWEEPS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,28 +389,20 @@ class _Level:
         return self.matrix @ x
 
 
-@dataclass(frozen=True)
-class MgReport:
-    """Outcome of one (possibly multi-RHS) :func:`mg_solve` run.
-
-    ``cycles`` counts multigrid cycles over all right-hand sides;
-    ``residual`` is the worst true relative residual.
-    """
-
-    converged: bool
-    cycles: int
-    residual: float
-    levels: int
-    cycle_kind: str = "V"
-    #: Coarsening provenance of the hierarchy that ran the solve:
-    #: ``"lattice"`` (per-layer 2x2 agglomeration) or ``"pairwise"``
-    #: (the graph fallback — no geometry, or one that failed
-    #: :func:`validate_lattice_geometry`).
-    coarsening: str = "lattice"
-
-
 class MultigridHierarchy:
     """Aggregation-based geometric multigrid over one matrix.
+
+    Coarsens until a level has at most :data:`COARSE_SIZE` unknowns
+    (read at build time; tests patch it to get deep hierarchies on
+    small lattices).  The finest level smooths its prolongator once
+    with damped Jacobi (smoothed aggregation) and applies the operator
+    through the matrix-free :class:`LatticeStencil` when a geometry is
+    available; smoothing every level would densify the coarse
+    operators quadratically, so the coarser Galerkin products stay
+    piecewise-constant cheap.  Each V-cycle applies Chebyshev smoothing
+    of degree :data:`SWEEPS` symmetrically before and after every
+    coarse-grid correction, so the cycle is a symmetric positive
+    operator, valid as a CG preconditioner.
 
     Parameters
     ----------
@@ -449,61 +420,10 @@ class MultigridHierarchy:
         arrays) from a sibling hierarchy of the same system — shifted
         views re-Galerkin through the shared plan instead of
         re-aggregating.  The built plan is exposed as :attr:`plan`.
-    coarse_size / max_levels:
-        Coarsening stop criteria (see module constants).
-    smoother / sweeps:
-        ``"chebyshev"`` (polynomial degree ``sweeps``) or ``"jacobi"``
-        (``sweeps`` damped point sweeps), applied symmetrically before
-        and after each coarse-grid correction — the V-cycle is then a
-        symmetric positive operator, valid as a CG preconditioner.
-    smooth_prolongator:
-        Apply one damped-Jacobi smoothing pass to the tentative
-        piecewise-constant prolongator (smoothed aggregation); costs
-        coarse-operator fill, buys a much better convergence factor.
-        ``True`` smooths every level; an integer smooths only the
-        finest that many levels — the default (:data:`DEFAULT_SMOOTH_LEVELS`)
-        keeps the fine-level accuracy that dominates the convergence
-        factor while the coarser Galerkin products stay
-        piecewise-constant cheap (smoothing every level densifies the
-        coarse operators quadratically, and the sparse triple products
-        come to dominate the whole hierarchy build on >= 256x256
-        grids).
-    cycle_kind:
-        Default cycle of :meth:`cycle` / :meth:`precondition`
-        (``"V"`` or ``"F"``).
-    use_stencil:
-        Build the matrix-free :class:`LatticeStencil` for the fine
-        level when a geometry is available.
     """
 
-    def __init__(
-        self,
-        matrix,
-        *,
-        geometry=None,
-        plan=None,
-        coarse_size=DEFAULT_COARSE_SIZE,
-        max_levels=DEFAULT_MAX_LEVELS,
-        smoother="chebyshev",
-        sweeps=DEFAULT_SWEEPS,
-        smooth_prolongator=DEFAULT_SMOOTH_LEVELS,
-        cycle_kind="V",
-        use_stencil=True,
-    ):
-        if smoother not in SMOOTHERS:
-            raise ValueError(
-                "smoother must be one of {}, got {!r}".format(SMOOTHERS, smoother)
-            )
-        if cycle_kind not in CYCLE_KINDS:
-            raise ValueError(
-                "cycle_kind must be one of {}, got {!r}".format(
-                    CYCLE_KINDS, cycle_kind
-                )
-            )
-        self.smoother = smoother
-        self.sweeps = max(1, int(sweeps))
-        self.cycle_kind = cycle_kind
-        self.coarse_size = int(coarse_size)
+    def __init__(self, matrix, *, geometry=None, plan=None):
+        self.sweeps = SWEEPS
         #: Multigrid cycles applied so far (preconditioner calls
         #: included) — the session layer diffs this into SolverStats.
         self.cycles = 0
@@ -511,58 +431,48 @@ class MultigridHierarchy:
         current = sp.csr_matrix(matrix)
         current.sort_indices()
         # A geometry that disagrees with the matrix (stale node count,
-        # out-of-range tiles, duplicate (layer, tile) slots) would
-        # mis-aggregate silently — validate once and degrade to the
-        # pairwise graph coarsening instead, recording the provenance.
+        # out-of-range tiles, duplicate (layer, tile) slots, no node on
+        # the lattice) would mis-aggregate silently — validate once and
+        # degrade to the pairwise graph coarsening instead, recording
+        # the provenance.  A valid geometry, and every coarsening of
+        # it, keeps nodes on the lattice.
         if geometry is not None and not validate_lattice_geometry(
             current.shape[0], geometry
         ):
             geometry = None
         #: Coarsening provenance: ``"lattice"`` when the finest level
         #: aggregates by per-layer 2x2 agglomeration, ``"pairwise"``
-        #: for the graph fallback.  Surfaced through
-        #: :attr:`MgReport.coarsening`.
+        #: for the graph fallback.
         self.coarsening = "lattice" if geometry is not None else "pairwise"
         geom = geometry
         built_plan = []
         self.levels = []
-        while (
-            current.shape[0] > self.coarse_size
-            and len(self.levels) < int(max_levels) - 1
-        ):
+        while current.shape[0] > COARSE_SIZE:
             if plan is not None and len(built_plan) < len(plan):
                 aggregates = plan[len(built_plan)]
                 if geom is not None:
                     geom = lattice_coarsen(geom)[1]
-            elif geom is not None and bool(np.any(geom.on_lattice())):
+            elif geom is not None:
                 aggregates, geom = lattice_coarsen(geom)
             else:
                 aggregates = pairwise_aggregates(current)
-                geom = None
             num_coarse = int(aggregates.max()) + 1
             if num_coarse >= current.shape[0]:
                 break
             prolong = tentative_prolongator(aggregates, num_coarse)
             inv_diagonal = 1.0 / current.diagonal()
             rho = _spectral_radius(current, inv_diagonal)
-            smooth_this = (
-                smooth_prolongator is True
-                or len(self.levels) < int(smooth_prolongator)
-            )
-            if smooth_this:
+            stencil = None
+            if not self.levels:
+                # Finest level only: smoothed aggregation and the
+                # matrix-free stencil (see the class docstring).
                 omega = 4.0 / (3.0 * rho)
                 prolong = (
                     prolong
                     - sp.diags(omega * inv_diagonal) @ (current @ prolong)
                 ).tocsr()
-            stencil = None
-            if (
-                use_stencil
-                and not self.levels
-                and geometry is not None
-                and bool(np.any(geometry.on_lattice()))
-            ):
-                stencil = LatticeStencil(current, geometry)
+                if geometry is not None:
+                    stencil = LatticeStencil(current, geometry)
             level = _Level(current, prolong, rho, stencil=stencil)
             self.levels.append(level)
             built_plan.append(np.asarray(aggregates, dtype=np.int64))
@@ -613,13 +523,6 @@ class MultigridHierarchy:
         return self._coarse_lu.solve(b)
 
     def _smooth(self, level, b, x):
-        if self.smoother == "jacobi":
-            omega = 4.0 / (3.0 * level.rho)
-            for _ in range(self.sweeps):
-                x = x + omega * (
-                    level.inv_diagonal * (b - level.apply(x)).T
-                ).T
-            return x
         # Chebyshev polynomial smoothing of the upper spectrum of
         # ``D^{-1} A`` on ``[rho / 4, 1.1 rho]`` (three-term
         # recurrence); each degree costs one operator application.
@@ -643,18 +546,13 @@ class MultigridHierarchy:
             rho_old = rho_new
         return x
 
-    def _run_cycle(self, index, b, x, kind):
+    def _run_cycle(self, index, b, x):
         if index == len(self.levels):
             return self._coarse_solve(b)
         level = self.levels[index]
         x = self._smooth(level, b, x)
         residual = level.restrict @ (b - level.apply(x))
-        coarse = np.zeros_like(residual)
-        if kind == "F":
-            coarse = self._run_cycle(index + 1, residual, coarse, "F")
-            coarse = self._run_cycle(index + 1, residual, coarse, "V")
-        else:
-            coarse = self._run_cycle(index + 1, residual, coarse, "V")
+        coarse = self._run_cycle(index + 1, residual, np.zeros_like(residual))
         x = x + level.prolong @ coarse
         return self._smooth(level, b, x)
 
@@ -662,22 +560,17 @@ class MultigridHierarchy:
     # Public entry points
     # ------------------------------------------------------------------
 
-    def cycle(self, b, x0=None, kind=None):
-        """One multigrid cycle on ``A x = b`` from ``x0`` (default 0).
+    def cycle(self, b, x0=None):
+        """One V-cycle on ``A x = b`` from ``x0`` (default 0).
 
         ``b`` may be a vector or an ``(n, k)`` block — every level
         operation is column-vectorized, so multi-RHS cycles cost one
         pass.  Returns the improved iterate.
         """
-        kind = self.cycle_kind if kind is None else kind
-        if kind not in CYCLE_KINDS:
-            raise ValueError(
-                "kind must be one of {}, got {!r}".format(CYCLE_KINDS, kind)
-            )
         b = np.asarray(b, dtype=float)
         x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float)
         self.cycles += 1
-        return self._run_cycle(0, b, x, kind)
+        return self._run_cycle(0, b, x)
 
     def precondition(self, v):
         """One cycle from zero — the Krylov preconditioner callable."""
@@ -713,57 +606,3 @@ def _sparse_bytes(matrix):
         matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
     )
 
-
-def mg_solve(
-    matrix,
-    rhs,
-    *,
-    geometry=None,
-    hierarchy=None,
-    rtol=DEFAULT_RTOL,
-    maxiter=60,
-    cycle_kind=None,
-    **build_options,
-):
-    """Solve ``matrix @ x = rhs`` by stationary multigrid iteration.
-
-    Builds a :class:`MultigridHierarchy` (unless one is passed in) and
-    applies cycles until the true relative residual of every column is
-    at or below ``rtol``.  Mirrors
-    :func:`repro.linalg.krylov.krylov_solve`: convergence failure is
-    *reported*, not raised.
-
-    Returns ``(x, MgReport)`` with ``x`` shaped like ``rhs``.
-    """
-    if hierarchy is None:
-        hierarchy = MultigridHierarchy(
-            matrix, geometry=geometry, **build_options
-        )
-    kind = hierarchy.cycle_kind if cycle_kind is None else cycle_kind
-    rhs = np.asarray(rhs, dtype=float)
-    single = rhs.ndim == 1
-    columns = rhs.reshape(rhs.shape[0], -1)
-    norms = np.linalg.norm(columns, axis=0)
-    norms[norms == 0.0] = 1.0
-    x = np.zeros_like(columns)
-    cycles_before = hierarchy.cycles
-    worst = np.inf
-    converged = False
-    for _ in range(int(maxiter)):
-        x = hierarchy.cycle(columns, x0=x, kind=kind)
-        residual = columns - hierarchy.apply_fine(x)
-        worst = float(np.max(np.linalg.norm(residual, axis=0) / norms))
-        if not np.isfinite(worst):
-            break
-        if worst <= rtol:
-            converged = True
-            break
-    report = MgReport(
-        converged=converged,
-        cycles=hierarchy.cycles - cycles_before,
-        residual=worst,
-        levels=hierarchy.num_levels,
-        cycle_kind=kind,
-        coarsening=getattr(hierarchy, "coarsening", "lattice"),
-    )
-    return (x[:, 0] if single else x), report

@@ -10,8 +10,8 @@ experiments (and load tests) stop paying cold-start costs per query:
 * :mod:`repro.serve.pool` — a blueprint-keyed LRU of warm
   :class:`~repro.core.problem.CoolingSystemProblem` sessions with
   per-key locks and eviction-safe stats;
-* :mod:`repro.serve.batcher` — same-chip request coalescing into
-  batched multi-RHS solves;
+* :mod:`repro.serve.batcher` — same-chip request coalescing into one
+  batch per warm session;
 * :mod:`repro.serve.app` — the dependency-free ASGI application
   (``POST /solve``, ``/sweep``, ``/deploy``, ``/transient``; ``GET
   /healthz``, ``/stats``);

@@ -9,8 +9,8 @@ stdlib one).  Endpoints:
     Steady-state solve(s) of one chip/deployment at one or more
     currents.  Answered through the warm session pool and the request
     batcher: a chip with no solve running dispatches at once, requests
-    that arrive while one runs coalesce into its next batched
-    multi-RHS solve, identical points are deduplicated, and
+    that arrive while one runs coalesce into its next batch, identical
+    points are deduplicated, and
     every response carries the per-solve solver-stats delta so clients
     can see cache behaviour (``cache_hits``) and batching
     (``coalesced``).
@@ -491,13 +491,13 @@ def _run_task_with_stats(problem, scenario):
 def _solve_batch_sync(problem, scenarios):
     """Run one coalesced batch on a warm problem (worker thread).
 
-    Delegates to the sweep worker's batched kernel
-    (:func:`repro.sweep.worker.solve_batch_rows`): distinct operating
-    points are stacked into one
-    :meth:`~repro.thermal.session.SessionView.solve_batch` call per
-    deployment, identical ``(tiles, current)`` points solve once and
-    fan out to every duplicate, and each row records the stats delta
-    of the column that produced its values.  Row values are
+    Delegates to the sweep worker's batch kernel
+    (:func:`repro.sweep.worker.solve_batch_rows`): each deployment's
+    distinct operating points go through one
+    :meth:`~repro.thermal.session.SessionView.solve_batch` call (one
+    solve per current), identical ``(tiles, current)`` points solve
+    once and fan out to every duplicate, and each row records the
+    stats delta of the solve that produced its values.  Row values are
     bit-identical to the serial/CLI solves, so batching cannot change
     any numbers.
     """

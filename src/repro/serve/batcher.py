@@ -13,12 +13,13 @@ without holding anything back on a timer (continuous batching):
   (succeeded or raised) or as soon as it reaches ``max_batch``.
 
 Each batch is handed to the executor as *one* batch against one warm
-session.  In the default ``reuse`` backend every current in the
-batch is answered from the session's single blocked two-column base
-solve ``G^{-1}[p_base, joule]`` — the batch literally becomes one
-multi-RHS factorization pass plus a rank-k correction per current.
-Identical ``(tiles, current)`` submissions are deduplicated by the
-executor so k requests for one point cost one solve.
+session, which answers it one current at a time
+(:meth:`~repro.thermal.session.SessionView.solve_batch`): the batch
+saves the per-request dispatch, lock and pool round trips, not
+arithmetic.  A current at or beyond the chip's runaway limit fails
+only its own requests.  Identical ``(tiles, current)`` submissions are
+deduplicated by the executor so k requests for one point cost one
+solve.
 
 Determinism: the executor answers every scenario through the same
 ``model.solve(current)`` call the serial path uses, so batched

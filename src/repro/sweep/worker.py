@@ -254,29 +254,28 @@ def _solve_values(state):
 
 def _task_solve(scenario, problem):
     model = problem.model(scenario.tec_tiles)
-    # The single-point task is the one-column case of the batched
-    # kernel, so serial solves and batched rows share one code path.
-    state = model.solve_batch([scenario.current_a])[0]
-    return _solve_values(state)
+    return _solve_values(model.solve(scenario.current_a))
 
 
 def solve_batch_rows(problem, scenarios):
-    """Batched ``solve``-task rows over one warm problem.
+    """``solve``-task rows of one batch over one warm problem.
 
     The kernel behind the serve tier's :class:`RequestBatcher`:
-    scenarios are grouped by deployment, each group's distinct
-    currents are stacked into one
-    :meth:`~repro.thermal.model.PackageThermalModel.solve_batch` call
-    (BLAS-3 multi-RHS instead of per-request solves), and duplicate
+    scenarios are grouped by deployment, each group's currents are
+    answered by one
+    :meth:`~repro.thermal.session.SessionView.solve_batch` call (a
+    plain per-current :meth:`~repro.thermal.session.SessionView.solve`
+    loop on the deployment's model), and duplicate
     ``(tec_tiles, current_a)`` points fan out to every requester with
     ``coalesced: true``.  Row values are bit-identical to the serial
     :func:`execute` path; each row's ``solver_stats`` is the delta of
-    the column that produced its values.  A current at or beyond the
+    the solve that produced its values.  A current at or beyond the
     runaway limit yields an ``{"error": SingularSystemError}`` row (and
     so do its duplicates) while the other rows are answered.
     Non-``solve`` tasks fall back to :func:`run_task` per scenario, so
     mixed batches stay correct.
     """
+    from repro.thermal.model import ThermalState
     from repro.thermal.session import SingularSystemError
 
     rows = [None] * len(scenarios)
@@ -301,34 +300,20 @@ def solve_batch_rows(problem, scenarios):
     for tiles, members in groups.items():
         build_before = problem.solver_stats.copy()
         model = problem.model(tiles)
-        build_delta = problem.solver_stats.diff(build_before)
-        currents = [float(scenario.current_a) for _, scenario in members]
-        for current in currents:
-            if current < 0.0:
-                raise ValueError("current must be >= 0, got {}".format(current))
-        try:
-            answers = _batch_columns(model, currents)
-        except SingularSystemError:
-            # A current at/beyond lambda_m fails only its own requests
-            # (a default-loads batch is the serial loop, so column by
-            # column gives the same values).
-            answers = []
-            for current in currents:
-                try:
-                    answers += _batch_columns(model, [current])
-                except SingularSystemError as error:
-                    answers.append(error)
-        build = build_delta.as_dict()
-        for (position, scenario), answer in zip(members, answers):
-            if isinstance(answer, SingularSystemError):
-                row = {"error": answer, "coalesced": False}
+        build = problem.solver_stats.diff(build_before).as_dict()
+        answers = model.solver.solve_batch(
+            [scenario.current_a for _, scenario in members]
+        )
+        for (position, scenario), (theta, delta) in zip(members, answers):
+            if isinstance(theta, SingularSystemError):
+                row = {"error": theta, "coalesced": False}
             else:
-                state, delta = answer
                 # The first answered column pays the (shared) model
                 # build, mirroring the serial path.
                 for field, extra in (build or {}).items():
                     delta[field] += extra
                 build = None
+                state = ThermalState(model, scenario.current_a, theta)
                 row = {
                     "values": _solve_values(state),
                     "solver_stats": delta,
@@ -341,18 +326,6 @@ def solve_batch_rows(problem, scenarios):
             primary = answered[row["point"]]
             rows[position] = dict(primary, coalesced=True)
     return rows
-
-
-def _batch_columns(model, currents):
-    """``(state, stats delta)`` per column of one default-loads batch."""
-    from repro.thermal.model import ThermalState
-
-    batch = model.solver.solve_batch(currents)
-    return [
-        (ThermalState(model, column.current, batch.temperatures[:, j].copy()),
-         dict(column.stats))
-        for j, column in enumerate(batch.columns)
-    ]
 
 
 def _task_pareto(scenario, problem):

@@ -194,6 +194,22 @@ class ChipletLayout:
         """Package-level worst-case power (W)."""
         return float(sum(spec.total_power_w for spec in self.chiplets))
 
+    def tiles_by_chiplet(self, tiles):
+        """Global flat ``tiles`` grouped per chiplet.
+
+        Maps every chiplet's name, in layout order, to the sorted tuple
+        of its tiles among ``tiles`` — empty for a chiplet with none.
+        The one grouping behind a deployment's per-chiplet report,
+        :meth:`~repro.thermal.model.CompositeThermalModel.tiles_by_chiplet`
+        and :func:`repro.core.multipin.chiplet_groups`.
+        """
+        grid = self.composite_grid()
+        groups = {spec.name: [] for spec in self.chiplets}
+        for tile in tiles:
+            spec = self.chiplets[grid.chiplet_of(int(tile))]
+            groups[spec.name].append(int(tile))
+        return {name: tuple(sorted(group)) for name, group in groups.items()}
+
     def chiplet_tiles(self, chiplet):
         """Global flat tile indices of one chiplet (by index or name)."""
         if isinstance(chiplet, str):

@@ -675,26 +675,6 @@ class PackageThermalModel:
         theta = self.solver.solve(current, check_definite=check_definite)
         return ThermalState(self, current, theta)
 
-    def solve_batch(self, currents):
-        """Steady states at several supply currents in one batched solve.
-
-        Stacks the requested operating points through
-        :meth:`~repro.thermal.session.SessionView.solve_batch` — one
-        batched kernel call instead of ``len(currents)`` independent
-        solves — and returns a list of :class:`ThermalState`, one per
-        current in order.  Each state is bit-identical to the serial
-        ``solve(current)`` result.
-        """
-        currents = [float(current) for current in currents]
-        for current in currents:
-            if current < 0.0:
-                raise ValueError("current must be >= 0, got {}".format(current))
-        batch = self.solver.solve_batch(currents)
-        return [
-            ThermalState(self, current, batch.temperatures[:, j].copy())
-            for j, current in enumerate(currents)
-        ]
-
     def peak_silicon_c(self, current=0.0):
         """Hottest silicon tile temperature (Celsius) at ``current``."""
         return self.solve(current).peak_silicon_c
@@ -862,9 +842,6 @@ class CompositeThermalModel(PackageThermalModel):
         maps chiplet name to a sorted tuple of that chiplet's tiles —
         the per-chiplet placement view of a composite deployment.
         """
-        tiles = self.tec_tiles if tiles is None else tiles
-        groups = {spec.name: [] for spec in self.layout.chiplets}
-        for tile in tiles:
-            chiplet = self.grid.chiplet_of(int(tile))
-            groups[self.layout.chiplets[chiplet].name].append(int(tile))
-        return {name: tuple(sorted(ts)) for name, ts in groups.items()}
+        return self.layout.tiles_by_chiplet(
+            self.tec_tiles if tiles is None else tiles
+        )

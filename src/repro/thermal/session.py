@@ -28,7 +28,9 @@ view carries the full factorization machinery of the engine:
   products and one sparse lift solve, and a current at or beyond
   ``lambda_m`` is refused with :class:`SingularSystemError`;
 * the multigrid-preconditioned CG backend ``mg`` with an exact SPD
-  factorization as its fallback;
+  factorization as its fallback; CG can converge on the indefinite
+  operator past ``lambda_m``, so :meth:`SessionView.solve` refuses
+  any state with a node below 0 K (on every backend);
 * ``auto``, which picks ``reuse``, ``direct`` or ``mg`` once per
   assembled system (:func:`select_backend`);
 * per-view solution caches and the arbitrary-diagonal solves of
@@ -249,64 +251,6 @@ class SolverStats:
                 self.mg_fallbacks,
             )
         return line
-
-
-@dataclass(frozen=True)
-class BatchColumn:
-    """Per-column record of a :meth:`SessionView.solve_batch` result.
-
-    Attributes
-    ----------
-    index:
-        Position of the column in the request.
-    current:
-        Exact float supply current of the column.
-    peak_k:
-        Maximum entry of the column's solution (Kelvin rise for the
-        steady system).
-    solution_hit:
-        True when the column was answered straight from the per-current
-        solution cache (power-vector batches only).
-    grouped:
-        Number of request columns that shared this column's
-        factorization group — columns at the same exact float current
-        are stacked into one multi-RHS solve, so ``grouped > 1`` marks
-        a genuinely batched BLAS-3 column.
-    stats:
-        Plain-dict :class:`SolverStats` delta attributed to the
-        column's group (columns of one group share the delta).
-    """
-
-    index: int
-    current: float
-    peak_k: float
-    solution_hit: bool
-    grouped: int
-    stats: dict
-
-
-@dataclass(frozen=True)
-class BatchResult:
-    """Stacked result of :meth:`SessionView.solve_batch`.
-
-    ``temperatures`` is the ``(n, k)`` column-stacked solution block —
-    column ``j`` answers request column ``j`` in order.  ``columns``
-    carries one :class:`BatchColumn` per request column and ``stats``
-    the overall :class:`SolverStats` delta of the whole batch.
-    """
-
-    temperatures: np.ndarray
-    columns: tuple
-    currents: tuple
-    stats: dict
-
-    def __len__(self):
-        return len(self.columns)
-
-    @property
-    def peaks_k(self):
-        """Per-column solution maxima as a length-``k`` array."""
-        return np.array([column.peak_k for column in self.columns])
 
 
 class SessionView:
@@ -804,6 +748,15 @@ class SessionView:
             raise SingularSystemError(
                 "solve produced non-finite temperatures at i = {} A".format(current)
             )
+        if np.any(theta < 0.0):
+            # Below lambda_m, S + G - i D is a nonsingular M-matrix: its
+            # inverse is non-negative, and so is p(i), so no node sits
+            # below 0 K.  A state that does is an answer past runaway
+            # (mg's CG can converge on the indefinite operator).
+            raise SingularSystemError(
+                "solve produced a non-physical state at i = {} A (at/beyond "
+                "the runaway limit lambda_m)".format(current)
+            )
         self._cache_put(self._solution_cache, current, theta.copy())
         return theta
 
@@ -885,106 +838,28 @@ class SessionView:
         self.stats.solves += 1
         return self._apply_inverse(float(current), rhs)
 
-    def solve_batch(self, currents, loads=None):
-        """Batched solves across currents (and scenarios) in one call.
+    def solve_batch(self, currents):
+        """:meth:`solve` at each current in turn, every answer kept.
 
-        The BLAS-3 kernel of the engine: ``k`` solve requests —
-        column ``j`` asking for ``(S + G - i_j D)^{-1} b_j`` — are
-        answered as stacked multi-RHS triangular solves instead of
-        ``k`` independent vector solves.
-
-        Parameters
-        ----------
-        currents:
-            Sequence of ``k`` supply currents, one per column.
-        loads:
-            Optional ``(n, k)`` right-hand-side block, column ``j``
-            paired with ``currents[j]``.  When omitted, every column
-            solves against the steady power vector ``p(i_j)`` — the
-            classic multi-current operating-point batch — and each
-            column is answered through (and feeds) the per-current
-            solution cache, so a batched solve is bit-identical to the
-            serial :meth:`solve` loop.
-
-        With explicit ``loads``, columns sharing an exact float
-        current are grouped into one multi-RHS solve against that
-        current's factorization; in ``reuse`` mode the *entire* block
-        additionally rides a single stacked base solve
-        ``(S + G)^{-1} loads`` before the per-group condensed
-        corrections (one ``m x m`` factor and one stacked lift solve
-        per distinct current).
-
-        Returns
-        -------
-        BatchResult
-            ``(n, k)`` stacked solutions plus per-column records; the
-            empty batch returns an ``(n, 0)`` block and no columns.
+        Returns one ``(theta, stats)`` pair per current, in order:
+        ``theta`` is bit-identical to a lone :meth:`solve` (it goes
+        through the same solution cache) and ``stats`` is the
+        plain-dict :class:`SolverStats` delta of that solve.  A current
+        at or beyond ``lambda_m`` gives its :class:`SingularSystemError`
+        in place of ``theta`` and the other currents are still
+        answered.  The serve tier's batch kernel
+        (:func:`repro.sweep.worker.solve_batch_rows`) reads these
+        pairs directly.
         """
-        currents = [float(current) for current in currents]
-        k = len(currents)
-        n = self.system.num_nodes
-        batch_before = self.stats.copy()
-        temperatures = np.empty((n, k), dtype=float)
-        columns = []
-        if loads is None:
-            for j, current in enumerate(currents):
-                before = self.stats.copy()
+        answers = []
+        for current in currents:
+            before = self.stats.copy()
+            try:
                 theta = self.solve(current)
-                temperatures[:, j] = theta
-                delta = self.stats.diff(before)
-                columns.append(BatchColumn(
-                    index=j,
-                    current=current,
-                    peak_k=float(theta.max()) if n else 0.0,
-                    solution_hit=delta.solution_hits > 0,
-                    grouped=1,
-                    stats=delta.as_dict(),
-                ))
-        else:
-            loads = np.asarray(loads, dtype=float)
-            if loads.ndim != 2 or loads.shape != (n, k):
-                raise ValueError(
-                    "loads must have shape ({}, {}), got {}".format(
-                        n, k, loads.shape
-                    )
-                )
-            groups = OrderedDict()
-            for j, current in enumerate(currents):
-                groups.setdefault(current, []).append(j)
-            base_block = None
-            if self.effective_mode == "reuse" and k:
-                # One stacked triangular solve answers the base part of
-                # every column; the per-current work left is the
-                # condensed correction of each group.
-                lu = self._base_factorization()
-                base_block = self._timed_lu_solve(lu, loads)
-            for current, members in groups.items():
-                before = self.stats.copy()
-                if base_block is not None:
-                    self.stats.solves += 1
-                    block = self._current_correct(
-                        current, base_block[:, members]
-                    )
-                else:
-                    block = self.solve_rhs(current, loads[:, members])
-                delta = self.stats.diff(before).as_dict()
-                for position, j in enumerate(members):
-                    temperatures[:, j] = block[:, position]
-                    columns.append(BatchColumn(
-                        index=j,
-                        current=current,
-                        peak_k=float(block[:, position].max()) if n else 0.0,
-                        solution_hit=False,
-                        grouped=len(members),
-                        stats=delta,
-                    ))
-            columns.sort(key=lambda column: column.index)
-        return BatchResult(
-            temperatures=temperatures,
-            columns=tuple(columns),
-            currents=tuple(currents),
-            stats=self.stats.diff(batch_before).as_dict(),
-        )
+            except SingularSystemError as error:
+                theta = error
+            answers.append((theta, self.stats.diff(before).as_dict()))
+        return answers
 
     def reduced(self, *, dim=None, tol_kelvin=None, check_every=None,
                 max_dim=None):

@@ -11,8 +11,15 @@ same structure :mod:`repro.thermal.assembly` produces) and pin:
 * the matrix-free stencil reproducing ``A @ x`` to round-off;
 * the two-grid property (hypothesis): one V-cycle contracts the error
   in the energy norm for random right-hand sides and initial guesses;
-* solver behaviour — convergence to a true-residual target, multi-RHS
-  blocks, plan reuse, fork-safe pickling.
+* the one configuration the ``mg`` backend runs — smoothed prolongator
+  and stencil on the finest level, piecewise-constant transfers below;
+* solver behaviour of CG preconditioned by
+  :meth:`MultigridHierarchy.precondition` (what the backend runs) —
+  convergence to a true-residual target, multi-RHS blocks, plan reuse,
+  fork-safe pickling.
+
+Hierarchies over these small lattices patch :data:`COARSE_SIZE` down
+so that they are several levels deep.
 """
 
 import pickle
@@ -23,13 +30,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.linalg import multigrid
+from repro.linalg.krylov import krylov_solve
 from repro.linalg.multigrid import (
-    CYCLE_KINDS,
     LatticeGeometry,
     LatticeStencil,
     MultigridHierarchy,
     lattice_coarsen,
-    mg_solve,
     pairwise_aggregates,
     tentative_prolongator,
     validate_lattice_geometry,
@@ -85,6 +92,21 @@ def _lattice_system(rows, cols, layers=2, periphery=0, seed=0, shift=1.0e-2):
     return matrix.tocsr(), geometry
 
 
+def _hierarchy(matrix, coarse_size=40, **kwargs):
+    """A hierarchy built with :data:`COARSE_SIZE` patched down."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multigrid, "COARSE_SIZE", coarse_size)
+        return MultigridHierarchy(matrix, **kwargs)
+
+
+def _pcg(matrix, rhs, hierarchy, rtol=1e-10, maxiter=200):
+    """CG preconditioned by one V-cycle — what the ``mg`` backend runs."""
+    return krylov_solve(
+        matrix, rhs, preconditioner=hierarchy.precondition,
+        rtol=rtol, maxiter=maxiter,
+    )
+
+
 _CACHE = {}
 
 
@@ -92,9 +114,9 @@ def _cached(rows, cols, **kwargs):
     key = (rows, cols, tuple(sorted(kwargs.items())))
     if key not in _CACHE:
         matrix, geometry = _lattice_system(rows, cols, **kwargs)
-        _CACHE[key] = (matrix, geometry, MultigridHierarchy(
-            matrix, geometry=geometry, coarse_size=40
-        ))
+        _CACHE[key] = (
+            matrix, geometry, _hierarchy(matrix, geometry=geometry)
+        )
     return _CACHE[key]
 
 
@@ -245,20 +267,42 @@ class TestHierarchy:
         assert e1 < 0.5 * e0
 
     def test_invalid_options_rejected(self):
+        """The one configuration takes no options: the smoother and
+        cycle kinds this test once range-checked are TypeErrors now."""
         matrix, geometry = _lattice_system(4, 4)
-        with pytest.raises(ValueError, match="smoother"):
-            MultigridHierarchy(matrix, geometry=geometry, smoother="sor")
-        with pytest.raises(ValueError, match="cycle_kind"):
-            MultigridHierarchy(matrix, geometry=geometry, cycle_kind="W")
+        with pytest.raises(TypeError, match="smoother"):
+            MultigridHierarchy(matrix, geometry=geometry, smoother="jacobi")
+        with pytest.raises(TypeError, match="cycle_kind"):
+            MultigridHierarchy(matrix, geometry=geometry, cycle_kind="F")
         hierarchy = MultigridHierarchy(matrix, geometry=geometry)
-        with pytest.raises(ValueError, match="kind"):
-            hierarchy.cycle(np.ones(matrix.shape[0]), kind="W")
+        with pytest.raises(TypeError, match="kind"):
+            hierarchy.cycle(np.ones(matrix.shape[0]), kind="F")
+
+    def test_one_configuration(self):
+        """Only the finest level smooths its prolongator and carries
+        the stencil; every coarser transfer is piecewise constant."""
+        _, _, hierarchy = _cached(16, 16, layers=2, periphery=3)
+        assert hierarchy.sweeps == multigrid.SWEEPS
+        fine, *coarser = hierarchy.levels
+        assert fine.stencil is not None
+        assert np.any(fine.prolong.getnnz(axis=1) > 1)
+        assert coarser
+        for level in coarser:
+            assert level.stencil is None
+            np.testing.assert_array_equal(level.prolong.getnnz(axis=1), 1)
+            np.testing.assert_array_equal(level.prolong.data, 1.0)
+
+    def test_coarse_size_is_read_at_build_time(self):
+        matrix, geometry = _lattice_system(8, 8, layers=2)
+        deep = _hierarchy(matrix, coarse_size=10, geometry=geometry)
+        shallow = MultigridHierarchy(matrix, geometry=geometry)
+        assert multigrid.COARSE_SIZE == 400
+        assert shallow.num_levels == 1  # 128 unknowns: factored directly
+        assert deep.num_levels > 2
 
     def test_plan_reuse_matches_fresh_build(self):
         matrix, geometry, hierarchy = _cached(8, 8, layers=2)
-        rebuilt = MultigridHierarchy(
-            matrix, geometry=geometry, plan=hierarchy.plan, coarse_size=40
-        )
+        rebuilt = _hierarchy(matrix, geometry=geometry, plan=hierarchy.plan)
         assert rebuilt.num_levels == hierarchy.num_levels
         for mine, theirs in zip(rebuilt.plan, hierarchy.plan):
             np.testing.assert_array_equal(mine, theirs)
@@ -267,9 +311,7 @@ class TestHierarchy:
 
     def test_pickle_drops_coarse_factorization(self):
         matrix, geometry = _lattice_system(8, 8, layers=2)
-        hierarchy = MultigridHierarchy(
-            matrix, geometry=geometry, coarse_size=40
-        )
+        hierarchy = _hierarchy(matrix, geometry=geometry)
         b = np.ones(matrix.shape[0])
         warm = hierarchy.cycle(b)
         assert hierarchy._coarse_lu is not None  # live splu handle
@@ -279,9 +321,7 @@ class TestHierarchy:
 
     def test_operator_bytes_accounts_stencil_and_factor(self):
         matrix, geometry = _lattice_system(8, 8, layers=2)
-        hierarchy = MultigridHierarchy(
-            matrix, geometry=geometry, coarse_size=40
-        )
+        hierarchy = _hierarchy(matrix, geometry=geometry)
         cold = hierarchy.operator_bytes()
         assert cold > hierarchy.levels[0].stencil.nbytes()
         hierarchy.cycle(np.ones(matrix.shape[0]))
@@ -295,65 +335,56 @@ class TestHierarchy:
 
 
 class TestMgSolve:
+    """CG preconditioned by :meth:`MultigridHierarchy.precondition`."""
+
     def test_converges_to_true_residual(self):
         matrix, geometry = _lattice_system(16, 16, layers=2, periphery=3)
+        hierarchy = _hierarchy(matrix, geometry=geometry)
         rng = np.random.default_rng(2)
         rhs = rng.standard_normal(matrix.shape[0])
-        x, report = mg_solve(matrix, rhs, geometry=geometry, rtol=1e-10)
+        x, report = _pcg(matrix, rhs, hierarchy)
         assert report.converged
-        assert report.cycles >= 1
+        assert hierarchy.cycles >= 1
         residual = np.linalg.norm(rhs - matrix @ x) / np.linalg.norm(rhs)
         assert residual <= 1e-10
 
     def test_block_rhs(self):
-        matrix, geometry = _lattice_system(8, 8, layers=2)
+        matrix, geometry, hierarchy = _cached(8, 8, layers=2)
         rng = np.random.default_rng(4)
         rhs = rng.standard_normal((matrix.shape[0], 3))
-        x, report = mg_solve(matrix, rhs, geometry=geometry, rtol=1e-10)
+        x, report = _pcg(matrix, rhs, hierarchy)
         assert report.converged
         assert x.shape == rhs.shape
         np.testing.assert_allclose(matrix @ x, rhs, rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("kind", CYCLE_KINDS)
-    def test_cycle_kinds_converge(self, kind):
-        matrix, geometry = _lattice_system(8, 8, layers=2)
-        rhs = np.ones(matrix.shape[0])
-        x, report = mg_solve(
-            matrix, rhs, geometry=geometry, cycle_kind=kind, rtol=1e-10
-        )
-        assert report.converged
-        assert report.cycle_kind == kind
-
-    def test_jacobi_smoother_converges(self):
-        matrix, geometry = _lattice_system(8, 8, layers=2)
-        rhs = np.ones(matrix.shape[0])
-        _, report = mg_solve(
-            matrix, rhs, geometry=geometry, smoother="jacobi", rtol=1e-9
-        )
-        assert report.converged
-
     def test_pairwise_fallback_without_geometry(self):
         matrix, _ = _lattice_system(6, 6, layers=2)
+        hierarchy = _hierarchy(matrix, coarse_size=10)
+        assert hierarchy.num_levels > 2
         rhs = np.ones(matrix.shape[0])
-        x, report = mg_solve(matrix, rhs, rtol=1e-9, coarse_size=10)
+        x, report = _pcg(matrix, rhs, hierarchy, rtol=1e-9)
         assert report.converged
         assert np.linalg.norm(rhs - matrix @ x) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_nonconvergence_reported_not_raised(self):
-        matrix, geometry = _lattice_system(8, 8, layers=2)
+        matrix, _, hierarchy = _cached(8, 8, layers=2)
         rhs = np.ones(matrix.shape[0])
-        _, report = mg_solve(
-            matrix, rhs, geometry=geometry, rtol=1e-15, maxiter=1
-        )
+        _, report = _pcg(matrix, rhs, hierarchy, rtol=1e-15, maxiter=1)
         assert not report.converged
-        assert report.cycles == 1
+        assert report.iterations == 1
 
     def test_reuses_passed_hierarchy(self):
-        matrix, geometry, hierarchy = _cached(8, 8, layers=2)
+        """One hierarchy serves every solve; each CG iteration costs one
+        V-cycle, counted on the hierarchy."""
+        matrix, _, hierarchy = _cached(8, 8, layers=2)
         rhs = np.ones(matrix.shape[0])
         before = hierarchy.cycles
-        _, report = mg_solve(matrix, rhs, hierarchy=hierarchy, rtol=1e-10)
-        assert hierarchy.cycles == before + report.cycles
+        _, first = _pcg(matrix, rhs, hierarchy)
+        middle = hierarchy.cycles
+        _, second = _pcg(matrix, 2.0 * rhs, hierarchy)
+        assert first.converged and second.converged
+        assert middle - before >= first.iterations >= 1
+        assert hierarchy.cycles - middle >= second.iterations >= 1
 
 
 class TestGeometryValidation:
@@ -363,7 +394,7 @@ class TestGeometryValidation:
     against a differently-sized system) must not crash the hierarchy
     or silently mis-coarsen: :func:`validate_lattice_geometry` rejects
     it and the build falls back to pairwise aggregation, recording the
-    downgrade in :class:`MgReport.coarsening`.
+    downgrade in :attr:`MultigridHierarchy.coarsening`.
     """
 
     def test_valid_geometry_accepted(self):
@@ -406,32 +437,30 @@ class TestGeometryValidation:
 
     def test_lattice_coarsening_reported(self):
         matrix, geometry = _lattice_system(8, 8, layers=2)
-        rhs = np.ones(matrix.shape[0])
-        _, report = mg_solve(matrix, rhs, geometry=geometry, rtol=1e-9)
+        hierarchy = _hierarchy(matrix, geometry=geometry)
+        _, report = _pcg(matrix, np.ones(matrix.shape[0]), hierarchy, rtol=1e-9)
         assert report.converged
-        assert report.coarsening == "lattice"
+        assert hierarchy.coarsening == "lattice"
 
     def test_stale_geometry_degrades_and_still_converges(self):
         matrix, _ = _lattice_system(8, 8, layers=2, seed=9)
         _, stale = _lattice_system(8, 7, layers=2)  # wrong node count
         rng = np.random.default_rng(13)
         rhs = rng.standard_normal(matrix.shape[0])
-        x, report = mg_solve(
-            matrix, rhs, geometry=stale, rtol=1e-9, coarse_size=10
-        )
+        hierarchy = _hierarchy(matrix, coarse_size=10, geometry=stale)
+        assert hierarchy.coarsening == "pairwise"
+        x, report = _pcg(matrix, rhs, hierarchy, rtol=1e-9)
         assert report.converged
-        assert report.coarsening == "pairwise"
         residual = np.linalg.norm(rhs - matrix @ x) / np.linalg.norm(rhs)
         assert residual <= 1e-9
-        # Same answer as the healthy lattice-coarsened solve.
-        x_good, good = mg_solve(matrix, rhs, rtol=1e-12, coarse_size=10)
+        # Same answer as a tightly converged solve.
+        good = _hierarchy(matrix, coarse_size=10)
+        x_good, _ = _pcg(matrix, rhs, good, rtol=1e-12)
         assert np.max(np.abs(x - x_good)) <= 1e-6 * max(1.0, np.max(np.abs(x_good)))
 
     def test_hierarchy_records_coarsening_mode(self):
         matrix, geometry = _lattice_system(6, 6, layers=2)
-        with_geom = MultigridHierarchy(
-            matrix, geometry=geometry, coarse_size=10
-        )
+        with_geom = _hierarchy(matrix, coarse_size=10, geometry=geometry)
         assert with_geom.coarsening == "lattice"
-        without = MultigridHierarchy(matrix, coarse_size=10)
+        without = _hierarchy(matrix, coarse_size=10)
         assert without.coarsening == "pairwise"

@@ -395,7 +395,7 @@ class TestBeyondRunaway:
     422 and a message — never a 500 or a non-physical state."""
 
     def test_solve_is_a_422(self):
-        for overrides in ({}, {"backend": "direct"}):
+        for overrides in ({}, {"backend": "direct"}, {"backend": "mg"}):
             async def scenario(app):
                 return await asgi_request(
                     app, "POST", "/solve",
@@ -419,18 +419,30 @@ class TestBeyondRunaway:
         assert body["error_type"] == "SingularSystemError"
 
     def test_coalesced_batch_answers_the_other_requests(self):
-        currents = (0.8, 1.0e6, 0.5)
+        self._coalesced_batch_answers_the_other_requests(1.0e6)
+
+    def test_coalesced_mg_batch_answers_the_other_requests(self):
+        """mg's CG converges on the indefinite operator past runaway;
+        its non-physical state is refused for that request alone (600 A
+        is about 1.5 lambda_m of this chip)."""
+        self._coalesced_batch_answers_the_other_requests(600.0, backend="mg")
+
+    @staticmethod
+    def _coalesced_batch_answers_the_other_requests(refused, **overrides):
+        currents = (0.8, refused, 0.5)
 
         async def scenario(app):
             gate = SolveGate(app)
             running = asyncio.ensure_future(asgi_request(
-                app, "POST", "/solve", small_solve_body(current_a=0.3)
+                app, "POST", "/solve",
+                small_solve_body(current_a=0.3, **overrides),
             ))
             await until(lambda: gate.sizes == [1])
             queued = []
             for count, current in enumerate(currents, start=2):
                 queued.append(asyncio.ensure_future(asgi_request(
-                    app, "POST", "/solve", small_solve_body(current_a=current)
+                    app, "POST", "/solve",
+                    small_solve_body(current_a=current, **overrides),
                 )))
                 await until(lambda: app.batcher.stats()["requests"] == count)
             gate.release()
@@ -445,12 +457,13 @@ class TestBeyondRunaway:
         assert sizes == [1, 3]
         assert stats["batcher"]["batches"] == 2
         assert [status for status, _ in responses] == [200, 422, 200]
+        assert responses[1][1]["error_type"] == "SingularSystemError"
         assert "runaway" in responses[1][1]["error"]
         for current, (_, body) in zip(currents, responses):
-            if current > 1.0:
+            if current == refused:
                 continue
             reference = worker.execute(
-                0, _small_scenario(current_a=current)
+                0, _small_scenario(current_a=current, **overrides)
             ).values
             assert body["results"][0]["values"] == reference
 

@@ -130,7 +130,7 @@ class TestTransient:
                   "--current", "0.5", "--dt", "0"])
 
     def test_current_beyond_runaway_exits_with_a_message(self, capsys):
-        for backend in ([], ["--backend", "direct"]):
+        for backend in ([], ["--backend", "direct"], ["--backend", "mg"]):
             with pytest.raises(SystemExit, match="runaway"):
                 main(["transient", "--benchmark", "hc08", "--tiles", "5",
                       "--current", "1e6", "--steps", "2"] + backend)

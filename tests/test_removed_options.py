@@ -19,6 +19,12 @@ on the backend fixed when its problem is built: the
 ``thermal_model_for_layout`` are gone.  The CLI side (``--solver-mode``,
 ``--solver-cache-size``) is checked in ``tests/test_cli.py``.
 
+The multigrid hierarchy runs one configuration: ``mg_solve`` (with
+``MgReport``), ``SMOOTHERS``, ``CYCLE_KINDS``, ``cycle(kind=)`` and the
+seven hierarchy keywords no caller set are gone.  ``solve_batch`` is
+the per-current ``solve`` loop: ``loads=``, ``BatchResult``,
+``BatchColumn`` and ``PackageThermalModel.solve_batch`` are gone.
+
 One network builder stamps every package, so nothing routes a
 one-chiplet layout (``ChipletLayout.is_single_die`` is gone).  The
 sensitivity studies run the certified search on every perturbed model
@@ -37,10 +43,11 @@ from repro.core.deploy import greedy_deploy
 from repro.core.problem import CoolingSystemProblem
 from repro.core.sensitivity import monte_carlo_feasibility, parameter_sensitivities
 from repro.experiments.table1 import run_benchmark_row, run_table1
+from repro.linalg.multigrid import MultigridHierarchy
 from repro.sweep import SweepRunner, SweepSpec
 from repro.thermal.chiplet import ChipletLayout
 from repro.thermal.model import CompositeThermalModel, PackageThermalModel
-from repro.thermal.session import SolveSession
+from repro.thermal.session import SessionView, SolveSession
 
 #: (callable, positional args, the removed keyword).
 REMOVED_KEYWORDS = [
@@ -61,15 +68,36 @@ REMOVED_KEYWORDS = [
     (CompositeThermalModel, (None,), "solver_cache_size"),
     (parameter_sensitivities, (None, ()), "warm_start"),
     (monte_carlo_feasibility, (None, ()), "warm_start"),
+    (MultigridHierarchy, (None,), "coarse_size"),
+    (MultigridHierarchy, (None,), "max_levels"),
+    (MultigridHierarchy, (None,), "smoother"),
+    (MultigridHierarchy, (None,), "sweeps"),
+    (MultigridHierarchy, (None,), "smooth_prolongator"),
+    (MultigridHierarchy, (None,), "cycle_kind"),
+    (MultigridHierarchy, (None,), "use_stencil"),
+    (MultigridHierarchy.cycle, (None, None), "kind"),
+    (SessionView.solve_batch, (None, ()), "loads"),
 ]
 
 #: (owner, the removed attribute).
 REMOVED_ATTRIBUTES = [
     (CoolingSystemProblem, "configure_solver"),
     (SolveSession, "solve_batch"),
+    (PackageThermalModel, "solve_batch"),
     (ChipletLayout, "is_single_die"),
     (engine, "polish_final"),
     (engine.DeployStats, "polish_evaluations"),
+]
+
+
+#: (module, the removed name).
+REMOVED_NAMES = [
+    ("repro.linalg.multigrid", "mg_solve"),
+    ("repro.linalg.multigrid", "MgReport"),
+    ("repro.linalg.multigrid", "SMOOTHERS"),
+    ("repro.linalg.multigrid", "CYCLE_KINDS"),
+    ("repro.thermal.session", "BatchResult"),
+    ("repro.thermal.session", "BatchColumn"),
 ]
 
 
@@ -112,3 +140,12 @@ def test_removed_search_methods_are_an_import_error():
 def test_removed_layout_router_is_an_import_error():
     with pytest.raises(ImportError, match="thermal_model_for_layout"):
         from repro.thermal.model import thermal_model_for_layout  # noqa: F401
+
+
+@pytest.mark.parametrize(
+    "module, name", REMOVED_NAMES,
+    ids=["{}.{}".format(m, n) for m, n in REMOVED_NAMES],
+)
+def test_removed_name_is_an_import_error(module, name):
+    with pytest.raises(ImportError, match=name):
+        exec("from {} import {}".format(module, name), {})

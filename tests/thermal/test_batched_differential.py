@@ -1,17 +1,19 @@
-"""Differential tests of the batched solve kernel.
+"""Differential tests of the per-current batch.
 
-:meth:`~repro.thermal.session.SessionView.solve_batch` answers ``k``
-solve requests as stacked multi-RHS blocks; every backend must agree
-with its own serial path on randomized package networks.  Two
-guarantees are pinned here:
+:meth:`~repro.thermal.session.SessionView.solve_batch` is the plain
+per-current :meth:`~repro.thermal.session.SessionView.solve` loop that
+the serve tier's batch kernel reads: one ``(theta, stats)`` pair per
+current.  Pinned here, for every backend in ``SOLVER_MODES``, on
+randomized package networks:
 
-* **cross-path agreement** — for every backend in ``SOLVER_MODES``,
-  ``solve_batch(currents)`` matches column-by-column serial
-  ``solve(current)`` calls to 1e-9 K (the batched default-loads path
-  actually *is* the serial path, so it agrees bitwise; the explicit
-  ``loads`` path regroups the algebra and is held to the tolerance);
-* **edge cases** — an empty batch returns a well-formed ``(n, 0)``
-  result, and a single-column batch matches a plain solve exactly.
+* **bitwise serial** — every ``theta`` equals a serial
+  ``solve(current)`` call bit for bit, and each pair's stats are the
+  counter delta of its own solve (the deltas add up to the batch's);
+* **per-column refusal** — a current at or beyond ``lambda_m`` gives
+  its :class:`~repro.thermal.session.SingularSystemError` in place of
+  ``theta`` while its neighbours are answered;
+* **edge cases** — the empty batch is empty, and a single-current
+  batch matches a plain solve exactly.
 
 The random instances mirror ``tests/thermal/test_differential.py``:
 grids 2x2 through 4x4 with random power maps and TEC deployments, and
@@ -25,9 +27,7 @@ from hypothesis import strategies as st
 
 from repro.thermal.geometry import TileGrid
 from repro.thermal.model import PackageThermalModel
-from repro.thermal.session import SOLVER_MODES, BatchResult
-
-_ATOL_K = 1e-9
+from repro.thermal.session import SOLVER_MODES, SingularSystemError
 
 _settings = settings(
     max_examples=15,
@@ -67,9 +67,14 @@ def _model(instance, mode):
 
 
 def _currents(model):
-    """Probe currents with a deliberate duplicate to exercise grouping."""
+    """Probe currents with a deliberate duplicate (a solution-cache hit)."""
     lam = model.runaway_current().value
     return [0.0, 0.3 * lam, 0.8 * lam, 0.3 * lam]
+
+
+def _counters(stats):
+    """The integer counters of a stats dict (wall times dropped)."""
+    return {k: v for k, v in stats.items() if not k.endswith("_s")}
 
 
 class TestBatchMatchesSerial:
@@ -82,32 +87,15 @@ class TestBatchMatchesSerial:
         batched_model = _model(instance, mode)
         serial_model = _model(instance, mode)
         currents = _currents(batched_model)
-        batch = batched_model.solver.solve_batch(currents)
-        assert isinstance(batch, BatchResult)
-        assert len(batch) == len(currents)
-        assert batch.temperatures.shape == (batched_model.num_nodes,
-                                            len(currents))
-        for j, current in enumerate(currents):
-            serial = serial_model.solver.solve(current)
-            assert np.array_equal(batch.temperatures[:, j], serial)
-            assert batch.columns[j].index == j
-            assert batch.columns[j].current == float(current)
-            assert batch.columns[j].peak_k == float(serial.max())
-
-    @pytest.mark.parametrize("mode", SOLVER_MODES)
-    @given(instance=_instances())
-    @_settings
-    def test_explicit_loads_batch_matches_serial_rhs(self, mode, instance):
-        model = _model(instance, mode)
-        currents = _currents(model)
-        rng = np.random.default_rng(1234)
-        loads = rng.uniform(0.0, 1.0, size=(model.num_nodes, len(currents)))
-        batch = model.solver.solve_batch(currents, loads=loads)
-        for j, current in enumerate(currents):
-            serial = model.solver.solve_rhs(current, loads[:, j])
-            np.testing.assert_allclose(
-                batch.temperatures[:, j], serial, atol=_ATOL_K, rtol=0.0
-            )
+        before = batched_model.solver.stats.copy()
+        answers = batched_model.solver.solve_batch(currents)
+        batch_delta = batched_model.solver.stats.diff(before).as_dict()
+        assert len(answers) == len(currents)
+        for (theta, stats), current in zip(answers, currents):
+            assert np.array_equal(theta, serial_model.solver.solve(current))
+            assert stats["solves"] == 1
+        for field, total in _counters(batch_delta).items():
+            assert sum(stats[field] for _, stats in answers) == total, field
 
     @given(instance=_instances())
     @_settings
@@ -115,38 +103,47 @@ class TestBatchMatchesSerial:
         reference = None
         currents = _currents(_model(instance, "direct"))
         for mode in SOLVER_MODES:
-            batch = _model(instance, mode).solver.solve_batch(currents)
+            answers = _model(instance, mode).solver.solve_batch(currents)
+            block = np.column_stack([theta for theta, _ in answers])
             if reference is None:
-                reference = batch.temperatures
+                reference = block
             else:
-                np.testing.assert_allclose(
-                    batch.temperatures, reference, atol=1e-6, rtol=0.0
-                )
-
-    @given(instance=_instances())
-    @_settings
-    def test_duplicate_currents_share_one_group(self, instance):
-        """Explicit-loads batches group equal currents into one block."""
-        model = _model(instance, "reuse")
-        currents = _currents(model)  # contains 0.3*lam twice
-        loads = np.tile(
-            np.ones(model.num_nodes)[:, None], (1, len(currents))
-        )
-        batch = model.solver.solve_batch(currents, loads=loads)
-        assert [column.grouped for column in batch.columns] == [1, 2, 1, 2]
-        assert np.array_equal(
-            batch.temperatures[:, 1], batch.temperatures[:, 3]
-        )
+                np.testing.assert_allclose(block, reference, atol=1e-6, rtol=0.0)
 
     @given(instance=_instances())
     @_settings
     def test_duplicate_currents_hit_the_solution_cache(self, instance):
-        """Default-loads batches reuse the solution of a repeated current."""
+        """A repeated current is answered from the solution cache."""
         model = _model(instance, "reuse")
         currents = _currents(model)  # contains 0.3*lam twice
-        batch = model.solver.solve_batch(currents)
-        assert not batch.columns[1].solution_hit
-        assert batch.columns[3].solution_hit
+        answers = model.solver.solve_batch(currents)
+        assert answers[1][1]["solution_hits"] == 0
+        assert answers[3][1]["solution_hits"] == 1
+        assert np.array_equal(answers[1][0], answers[3][0])
+
+
+class TestBatchRefusal:
+    @pytest.mark.parametrize("mode", SOLVER_MODES)
+    @pytest.mark.parametrize("fraction", [1.01, 1.5, 3.0])
+    def test_refused_current_keeps_its_neighbours(
+        self, small_grid, small_power, mode, fraction
+    ):
+        model = PackageThermalModel(
+            small_grid, small_power, tec_tiles=(5, 6), solver_mode=mode
+        )
+        other = PackageThermalModel(
+            small_grid, small_power, tec_tiles=(5, 6), solver_mode=mode
+        )
+        lam = model.runaway_current().value
+        currents = [0.3 * lam, fraction * lam, 0.6 * lam]
+        answers = model.solver.solve_batch(currents)
+        refused, _ = answers[1]
+        assert isinstance(refused, SingularSystemError)
+        assert "runaway" in str(refused)
+        for index in (0, 2):
+            theta, stats = answers[index]
+            assert np.array_equal(theta, other.solver.solve(currents[index]))
+            assert stats["solves"] == 1
 
 
 class TestBatchEdgeCases:
@@ -155,11 +152,10 @@ class TestBatchEdgeCases:
         model = PackageThermalModel(
             small_grid, small_power, tec_tiles=(5, 6), solver_mode=mode
         )
-        batch = model.solver.solve_batch([])
-        assert len(batch) == 0
-        assert batch.temperatures.shape == (model.num_nodes, 0)
-        assert not batch.columns
-        assert batch.peaks_k.shape == (0,)
+        before = model.solver.stats.copy()
+        assert model.solver.solve_batch([]) == []
+        delta = model.solver.stats.diff(before).as_dict()
+        assert not any(_counters(delta).values())
 
     @pytest.mark.parametrize("mode", SOLVER_MODES)
     def test_single_column_matches_plain_solve(
@@ -172,31 +168,19 @@ class TestBatchEdgeCases:
             small_grid, small_power, tec_tiles=(5, 6), solver_mode=mode
         )
         current = 0.5 * model.runaway_current().value
-        batch = model.solver.solve_batch([current])
-        assert np.array_equal(
-            batch.temperatures[:, 0], other.solver.solve(current)
-        )
-        assert batch.columns[0].grouped == 1
+        [(theta, _)] = model.solver.solve_batch([current])
+        assert np.array_equal(theta, other.solver.solve(current))
 
-    def test_loads_shape_is_validated(self, small_grid, small_power):
-        model = PackageThermalModel(
-            small_grid, small_power, tec_tiles=(5, 6)
-        )
-        with pytest.raises(ValueError, match="loads must have shape"):
-            model.solver.solve_batch(
-                [0.1, 0.2], loads=np.ones((model.num_nodes, 3))
-            )
-
-    def test_model_level_batch_rejects_negative_current(
-        self, small_grid, small_power
-    ):
+    def test_negative_current_is_rejected(self, small_grid, small_power):
+        """``model.solve`` refuses a negative current up front."""
         model = PackageThermalModel(
             small_grid, small_power, tec_tiles=(5, 6)
         )
         with pytest.raises(ValueError, match="current must be >= 0"):
-            model.solve_batch([0.1, -0.2])
+            model.solve(-0.2)
 
     def test_model_level_batch_matches_states(self, small_grid, small_power):
+        """The model's batch answers the states ``model.solve`` gives."""
         model = PackageThermalModel(
             small_grid, small_power, tec_tiles=(5, 6)
         )
@@ -204,9 +188,6 @@ class TestBatchEdgeCases:
             small_grid, small_power, tec_tiles=(5, 6)
         )
         currents = [0.0, 0.4 * model.runaway_current().value]
-        states = model.solve_batch(currents)
-        assert [state.current for state in states] == currents
-        for state, current in zip(states, currents):
-            assert np.array_equal(
-                state.theta_k, other.solve(current).theta_k
-            )
+        answers = model.solver.solve_batch(currents)
+        for (theta, _), current in zip(answers, currents):
+            assert np.array_equal(theta, other.solve(current).theta_k)

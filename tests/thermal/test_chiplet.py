@@ -12,7 +12,13 @@ Three pillars of the chiplet generalization:
   so a one-chiplet ``ChipletLayout`` at the origin without an
   interposer gives a composite problem whose blueprint and assembled
   arrays are *bitwise* those of ``PackageThermalModel`` on the
-  chiplet's grid.
+  chiplet's grid;
+* near runaway on a chiplet package: ``reuse`` and ``mg`` agree with
+  ``direct`` up to 0.999 ``lambda_m`` and all three refuse past it.
+
+One grouping of tiles per chiplet
+(``ChipletLayout.tiles_by_chiplet``) backs a deployment's report, the
+composite model's view and the per-chiplet pin groups.
 """
 
 import numpy as np
@@ -31,6 +37,7 @@ from repro.thermal.chiplet import (
     layout_from_plain,
 )
 from repro.thermal.geometry import CompositeGrid, TileGrid
+from repro.thermal import session
 from repro.thermal.model import CompositeThermalModel, PackageThermalModel
 from repro.thermal.reference import ReferenceChipletModel
 from tests.thermal.test_assembly_digests import digest
@@ -368,3 +375,84 @@ class TestGreedyPerChiplet:
         assert [len(g) for g in groups] == [9, 9]
         result = optimize_pin_groups(model, groups=groups, max_sweeps=1)
         assert result.peak_c <= result.shared_peak_c + 1.0e-6
+
+
+class TestOneChipletGrouping:
+    def test_the_three_groupings_agree(self):
+        """A deployment's report, the composite model's view and the
+        per-chiplet pin groups are one grouping of the same tiles."""
+        from repro.core.multipin import chiplet_groups
+
+        layout = demo_two_chiplet_layout(rows=4, cols=4, gap=2, power_w=8.0)
+        problem = CoolingSystemProblem.from_chiplet_layout(layout)
+        result = problem.deploy()
+        tiles = (0, 5, 15, 16, 17, 31)
+        grouped = layout.tiles_by_chiplet(reversed(tiles))
+        assert grouped == {"chiplet0": (0, 5, 15), "chiplet1": (16, 17, 31)}
+        assert result.tiles_by_chiplet() == layout.tiles_by_chiplet(
+            result.tec_tiles
+        )
+        assert result.model.tiles_by_chiplet() == result.tiles_by_chiplet()
+        model = problem.model(tiles)
+        assert model.tiles_by_chiplet() == grouped
+        assert model.tiles_by_chiplet((16,)) == {
+            "chiplet0": (), "chiplet1": (16,),
+        }
+        device_tiles = [
+            tuple(model.stamps[j].tile for j in group)
+            for group in chiplet_groups(model)
+        ]
+        assert device_tiles == list(grouped.values())
+        lone = problem.model((17,))
+        assert [
+            [lone.stamps[j].tile for j in group]
+            for group in chiplet_groups(lone)
+        ] == [[17]]
+
+
+class TestNearRunawayDifferential:
+    """``reuse`` and ``mg`` against ``direct`` toward ``lambda_m`` on a
+    two-chiplet package at its greedy deployment (all 32 tiles).
+
+    The system's condition grows like ``1 / (1 - i / lambda_m)``, so the
+    bounds are machine-relative: ``1e3 eps / (1 - f)`` of the peak (the
+    factorized backends measured at most ~250), and no tighter than
+    the CG target for ``mg``.
+    """
+
+    FRACTIONS = (0.5, 0.95, 0.99, 0.999)
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        layout = demo_two_chiplet_layout(rows=4, cols=4, gap=2, power_w=8.0)
+        problem = CoolingSystemProblem.from_chiplet_layout(layout)
+        tiles = problem.deploy().tec_tiles
+        assert len(tiles) == 32
+        return {
+            mode: problem.with_solver_mode(mode).model(tiles)
+            for mode in ("direct", "reuse", "mg")
+        }
+
+    @pytest.mark.parametrize("mode", ["reuse", "mg"])
+    def test_agrees_with_direct_toward_runaway(self, models, mode):
+        lam = models["direct"].runaway_current().value
+        model = models[mode]
+        fallbacks = model.solver.stats.mg_fallbacks
+        eps = np.finfo(float).eps
+        for fraction in self.FRACTIONS:
+            reference = models["direct"].solver.solve(fraction * lam)
+            theta = model.solver.solve(fraction * lam)
+            bound = 1e3 * eps / (1.0 - fraction)
+            if mode == "mg":
+                bound = max(bound, session.MG_RTOL)
+            error = np.max(np.abs(theta - reference))
+            assert error <= bound * np.max(np.abs(reference)), fraction
+        assert model.solver.stats.mg_fallbacks == fallbacks
+
+    @pytest.mark.parametrize("mode", ["direct", "reuse", "mg"])
+    @pytest.mark.parametrize("fraction", [1.01, 1.5])
+    def test_every_backend_refuses_past_runaway(self, models, mode, fraction):
+        model = models[mode]
+        current = fraction * model.runaway_current().value
+        with pytest.raises(session.SingularSystemError, match="runaway"):
+            model.solver.solve(current)

@@ -161,7 +161,8 @@ class TestOneFactorizationPerView:
         loads = np.column_stack([system.p_base, np.ones(system.num_nodes)])
         solver.solve_rhs(currents[1], loads)
         solver.solve_batch(currents)
-        solver.solve_batch(currents[:2], loads)
+        solver.solve_derivatives(currents[3])
+        solver.influence_rows(currents[0], [0, 1])
         solver.solve_diagonal(currents[2] * system.d_diagonal, system.p_base)
         assert solver.stats.factorizations == 1
         assert solver.session.cache_info()["base_factorizations"] == 1

@@ -11,6 +11,9 @@ multigrid algebra (:mod:`tests.linalg.test_multigrid`):
   currents up to 95% of the runaway limit;
 * hierarchy economics — built exactly once per view across currents,
   batches and rounds, aggregation plan shared across sibling views;
+* refusal past runaway: CG can converge on the indefinite operator
+  beyond ``lambda_m``, so the session refuses its non-physical state
+  like the factorized backends refuse the current;
 * end-to-end routing: ``backend="mg"`` through a sweep scenario and
   through the serve tier's default-backend config, bit-stably.
 """
@@ -119,9 +122,9 @@ class TestMgDifferential:
         currents = _probe_currents(model)[:3]
         serial = [model.solver.solve(i).copy() for i in currents]
         fresh = make_model("mg")
-        batch = fresh.solver.solve_batch(currents)
-        for j, reference in enumerate(serial):
-            np.testing.assert_array_equal(batch.temperatures[:, j], reference)
+        answers = fresh.solver.solve_batch(currents)
+        for (theta, _), reference in zip(answers, serial):
+            np.testing.assert_array_equal(theta, reference)
 
     def test_assembled_system_carries_the_lattice(self, make_model):
         system = make_model("mg").system
@@ -130,6 +133,22 @@ class TestMgDifferential:
         # The tile grid covers most nodes; periphery rings stay off.
         on = system.lattice.on_lattice()
         assert 0 < np.count_nonzero(~on) < np.count_nonzero(on)
+
+
+class TestMgRefusal:
+    @pytest.mark.parametrize("fraction", [1.01, 1.5, 3.0])
+    def test_refused_beyond_runaway(self, make_model, fraction):
+        """Below ``lambda_m`` the system is a nonsingular M-matrix, so
+        no node sits below 0 K; past it the state CG returns has such
+        nodes, and the session refuses it as the factorized backends
+        refuse the current."""
+        model = make_model("mg")
+        current = fraction * model.runaway_current().value
+        with pytest.raises(session.SingularSystemError, match="runaway"):
+            model.solver.solve(current)
+        with pytest.raises(session.SingularSystemError, match="runaway"):
+            model.solve(current)
+        assert model.session.cache_info()["solution_entries"] == 0
 
 
 class TestHierarchyEconomics:
