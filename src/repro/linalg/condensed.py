@@ -17,10 +17,10 @@ off-lattice nodes, then ``S``).  A pivot-free symmetric LU is
 ``L diag(u) L'``, so ``C_S = U_22' diag(U_22)^{-1} U_22`` from the
 trailing block of ``U`` alone — no influence column is ever solved.
 
-Every ``m x m`` dense kernel here runs under
-:func:`repro.linalg.blas.one_thread`: called between sparse solves, a
-kernel of order below ``ONE_THREAD_MAX_ORDER`` waits on BLAS threads
-longer than they save it.
+Every triangular solve of the factor, and every ``m x m`` dense
+kernel of order below ``ONE_THREAD_MAX_ORDER``, runs on one BLAS
+thread; the factorization keeps the libraries' threads (the policy
+and its measurements are in :mod:`repro.linalg.blas`).
 """
 
 from __future__ import annotations
@@ -95,10 +95,11 @@ class SupportLastFactor:
         return self._lu.nnz + self._upper_nnz
 
     def solve(self, rhs):
-        if self._order is None:
-            return self._lu.solve(rhs)
-        solution = np.empty_like(rhs, dtype=float)
-        solution[self._order] = self._lu.solve(rhs[self._order])
+        with one_thread():
+            if self._order is None:
+                return self._lu.solve(rhs)
+            solution = np.empty_like(rhs, dtype=float)
+            solution[self._order] = self._lu.solve(rhs[self._order])
         return solution
 
     def trailing_block_is_support(self):

@@ -25,6 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg
 
+from repro.linalg.blas import one_thread
+
 #: Default relative residual target.  Temperatures are O(3e2) K and the
 #: package systems have cond(G) ~ 1e4, so 1e-10 relative leaves the
 #: absolute error far below the 1e-6 K agreement the differential tests
@@ -133,20 +135,23 @@ def krylov_solve(
     iterations = 0
     worst_residual = 0.0
     converged = True
-    for j in range(columns.shape[1]):
-        b = columns[:, j]
-        b_norm = float(np.linalg.norm(b))
-        if b_norm == 0.0:
-            x[:, j] = 0.0
-            continue
-        counter = [0]
-        xj = _run_cg(matrix, b, m_op, rtol, maxiter, counter)
-        iterations += counter[0]
-        residual = float(np.linalg.norm(b - matrix @ xj)) / b_norm
-        worst_residual = max(worst_residual, residual)
-        if not np.isfinite(residual) or residual > rtol:
-            converged = False
-        x[:, j] = xj
+    # CG's dot products, norms and the preconditioner's solves run on
+    # one BLAS thread (repro.linalg.blas).
+    with one_thread():
+        for j in range(columns.shape[1]):
+            b = columns[:, j]
+            b_norm = float(np.linalg.norm(b))
+            if b_norm == 0.0:
+                x[:, j] = 0.0
+                continue
+            counter = [0]
+            xj = _run_cg(matrix, b, m_op, rtol, maxiter, counter)
+            iterations += counter[0]
+            residual = float(np.linalg.norm(b - matrix @ xj)) / b_norm
+            worst_residual = max(worst_residual, residual)
+            if not np.isfinite(residual) or residual > rtol:
+                converged = False
+            x[:, j] = xj
     report = KrylovReport(
         converged=converged,
         iterations=iterations,

@@ -59,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.linalg.blas import one_thread
 from repro.linalg.condensed import condense
 from repro.linalg.spd import cholesky_is_spd
 
@@ -149,12 +150,15 @@ def runaway_current_eigen(g_matrix, d_matrix, *, return_vector=False,
         ) from error
     if not mu > 0.0:
         return (no_runaway, None) if return_vector else no_runaway
-    lifted = pencil.lift(pencil.d_support * y)
-    value = rayleigh_quotient_bound(g_matrix, diag, lifted)
-    result = RunawayCurrent(value, "eigen", 0, (value, value))
-    if not return_vector:
-        return result
-    return result, lifted / float(np.linalg.norm(lifted))
+    # The lift, the quotient and the norm are n-vector work: one guard
+    # makes the lift's own guard a depth bump.
+    with one_thread():
+        lifted = pencil.lift(pencil.d_support * y)
+        value = rayleigh_quotient_bound(g_matrix, diag, lifted)
+        result = RunawayCurrent(value, "eigen", 0, (value, value))
+        if not return_vector:
+            return result
+        return result, lifted / float(np.linalg.norm(lifted))
 
 
 def runaway_current_shift_invert(
@@ -231,14 +235,19 @@ def runaway_current_shift_invert(
         )
 
     def _rayleigh(x):
-        denom = float(np.dot(x * diag, x))
-        if denom <= 0.0 or not math.isfinite(denom):
-            return None
-        numer = float(x @ (g_matrix @ x))
+        with one_thread():
+            denom = float(np.dot(x * diag, x))
+            if denom <= 0.0 or not math.isfinite(denom):
+                return None
+            numer = float(x @ (g_matrix @ x))
         return numer / denom
 
+    def _norm(x):
+        with one_thread():
+            return float(np.linalg.norm(x))
+
     vector = np.asarray(guess, dtype=float).copy()
-    norm = float(np.linalg.norm(vector))
+    norm = _norm(vector)
     if norm <= 0.0 or not np.all(np.isfinite(vector)):
         return None, None
     vector /= norm
@@ -258,7 +267,7 @@ def runaway_current_shift_invert(
         at_this_shift += 1
         try:
             advanced = solve(shift, diag * vector)
-            norm = float(np.linalg.norm(advanced))
+            norm = _norm(advanced)
             if norm <= 0.0 or not np.all(np.isfinite(advanced)):
                 raise RuntimeError("shifted solve produced a degenerate vector")
         except (RuntimeError, np.linalg.LinAlgError):
@@ -399,16 +408,17 @@ def rayleigh_quotient_bound(g_matrix, d_matrix, vector):
     """Evaluate ``x' G x / x' D x`` for a trial vector with ``x' D x > 0``.
 
     Any such quotient upper-bounds ``lambda_m`` (Theorem 1's
-    variational characterization); useful for tests and for quick
-    sanity bounds without a factorization.
+    variational characterization).  :func:`runaway_current_eigen`
+    returns it at the lifted eigenvector as ``lambda_m`` itself, so
+    both reductions run on one BLAS thread (:mod:`repro.linalg.blas`).
     """
     diag = _diagonal_of(d_matrix)
     x = np.asarray(vector, dtype=float)
-    denom = float(np.dot(x * diag, x))
-    if denom <= 0.0:
-        raise ValueError("trial vector must satisfy x' D x > 0")
-    if sp.issparse(g_matrix):
+    if not sp.issparse(g_matrix):
+        g_matrix = np.asarray(g_matrix, dtype=float)
+    with one_thread():
+        denom = float(np.dot(x * diag, x))
+        if denom <= 0.0:
+            raise ValueError("trial vector must satisfy x' D x > 0")
         numer = float(x @ (g_matrix @ x))
-    else:
-        numer = float(x @ (np.asarray(g_matrix, dtype=float) @ x))
     return numer / denom

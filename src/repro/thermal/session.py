@@ -62,6 +62,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, splu
 
+from repro.linalg.blas import one_thread
 from repro.linalg.cholesky import NotPositiveDefiniteError, spd_factorize
 from repro.linalg.condensed import condensed_pencil, factor_support_last
 from repro.linalg.krylov import DEFAULT_RTOL, krylov_solve
@@ -485,8 +486,13 @@ class SessionView:
         return self._timed_lu_solve(lu, rhs)
 
     def _timed_lu_solve(self, lu, rhs):
+        """The single solve seam of the engine: every triangular solve
+        (direct, the reuse base pair and lifts, per-device diagonals,
+        the mg fallback) runs here on one BLAS thread
+        (:mod:`repro.linalg.blas`)."""
         start = time.perf_counter()
-        x = lu.solve(rhs)
+        with one_thread():
+            x = lu.solve(rhs)
         self.stats.solve_time_s += time.perf_counter() - start
         self.stats.rhs_columns += 1 if rhs.ndim == 1 else rhs.shape[1]
         return x

@@ -1,12 +1,15 @@
-"""The one-BLAS-thread guard around the condensed pencil's dense kernels.
+"""The one-BLAS-thread guard around sparse solves, runaway reductions,
+CG and the condensed pencil's small dense kernels.
 
 :func:`repro.linalg.blas.one_thread` lowers every loaded OpenBLAS to
-one thread while a small kernel runs and restores each library's count
+one thread while such work runs and restores each library's count
 afterwards, shared by every thread of the process through one depth
 count.  These tests pin the counts inside and after the guard (also
 when the body raises, under nesting and from many threads at once),
-the size bound, the no-op without OpenBLAS, and that the pencil's
-``eigh`` and ``current_inverse`` products run inside it.
+the size bound for dense kernels, the no-op without OpenBLAS, that the
+pencil's ``eigh`` and ``current_inverse`` products run inside it, and
+that session solves, runaway quotients and norms and CG's
+preconditioner run inside it while factorizations keep two threads.
 """
 
 import sys
@@ -15,9 +18,17 @@ import threading
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from repro.linalg import blas, condensed
 from repro.linalg.blas import ONE_THREAD_MAX_ORDER, one_thread, openblas_pools
+from repro.linalg.krylov import krylov_solve
+from repro.linalg.runaway import (
+    runaway_current_eigen,
+    runaway_current_shift_invert,
+)
+from repro.thermal import session
+from repro.thermal.session import SolveSession
 
 POOLS = openblas_pools()
 
@@ -40,16 +51,20 @@ def two_threads():
         put(count)
 
 
-def _pencil():
-    """The pencil of a path-graph Laplacian (plus a leak) on 24 nodes
-    with every other node in the Peltier support."""
-    size = 24
+def _path_graph(size=24):
+    """A path-graph Laplacian (plus a leak) on ``size`` nodes and a
+    Peltier diagonal on every other node."""
     g_matrix = sp.diags(
         [-np.ones(size - 1), np.full(size, 2.1), -np.ones(size - 1)],
         [-1, 0, 1], format="csc",
     )
     diagonal = np.where(np.arange(size) % 2 == 0, 0.05, 0.0)
-    return condensed.condense(g_matrix, diagonal)
+    return g_matrix, diagonal
+
+
+def _pencil():
+    """The pencil of :func:`_path_graph`."""
+    return condensed.condense(*_path_graph())
 
 
 @needs_openblas
@@ -121,6 +136,156 @@ class TestPencilKernels:
         inverse = pencil.current_inverse(0.5 / pencil.top_eigenpair()[0])
         rhs = np.ones((pencil.support.size, 2)).view(Recording)
         inverse(rhs)
+        assert seen and all(count == [1] * len(POOLS) for count in seen)
+        assert _counts() == two_threads
+
+
+class RecordingFactor:
+    """A SuperLU factor that records the thread counts at each solve."""
+
+    def __init__(self, lu, seen):
+        self._lu = lu
+        self._seen = seen
+
+    def solve(self, rhs):
+        self._seen.append(_counts())
+        return self._lu.solve(rhs)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+class RecordingMatrix(sp.csr_matrix):
+    """A sparse ``G`` that records the thread counts at each product,
+    the matrix-vector step of a Rayleigh quotient."""
+
+    seen = None
+
+    def __matmul__(self, other):
+        RecordingMatrix.seen.append(_counts())
+        return super().__matmul__(other)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """``(factored, solved)``: the thread counts at every factorization
+    the solve session runs (``splu`` and ``spd_factorize`` as it looks
+    them up) and at every solve of those factors."""
+    factored, solved = [], []
+
+    def recording(factorize):
+        def factor(*args, **kwargs):
+            factored.append(_counts())
+            return RecordingFactor(factorize(*args, **kwargs), solved)
+
+        return factor
+
+    monkeypatch.setattr(session, "splu", recording(session.splu))
+    monkeypatch.setattr(session, "spd_factorize", recording(session.spd_factorize))
+    return factored, solved
+
+
+@pytest.fixture
+def recorded_reductions(monkeypatch):
+    """The thread counts at every ``np.linalg.norm`` call and every
+    :class:`RecordingMatrix` product."""
+    seen = []
+    norm = np.linalg.norm
+
+    def recording_norm(*args, **kwargs):
+        seen.append(_counts())
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording_norm)
+    monkeypatch.setattr(RecordingMatrix, "seen", seen)
+    return seen
+
+
+@needs_openblas
+class TestSparseSeams:
+    """Every sparse triangular solve, runaway reduction and CG step
+    runs on one BLAS thread whatever its order; factorizations keep
+    the libraries' threads."""
+
+    @pytest.mark.parametrize("mode", ["reuse", "direct"])
+    def test_session_solves_run_on_one_thread(self, small_deployed, mode,
+                                              recorded, two_threads):
+        factored, solved = recorded
+        view = SolveSession(small_deployed.system, mode=mode).view(None)
+        view.solve(1.0)
+        view.solve_derivatives(1.5)
+        assert solved and all(count == [1] * len(POOLS) for count in solved)
+        assert _counts() == two_threads
+
+    @pytest.mark.parametrize("mode", ["reuse", "direct"])
+    def test_factorizations_keep_their_threads(self, small_deployed, mode,
+                                               recorded, two_threads):
+        factored, _ = recorded
+        view = SolveSession(small_deployed.system, mode=mode).view(None)
+        view.solve(1.0)
+        assert factored and all(count == two_threads for count in factored)
+        assert _counts() == two_threads
+
+    def test_support_last_solves_run_on_one_thread(self, two_threads):
+        """The private factor of a standalone runaway bound."""
+        g_matrix, diagonal = _path_graph()
+        seen = []
+        factor = condensed.factor_support_last(
+            g_matrix, np.flatnonzero(diagonal),
+            factorize=lambda matrix, **options: RecordingFactor(
+                splu(matrix, **options), seen
+            ),
+        )
+        factor.solve(np.ones((diagonal.size, 2)))
+        assert seen == [[1] * len(POOLS)]
+        assert _counts() == two_threads
+
+    def test_eigen_quotient_and_norm_run_on_one_thread(
+            self, recorded_reductions, two_threads):
+        g_matrix, diagonal = _path_graph()
+        result, vector = runaway_current_eigen(
+            RecordingMatrix(g_matrix), diagonal, return_vector=True
+        )
+        assert result.value > 0.0 and vector is not None
+        assert len(recorded_reductions) >= 2
+        assert all(count == [1] * len(POOLS) for count in recorded_reductions)
+        assert _counts() == two_threads
+
+    def test_shift_invert_quotients_and_norms_run_on_one_thread(
+            self, recorded_reductions, two_threads):
+        g_matrix, diagonal = _path_graph()
+        exact, vector = runaway_current_eigen(
+            g_matrix, diagonal, return_vector=True
+        )
+        recorded_reductions.clear()
+
+        def solve(current, rhs):
+            return splu((g_matrix - current * sp.diags(diagonal)).tocsc()).solve(rhs)
+
+        guess = vector + 0.05 * np.random.default_rng(3).standard_normal(vector.size)
+        result, _ = runaway_current_shift_invert(
+            solve, RecordingMatrix(g_matrix), diagonal, guess=guess,
+            shift=0.9 * exact.value,
+        )
+        assert result is not None
+        assert result.value == pytest.approx(exact.value, rel=1e-6)
+        assert len(recorded_reductions) >= 2 * result.iterations
+        assert all(count == [1] * len(POOLS) for count in recorded_reductions)
+        assert _counts() == two_threads
+
+    def test_cg_preconditioner_runs_on_one_thread(self, two_threads):
+        g_matrix, _ = _path_graph()
+        diagonal = g_matrix.diagonal()
+        seen = []
+
+        def precondition(v):
+            seen.append(_counts())
+            return v / diagonal
+
+        x, report = krylov_solve(g_matrix, np.ones(diagonal.size),
+                                 preconditioner=precondition)
+        assert report.converged
+        np.testing.assert_allclose(g_matrix @ x, 1.0, rtol=1e-9)
         assert seen and all(count == [1] * len(POOLS) for count in seen)
         assert _counts() == two_threads
 
